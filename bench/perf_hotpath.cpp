@@ -1,7 +1,8 @@
 // Perf — hot-path micro-benchmarks for the optimized kernels: FFT vs direct
 // convolution, packed-popcount vs byte-loop despreading, the receiver's
-// precomputed timing-search grid vs the per-call search, and the link's
-// memoized clean-waveform synthesis.
+// precomputed timing-search grid vs the per-call search, the link's
+// memoized clean-waveform synthesis, and per-sample libm channel noise vs
+// the add_gauss kernel.
 //
 //   $ ./perf_hotpath --json | tail -n1 > BENCH_perf_hotpath.json
 //
@@ -55,7 +56,7 @@ volatile double g_sink = 0.0;
 int main(int argc, char** argv) {
   const bench::Options options = bench::parse_options(argc, argv);
   bench::print_banner(options, "Perf: hot-path kernels (convolve / despread / "
-                               "timing grid / waveform cache)");
+                               "timing grid / waveform cache / noise)");
   const std::size_t reps = options.trials_or(5);
   dsp::Rng rng = dsp::Rng::for_stream(options.seed, 0);
 
@@ -174,6 +175,34 @@ int main(int argc, char** argv) {
                  sim::Table::num(clean_cached_ms, 3) + " ms",
                  sim::Table::num(clean_uncached_ms / clean_cached_ms, 2) + "x"});
 
+  // -- channel noise: per-sample libm draws vs the add_gauss kernel ---------
+  // 64 frame-length buffers, each on its own trial stream like the engine's
+  // trials. The reference is noise stream 1's loop (one libm Box–Muller
+  // pair per sample); the fast path is stream 2 on the active kernel table.
+  const std::size_t noise_frames = 64;
+  const std::size_t noise_len = frame_waveform.size();
+  cvec noise_buf(noise_len);
+  const double noise_reference_ms = time_ms(reps, [&] {
+    for (std::size_t f = 0; f < noise_frames; ++f) {
+      dsp::Rng trial_rng = dsp::Rng::for_stream(options.seed, f);
+      for (auto& x : noise_buf) x += trial_rng.complex_gaussian(0.1);
+    }
+    g_sink = g_sink + noise_buf.back().real();
+  });
+  const double noise_fast_ms = time_ms(reps, [&] {
+    for (std::size_t f = 0; f < noise_frames; ++f) {
+      dsp::Rng trial_rng = dsp::Rng::for_stream(options.seed, f);
+      trial_rng.add_complex_gaussian(noise_buf, 0.1);
+    }
+    g_sink = g_sink + noise_buf.back().real();
+  });
+  const double ns_per_sample_per_ms =
+      1e6 / static_cast<double>(noise_frames * noise_len);
+  table.add_row({"channel noise (64 frames)",
+                 sim::Table::num(noise_reference_ms, 3) + " ms",
+                 sim::Table::num(noise_fast_ms, 3) + " ms",
+                 sim::Table::num(noise_reference_ms / noise_fast_ms, 2) + "x"});
+
   // -- dsp::kernels: scalar table vs best dispatched table ------------------
   // Times each hot kernel at both dispatch levels on the same buffers and
   // reports ns/sample alongside the ratio. Levels are requested explicitly
@@ -291,6 +320,23 @@ int main(int argc, char** argv) {
                 });
   }
 
+  // add_gauss: channel noise onto one long buffer; every run starts from
+  // the same lane states, so both levels draw identical noise.
+  {
+    const std::size_t n = 65536;
+    cvec buf(n, cplx{0.0, 0.0});
+    dsp::kernels::GaussLanes seeded{};
+    for (auto& word : seeded.s) {
+      for (auto& lane : word) lane = rng.next_u64();
+    }
+    time_kernel("add_gauss_kernel", "kernel add_gauss (n=65536)", n,
+                [&](const dsp::kernels::KernelTable& kt) {
+                  dsp::kernels::GaussLanes lanes = seeded;
+                  kt.add_gauss(buf.data(), n, 0.3, &lanes);
+                  g_sink = g_sink + buf.back().real();
+                });
+  }
+
   for (const KernelTiming& timing : kernel_timings) {
     table.add_row({timing.label, sim::Table::num(timing.scalar_ms, 3) + " ms",
                    sim::Table::num(timing.simd_ms, 3) + " ms",
@@ -315,6 +361,12 @@ int main(int argc, char** argv) {
   report.set("clean_uncached_ms", clean_uncached_ms);
   report.set("clean_cached_ms", clean_cached_ms);
   report.set("clean_speedup", clean_uncached_ms / clean_cached_ms);
+  report.set("noise_reference_ms", noise_reference_ms);
+  report.set("noise_fast_ms", noise_fast_ms);
+  report.set("noise_speedup", noise_reference_ms / noise_fast_ms);
+  report.set("noise_reference_ns_per_sample",
+             noise_reference_ms * ns_per_sample_per_ms);
+  report.set("noise_fast_ns_per_sample", noise_fast_ms * ns_per_sample_per_ms);
   for (const KernelTiming& timing : kernel_timings) {
     const double per_sample = 1e6 / static_cast<double>(timing.samples);
     report.set(timing.key + "_scalar_ms", timing.scalar_ms);

@@ -10,6 +10,8 @@
 #include <cstring>
 #include <unordered_set>
 
+#include "dsp/rng.h"
+
 namespace ctc::campaign {
 
 namespace {
@@ -97,7 +99,10 @@ Manifest Manifest::from_json(const Json& json) {
 }
 
 std::string spec_fingerprint(const CampaignSpec& spec) {
-  const std::string canonical = spec.to_json().dump();
+  // Units simulated under another noise stream are another experiment, so
+  // the stream id is part of the key: such a manifest must not resume.
+  const std::string canonical = spec.to_json().dump() + "\nnoise_stream=" +
+                                std::to_string(dsp::kNoiseStream);
   std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64
   for (unsigned char c : canonical) {
     hash ^= c;

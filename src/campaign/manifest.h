@@ -14,8 +14,9 @@
 // an uninterrupted one.
 //
 // The manifest is bound to its spec by a fingerprint over the canonical
-// spec JSON, so resuming with a modified spec is rejected instead of
-// silently mixing incompatible partial results.
+// spec JSON and the noise-stream id (dsp::kNoiseStream), so resuming with a
+// modified spec, or with a binary on another noise stream, is rejected
+// instead of silently mixing incompatible partial results.
 #pragma once
 
 #include <optional>
@@ -51,7 +52,8 @@ struct Manifest {
   static Manifest from_json(const Json& json);
 };
 
-/// FNV-1a 64 over the canonical spec JSON — the resume compatibility key.
+/// FNV-1a 64 over the canonical spec JSON followed by
+/// "\nnoise_stream=<dsp::kNoiseStream>" — the resume compatibility key.
 std::string spec_fingerprint(const CampaignSpec& spec);
 
 /// Atomically replaces `path` with the serialized manifest (temp file +

@@ -1,29 +1,8 @@
 #include "channel/awgn.h"
 
-#include <vector>
-
-#include "dsp/kernels/kernels.h"
-#include "dsp/require.h"
 #include "dsp/stats.h"
 
 namespace ctc::channel {
-
-namespace {
-
-/// Draws one complex Gaussian per sample into thread-local scratch, in the
-/// same sequential order as the legacy interleaved loop (identical RNG
-/// stream), then adds the whole buffer through the cadd kernel. A single
-/// rounded add per component, so the result is bitwise identical to the
-/// legacy `x += rng.complex_gaussian(v)` loop at every dispatch level.
-void add_noise_batched(std::span<cplx> signal, double noise_variance,
-                       dsp::Rng& rng) {
-  thread_local std::vector<cplx> noise;
-  noise.resize(signal.size());
-  for (auto& sample : noise) sample = rng.complex_gaussian(noise_variance);
-  dsp::kernels::active().cadd(signal.data(), noise.data(), signal.size());
-}
-
-}  // namespace
 
 cvec add_awgn(std::span<const cplx> signal, double snr_db, dsp::Rng& rng) {
   const double signal_power = dsp::average_power(signal);
@@ -33,16 +12,14 @@ cvec add_awgn(std::span<const cplx> signal, double snr_db, dsp::Rng& rng) {
 
 cvec add_noise_variance(std::span<const cplx> signal, double noise_variance,
                         dsp::Rng& rng) {
-  CTC_REQUIRE(noise_variance >= 0.0);
   cvec out(signal.begin(), signal.end());
-  add_noise_batched(out, noise_variance, rng);
+  rng.add_complex_gaussian(out, noise_variance);
   return out;
 }
 
 void add_noise_variance_inplace(std::span<cplx> signal, double noise_variance,
                                 dsp::Rng& rng) {
-  CTC_REQUIRE(noise_variance >= 0.0);
-  add_noise_batched(signal, noise_variance, rng);
+  rng.add_complex_gaussian(signal, noise_variance);
 }
 
 }  // namespace ctc::channel

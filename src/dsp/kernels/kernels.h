@@ -2,7 +2,8 @@
 //
 // Every dense inner loop in the repo — FIR MAC, mixer rotation, matched
 // filtering, cumulant accumulation, energy reduction, packed-chip
-// correlation — funnels through the function-pointer table in this header.
+// correlation, Gaussian noise — funnels through the function-pointer table
+// in this header.
 // The implementation level is chosen ONCE per process (first use) from
 // CPUID, and can be forced with the CTC_SIMD environment variable:
 //
@@ -76,6 +77,12 @@ struct CumulantLanes {
   CumulantSums fold() const;
 };
 
+/// Four independent xoshiro256++ generators feeding add_gauss. Word w of
+/// lane j is s[w][j], so each state word loads as one 4-lane register.
+struct GaussLanes {
+  std::uint64_t s[4][4];
+};
+
 /// The dispatched kernel table. All pointers are non-null at every level.
 struct KernelTable {
   // -- FIR / convolution (tolerance) ---------------------------------------
@@ -141,6 +148,14 @@ struct KernelTable {
   void (*cumulant_acc)(const cplx* x, std::size_t n, std::size_t start_index,
                        CumulantLanes* lanes);
 
+  // -- Gaussian noise (bitwise) --------------------------------------------
+  /// x[i] += sigma * r_i * (cos t_i, sin t_i): Box–Muller on polynomial
+  /// log/sincos. Sample i takes two draws from lane i mod 4 (u1 = 2 - [1,2)
+  /// from the first, u2 = [1,2) - 1 from the second, both from the top 52
+  /// bits); r_i = sqrt(-2 gauss_log(u1)), t_i = 2 pi u2. `lanes` advances by
+  /// exactly the draws taken.
+  void (*add_gauss)(cplx* x, std::size_t n, double sigma, GaussLanes* lanes);
+
   // -- O-QPSK matched filter (tolerance) -----------------------------------
   /// soft[i] = (sum_s branch_i(wave[i*spc + s]) * pulse[s]) / pulse_energy,
   /// branch_i = real part for even i, imaginary for odd (the O-QPSK I/Q
@@ -184,5 +199,12 @@ SimdLevel active_level();
 
 /// The process-wide dispatched table — the one hot loops call through.
 const KernelTable& active();
+
+/// add_gauss's polynomials at the scalar level, exported so the accuracy
+/// tests can sweep them against libm. gauss_log is fdlibm's e_log for x in
+/// [2^-52, 1]; gauss_sincos_2pi returns sin and cos of 2*pi*u for u in
+/// [0, 1) by exact quadrant reduction plus fdlibm's k_sin/k_cos.
+double gauss_log(double x);
+void gauss_sincos_2pi(double u, double* sin_out, double* cos_out);
 
 }  // namespace ctc::dsp::kernels

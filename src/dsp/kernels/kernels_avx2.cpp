@@ -492,6 +492,158 @@ void cumulant_acc(const cplx* x, std::size_t n, std::size_t start_index,
 }
 
 // ---------------------------------------------------------------------------
+// add_gauss (bitwise): four samples per pass, sample i + j on lane j, each
+// expression the scalar_impl one with the four lanes side by side. Samples
+// past the last full pass go through the scalar table, starting again at
+// lane 0 exactly as the scalar loop would.
+// ---------------------------------------------------------------------------
+
+inline __m256d splat(double v) { return _mm256_set1_pd(v); }
+inline __m256i splat_u64(std::uint64_t v) {
+  return _mm256_set1_epi64x(static_cast<long long>(v));
+}
+// Single rounded operations, named so the polynomials below read like
+// their scalar_impl twins.
+inline __m256d vadd(__m256d a, __m256d b) { return _mm256_add_pd(a, b); }
+inline __m256d vsub(__m256d a, __m256d b) { return _mm256_sub_pd(a, b); }
+inline __m256d vmul(__m256d a, __m256d b) { return _mm256_mul_pd(a, b); }
+
+template <int K>
+inline __m256i rotl64x4(__m256i x) {
+  return _mm256_or_si256(_mm256_slli_epi64(x, K),
+                         _mm256_srli_epi64(x, 64 - K));
+}
+
+/// One xoshiro256++ step of all four lanes (s[w] holds word w of each).
+inline __m256i xoshiro_step(__m256i s[4]) {
+  const __m256i result =
+      _mm256_add_epi64(rotl64x4<23>(_mm256_add_epi64(s[0], s[3])), s[0]);
+  const __m256i t = _mm256_slli_epi64(s[1], 17);
+  s[2] = _mm256_xor_si256(s[2], s[0]);
+  s[3] = _mm256_xor_si256(s[3], s[1]);
+  s[1] = _mm256_xor_si256(s[1], s[2]);
+  s[0] = _mm256_xor_si256(s[0], s[3]);
+  s[2] = _mm256_xor_si256(s[2], t);
+  s[3] = rotl64x4<45>(s[3]);
+  return result;
+}
+
+inline __m256d mantissa_unit(__m256i draw) {
+  return _mm256_castsi256_pd(_mm256_or_si256(
+      _mm256_srli_epi64(draw, 12), splat_u64(0x3ff0000000000000ULL)));
+}
+
+inline __m256d gauss_log(__m256d x) {
+  using namespace scalar_impl;
+  const __m256i bits = _mm256_castpd_si256(x);
+  const __m256i mantissa =
+      _mm256_and_si256(bits, splat_u64(0x000fffffffffffffULL));
+  const __m256i halve = _mm256_and_si256(
+      _mm256_add_epi64(mantissa, splat_u64(0x00095f6400000000ULL)),
+      splat_u64(0x0010000000000000ULL));
+  const __m256d m = _mm256_castsi256_pd(_mm256_or_si256(
+      mantissa, _mm256_xor_si256(halve, splat_u64(0x3ff0000000000000ULL))));
+  // Biased exponent e in [971, 1024] as a double: (2^52 + e) - 2^52 - 1023,
+  // every step exact.
+  const __m256i biased = _mm256_add_epi64(_mm256_srli_epi64(bits, 52),
+                                          _mm256_srli_epi64(halve, 52));
+  const __m256d k = vsub(
+      vsub(_mm256_castsi256_pd(
+               _mm256_or_si256(biased, splat_u64(0x4330000000000000ULL))),
+           splat(0x1p52)),
+      splat(1023.0));
+  const __m256d f = vsub(m, splat(1.0));
+  const __m256d s = _mm256_div_pd(f, vadd(splat(2.0), f));
+  const __m256d z = vmul(s, s);
+  const __m256d w = vmul(z, z);
+  const __m256d t1 =
+      vmul(w, vadd(splat(kLg2), vmul(w, vadd(splat(kLg4),
+                                             vmul(w, splat(kLg6))))));
+  const __m256d t2 = vmul(
+      z, vadd(splat(kLg1),
+              vmul(w, vadd(splat(kLg3),
+                           vmul(w, vadd(splat(kLg5), vmul(w, splat(kLg7))))))));
+  const __m256d r = vadd(t2, t1);
+  const __m256d hfsq = vmul(vmul(splat(0.5), f), f);
+  return vsub(vmul(k, splat(kLn2Hi)),
+              vsub(vsub(hfsq, vadd(vmul(s, vadd(hfsq, r)),
+                                   vmul(k, splat(kLn2Lo)))),
+                   f));
+}
+
+inline void gauss_sincos_2pi(__m256d u, __m256d* sin_out, __m256d* cos_out) {
+  using namespace scalar_impl;
+  const __m256d t = vmul(splat(4.0), u);
+  const __m256d shifted = vadd(t, splat(kRoundShift));
+  const __m256d q = vsub(shifted, splat(kRoundShift));
+  const __m256d x = vmul(vsub(t, q), splat(kHalfPi));
+  const __m256i quadrant =
+      _mm256_and_si256(_mm256_castpd_si256(shifted), splat_u64(3));
+  const __m256d z = vmul(x, x);
+  const __m256d w = vmul(z, z);
+  const __m256d rs =
+      vadd(vadd(splat(kS2), vmul(z, vadd(splat(kS3), vmul(z, splat(kS4))))),
+           vmul(vmul(z, w), vadd(splat(kS5), vmul(z, splat(kS6)))));
+  const __m256d sin_x =
+      vadd(x, vmul(vmul(z, x), vadd(splat(kS1), vmul(z, rs))));
+  const __m256d rc = vadd(
+      vmul(z, vadd(splat(kC1), vmul(z, vadd(splat(kC2),
+                                            vmul(z, splat(kC3)))))),
+      vmul(vmul(w, w),
+           vadd(splat(kC4),
+                vmul(z, vadd(splat(kC5), vmul(z, splat(kC6)))))));
+  const __m256d hz = vmul(splat(0.5), z);
+  const __m256d one_minus_hz = vsub(splat(1.0), hz);
+  const __m256d cos_x =
+      vadd(one_minus_hz,
+           vadd(vsub(vsub(splat(1.0), one_minus_hz), hz), vmul(z, rc)));
+  const __m256i one = splat_u64(1);
+  const __m256d odd = _mm256_castsi256_pd(
+      _mm256_cmpeq_epi64(_mm256_and_si256(quadrant, one), one));
+  const __m256d sin_v = _mm256_blendv_pd(sin_x, cos_x, odd);
+  const __m256d cos_v = _mm256_blendv_pd(cos_x, sin_x, odd);
+  // Bit 1 of quadrant (sin) and of quadrant + 1 (cos), moved to the sign.
+  const __m256i two = splat_u64(2);
+  const __m256i sin_sign =
+      _mm256_slli_epi64(_mm256_and_si256(quadrant, two), 62);
+  const __m256i cos_sign = _mm256_slli_epi64(
+      _mm256_and_si256(_mm256_add_epi64(quadrant, one), two), 62);
+  *sin_out = _mm256_xor_pd(sin_v, _mm256_castsi256_pd(sin_sign));
+  *cos_out = _mm256_xor_pd(cos_v, _mm256_castsi256_pd(cos_sign));
+}
+
+void add_gauss(cplx* x, std::size_t n, double sigma, GaussLanes* lanes) {
+  __m256i s[4];
+  for (std::size_t w = 0; w < 4; ++w) {
+    s[w] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lanes->s[w]));
+  }
+  double* xd = as_doubles(x);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d u1 = vsub(splat(2.0), mantissa_unit(xoshiro_step(s)));
+    const __m256d u2 = vsub(mantissa_unit(xoshiro_step(s)), splat(1.0));
+    const __m256d scaled = vmul(
+        splat(sigma), _mm256_sqrt_pd(vmul(splat(-2.0), gauss_log(u1))));
+    __m256d sin_v;
+    __m256d cos_v;
+    gauss_sincos_2pi(u2, &sin_v, &cos_v);
+    const __m256d re = vmul(scaled, cos_v);
+    const __m256d im = vmul(scaled, sin_v);
+    const __m256d lo = _mm256_unpacklo_pd(re, im);  // [re0, im0, re2, im2]
+    const __m256d hi = _mm256_unpackhi_pd(re, im);  // [re1, im1, re3, im3]
+    double* p = xd + 2 * i;
+    _mm256_storeu_pd(
+        p, vadd(_mm256_loadu_pd(p), _mm256_permute2f128_pd(lo, hi, 0x20)));
+    _mm256_storeu_pd(p + 4, vadd(_mm256_loadu_pd(p + 4),
+                                 _mm256_permute2f128_pd(lo, hi, 0x31)));
+  }
+  for (std::size_t w = 0; w < 4; ++w) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes->s[w]), s[w]);
+  }
+  scalar_table().add_gauss(x + i, n - i, sigma, lanes);
+}
+
+// ---------------------------------------------------------------------------
 // O-QPSK matched filter (tolerance): per-chip fused deinterleave + dot.
 // ---------------------------------------------------------------------------
 
@@ -627,6 +779,7 @@ const KernelTable& avx2_table() {
       .dot_conj = dot_conj,
       .corr_many = corr_many,
       .cumulant_acc = cumulant_acc,
+      .add_gauss = add_gauss,
       .oqpsk_mf = oqpsk_mf,
       .pack_hard_chips = pack_hard_chips,
       .pack_sign_chips = pack_sign_chips,

@@ -24,6 +24,7 @@ const KernelTable& scalar_table() {
       .dot_conj = scalar_impl::dot_conj,
       .corr_many = scalar_impl::corr_many,
       .cumulant_acc = scalar_impl::cumulant_acc,
+      .add_gauss = scalar_impl::add_gauss,
       .oqpsk_mf = scalar_impl::oqpsk_mf,
       .pack_hard_chips = scalar_impl::pack_hard_chips,
       .pack_sign_chips = scalar_impl::pack_sign_chips,
@@ -34,3 +35,13 @@ const KernelTable& scalar_table() {
 }
 
 }  // namespace ctc::dsp::kernels::detail
+
+namespace ctc::dsp::kernels {
+
+double gauss_log(double x) { return scalar_impl::gauss_log(x); }
+
+void gauss_sincos_2pi(double u, double* sin_out, double* cos_out) {
+  scalar_impl::gauss_sincos_2pi(u, sin_out, cos_out);
+}
+
+}  // namespace ctc::dsp::kernels

@@ -286,4 +286,126 @@ inline void despread_words(const std::uint32_t* received, std::size_t m,
   }
 }
 
+// -- add_gauss ----------------------------------------------------------------
+// Every expression below is mirrored operation for operation by the AVX2
+// lanes; the integer steps and the selections are exact, so only the
+// order of the rounded double operations matters.
+
+// fdlibm e_log (ln2 split and Lg1..Lg7), and k_sin / k_cos (S1..S6,
+// C1..C6) in their branch-free msun form.
+inline constexpr double kLn2Hi = 0x1.62e42feep-1;
+inline constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+inline constexpr double kLg1 = 0x1.5555555555593p-1;
+inline constexpr double kLg2 = 0x1.999999997fa04p-2;
+inline constexpr double kLg3 = 0x1.2492494229359p-2;
+inline constexpr double kLg4 = 0x1.c71c51d8e78afp-3;
+inline constexpr double kLg5 = 0x1.7466496cb03dep-3;
+inline constexpr double kLg6 = 0x1.39a09d078c69fp-3;
+inline constexpr double kLg7 = 0x1.2f112df3e5244p-3;
+inline constexpr double kS1 = -0x1.5555555555549p-3;
+inline constexpr double kS2 = 0x1.111111110f8a6p-7;
+inline constexpr double kS3 = -0x1.a01a019c161d5p-13;
+inline constexpr double kS4 = 0x1.71de357b1fe7dp-19;
+inline constexpr double kS5 = -0x1.ae5e68a2b9cebp-26;
+inline constexpr double kS6 = 0x1.5d93a5acfd57cp-33;
+inline constexpr double kC1 = 0x1.555555555554cp-5;
+inline constexpr double kC2 = -0x1.6c16c16c15177p-10;
+inline constexpr double kC3 = 0x1.a01a019cb1590p-16;
+inline constexpr double kC4 = -0x1.27e4f809c52adp-22;
+inline constexpr double kC5 = 0x1.1ee9ebdb4b1c4p-29;
+inline constexpr double kC6 = -0x1.8fae9be8838d4p-37;
+inline constexpr double kHalfPi = 0x1.921fb54442d18p+0;
+// Adding 1.5 * 2^52 rounds a double in [0, 2^51) to the nearest integer
+// (ties to even) and leaves that integer in the low mantissa bits.
+inline constexpr double kRoundShift = 0x1.8p52;
+
+inline std::uint64_t rotl64(std::uint64_t x, int k) {
+  return (x << k) | (x >> (64 - k));
+}
+
+// xoshiro256++ step of lane j — the same generator as dsp::Rng::next_u64.
+inline std::uint64_t gauss_next(GaussLanes* lanes, std::size_t j) {
+  std::uint64_t(&s)[4][4] = lanes->s;
+  const std::uint64_t result = rotl64(s[0][j] + s[3][j], 23) + s[0][j];
+  const std::uint64_t t = s[1][j] << 17;
+  s[2][j] ^= s[0][j];
+  s[3][j] ^= s[1][j];
+  s[1][j] ^= s[2][j];
+  s[0][j] ^= s[3][j];
+  s[2][j] ^= t;
+  s[3][j] = rotl64(s[3][j], 45);
+  return result;
+}
+
+// The top 52 bits of a draw as a double in [1, 2) (exponent bits forced).
+inline double mantissa_unit(std::uint64_t draw) {
+  return std::bit_cast<double>((draw >> 12) | 0x3ff0000000000000ULL);
+}
+
+// fdlibm e_log for x in [2^-52, 1], without the branches that input range
+// never takes: x = 2^k (1 + f) with 1 + f in [sqrt(2)/2, sqrt(2)), then
+// log(1+f) = f - (f^2/2 - s (f^2/2 + R(s^2))), s = f / (2 + f).
+inline double gauss_log(double x) {
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  const std::uint64_t mantissa = bits & 0x000fffffffffffffULL;
+  // 2^52 when 1 + mantissa >= sqrt(2): that input is halved and k bumped.
+  const std::uint64_t halve =
+      (mantissa + 0x00095f6400000000ULL) & 0x0010000000000000ULL;
+  const double m =
+      std::bit_cast<double>(mantissa | (halve ^ 0x3ff0000000000000ULL));
+  // Exact: a small integer. The AVX2 lanes reach the same value through
+  // the 2^52 bias trick, having no int64 -> double conversion.
+  const auto biased = static_cast<std::int64_t>((bits >> 52) + (halve >> 52));
+  const auto k = static_cast<double>(biased - 1023);
+  const double f = m - 1.0;
+  const double s = f / (2.0 + f);
+  const double z = s * s;
+  const double w = z * z;
+  const double t1 = w * (kLg2 + w * (kLg4 + w * kLg6));
+  const double t2 = z * (kLg1 + w * (kLg3 + w * (kLg5 + w * kLg7)));
+  const double r = t2 + t1;
+  const double hfsq = 0.5 * f * f;
+  return k * kLn2Hi - ((hfsq - (s * (hfsq + r) + k * kLn2Lo)) - f);
+}
+
+// sin and cos of 2 pi u for u in [0, 1). 4u - nearbyint(4u) is exact, so
+// the only rounding before the polynomials is the one multiply by pi/2.
+inline void gauss_sincos_2pi(double u, double* sin_out, double* cos_out) {
+  const double t = 4.0 * u;
+  const double shifted = t + kRoundShift;
+  const double q = shifted - kRoundShift;
+  const double x = (t - q) * kHalfPi;  // |x| <= pi/4
+  const std::uint64_t quadrant = std::bit_cast<std::uint64_t>(shifted) & 3;
+  const double z = x * x;
+  const double w = z * z;
+  const double rs = kS2 + z * (kS3 + z * kS4) + z * w * (kS5 + z * kS6);
+  const double sin_x = x + z * x * (kS1 + z * rs);
+  const double rc =
+      z * (kC1 + z * (kC2 + z * kC3)) + w * w * (kC4 + z * (kC5 + z * kC6));
+  const double hz = 0.5 * z;
+  const double one_minus_hz = 1.0 - hz;
+  const double cos_x = one_minus_hz + (((1.0 - one_minus_hz) - hz) + z * rc);
+  // sin(q pi/2 + x): odd quadrants swap sin and cos; sin is negative in
+  // quadrants 2 and 3, cos in quadrants 1 and 2.
+  const bool odd = (quadrant & 1) != 0;
+  const double sin_v = odd ? cos_x : sin_x;
+  const double cos_v = odd ? sin_x : cos_x;
+  *sin_out = (quadrant & 2) != 0 ? -sin_v : sin_v;
+  *cos_out = ((quadrant + 1) & 2) != 0 ? -cos_v : cos_v;
+}
+
+inline void add_gauss(cplx* x, std::size_t n, double sigma,
+                      GaussLanes* lanes) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t j = i & 3;
+    const double u1 = 2.0 - mantissa_unit(gauss_next(lanes, j));  // (0, 1]
+    const double u2 = mantissa_unit(gauss_next(lanes, j)) - 1.0;  // [0, 1)
+    const double scaled = sigma * std::sqrt(-2.0 * gauss_log(u1));
+    double sin_v = 0.0;
+    double cos_v = 0.0;
+    gauss_sincos_2pi(u2, &sin_v, &cos_v);
+    x[i] = cplx{x[i].real() + scaled * cos_v, x[i].imag() + scaled * sin_v};
+  }
+}
+
 }  // namespace ctc::dsp::kernels::scalar_impl

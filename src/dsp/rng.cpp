@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "dsp/kernels/kernels.h"
 #include "dsp/require.h"
 
 namespace ctc::dsp {
@@ -76,6 +77,17 @@ cplx Rng::complex_gaussian(double variance) {
   CTC_REQUIRE(variance >= 0.0);
   const double scale = std::sqrt(variance / 2.0);
   return {scale * gaussian(), scale * gaussian()};
+}
+
+void Rng::add_complex_gaussian(std::span<cplx> samples, double variance) {
+  CTC_REQUIRE(variance >= 0.0);
+  kernels::GaussLanes lanes{};
+  for (std::size_t lane = 0; lane < 4; ++lane) {
+    std::uint64_t seed = next_u64();
+    for (auto& word : lanes.s) word[lane] = splitmix64(seed);
+  }
+  kernels::active().add_gauss(samples.data(), samples.size(),
+                              std::sqrt(variance / 2.0), &lanes);
 }
 
 std::uint8_t Rng::bit() { return static_cast<std::uint8_t>(next_u64() >> 63); }

@@ -8,10 +8,31 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "dsp/types.h"
 
 namespace ctc::dsp {
+
+/// Version of the channel-noise stream that Rng::add_complex_gaussian emits
+/// (and therefore of every AWGN result). Noise stream 2:
+///   * lanes: add_complex_gaussian draws four next_u64() values from the
+///     caller's stream and expands each through SplitMix64 into the
+///     256-bit state of one xoshiro256++ lane; sample i then takes two
+///     draws from lane i mod 4 (dsp::kernels add_gauss);
+///   * uniforms: the top 52 bits of each draw via the mantissa trick,
+///     u1 = 2 - [1,2) in (0, 1] and u2 = [1,2) - 1 in [0, 1), so there is
+///     no rejection loop;
+///   * Box–Muller: r = sqrt(-2 log u1) with fdlibm's e_log polynomial,
+///     (cos, sin)(2 pi u2) by exact quadrant reduction plus fdlibm's
+///     k_sin/k_cos, in one unfused operation order, so its bits are the
+///     same at every SIMD level and no longer depend on libm.
+/// Stream 1 was one scalar libm Box–Muller pair per sample (gaussian()
+/// twice): its bits depended on the platform libm, and it cost about
+/// 40 ns/sample. It is gone; nothing can select it. Campaign manifests fold
+/// this id into their fingerprint, so a run checkpointed under another
+/// stream is refused rather than merged.
+inline constexpr int kNoiseStream = 2;
 
 /// Deterministic PRNG with convenience samplers for simulation use.
 class Rng {
@@ -36,6 +57,12 @@ class Rng {
 
   /// Circularly-symmetric complex Gaussian with E|x|^2 == variance.
   cplx complex_gaussian(double variance = 1.0);
+
+  /// Adds circularly-symmetric complex Gaussian noise with
+  /// E|n|^2 == variance to every sample, as noise stream kNoiseStream.
+  /// Consumes exactly four next_u64() draws of this stream whatever the
+  /// length, and leaves the gaussian() pair cache alone.
+  void add_complex_gaussian(std::span<cplx> samples, double variance);
 
   /// Fair coin: 0 or 1.
   std::uint8_t bit();

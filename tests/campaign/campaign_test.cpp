@@ -304,6 +304,34 @@ TEST(CampaignExecutorTest, RejectsManifestFromDifferentSpec) {
   EXPECT_THROW(run_campaign(modified, options), CampaignError);
 }
 
+TEST(CampaignExecutorTest, RejectsManifestFromAnotherNoiseStream) {
+  // A checkpoint written by a binary on noise stream 1, whose fingerprint
+  // was FNV-1a 64 over the canonical spec JSON alone, must not resume: its
+  // units would merge with units simulated under another noise stream.
+  const CampaignSpec spec = CampaignSpec::parse(tiny_attack_spec_text());
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (unsigned char c : spec.to_json().dump()) {
+    hash ^= c;
+    hash *= 0x100000001b3ULL;
+  }
+  char stream1[20];
+  std::snprintf(stream1, sizeof stream1, "%016llx",
+                static_cast<unsigned long long>(hash));
+  EXPECT_NE(spec_fingerprint(spec), stream1);
+
+  ExecutorOptions options;
+  options.out_dir = fresh_dir("stream1");
+  options.max_units = 1;
+  options.quiet = true;
+  run_campaign(spec, options);
+  const std::string path = options.out_dir + "/manifest.json";
+  Manifest manifest = *load_manifest(path);
+  manifest.fingerprint = stream1;
+  save_manifest(manifest, path);
+  options.max_units = 0;
+  EXPECT_THROW(run_campaign(spec, options), CampaignError);
+}
+
 TEST(CampaignExecutorTest, ValidatesOptions) {
   const CampaignSpec spec = CampaignSpec::parse(tiny_attack_spec_text());
   ExecutorOptions no_dir;

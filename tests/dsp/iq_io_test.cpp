@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "dsp/require.h"
 #include "dsp/rng.h"
@@ -13,8 +14,14 @@ namespace {
 
 class IqIoTest : public ::testing::Test {
  protected:
+  // One directory per test: ctest runs each case as its own process, so a
+  // shared directory could be removed by one case's TearDown while another
+  // case is still writing into it.
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "ctc_iq_io_test";
+    dir_ = std::filesystem::path(::testing::TempDir()) /
+           (std::string("ctc_iq_io_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -298,6 +298,39 @@ TEST(KernelsEquivalence, CumulantAccPartitionInvariant) {
   }
 }
 
+TEST(KernelsEquivalence, AddGaussBitwise) {
+  Rng rng = Rng::for_stream(1, 22);
+  // Every tail length (0-9), a few passes plus a tail (31), one ZigBee text
+  // frame (2818) and a maximum sentry lookahead (17501).
+  const std::vector<std::size_t> lengths = {0, 1, 2,  3,    4,    5,    6,
+                                            7, 8, 9, 31, 2818, 17501};
+  for (std::size_t n : lengths) {
+    for (std::size_t offset : {std::size_t{0}, std::size_t{1}}) {
+      const cvec x = random_cvec(rng, n + offset);
+      GaussLanes start{};
+      for (auto& word : start.s) {
+        for (auto& lane : word) lane = rng.next_u64();
+      }
+      const double sigma = rng.uniform(0.1, 2.0);
+      cvec a = x, b = x;
+      GaussLanes lanes_a = start, lanes_b = start;
+      scalar_table().add_gauss(a.data() + offset, n, sigma, &lanes_a);
+      best_table().add_gauss(b.data() + offset, n, sigma, &lanes_b);
+      expect_bitwise(a, b, "add_gauss", n, offset);
+      EXPECT_EQ(std::memcmp(&lanes_a, &lanes_b, sizeof(GaussLanes)), 0)
+          << "add_gauss lane states n=" << n << " offset=" << offset;
+      // Adding in place == drawing onto zeros, then cadd.
+      cvec noise(n + offset, cplx{0.0, 0.0});
+      GaussLanes lanes_n = start;
+      best_table().add_gauss(noise.data() + offset, n, sigma, &lanes_n);
+      cvec c = x;
+      best_table().cadd(c.data() + offset, noise.data() + offset, n);
+      expect_bitwise(b, c, "add_gauss vs zeros + cadd", n, offset);
+      EXPECT_EQ(std::memcmp(&lanes_n, &lanes_b, sizeof(GaussLanes)), 0);
+    }
+  }
+}
+
 TEST(KernelsEquivalence, FirMacTolerance) {
   Rng rng = Rng::for_stream(1, 13);
   for (std::size_t n : kLengths) {

@@ -41,9 +41,12 @@ check    Gate: compute perf_engine throughput (trials / wall_ms_wide) for
          ``--require-speedup BENCH>=FACTOR`` asserts that the latest BENCH
          run improved single-thread throughput by at least FACTOR over the
          *earliest* same-machine BENCH run — the committed pre/post pair
-         that records an optimization PR's win.  Unlike the regression
-         check, this fails when no comparable pair exists: a gate that
-         cannot find its baseline must not silently pass.
+         that records an optimization PR's win.  ``BENCH@MACHINE>=FACTOR``
+         does the same among the runs stamped MACHINE only, so pairs
+         recorded on different hosts are each certified on their own.
+         Unlike the regression check, this fails when no comparable pair
+         exists: a gate that cannot find its baseline must not silently
+         pass.
 
 The trajectory file is a single JSON object ``{"trajectory_schema": 1,
 "runs": [...]}``; each entry is ``{"label": ..., "machine": ...,
@@ -69,7 +72,8 @@ TRAJECTORY_SCHEMA = 1
 _REQUIRE_RE = re.compile(
     r"^(?P<bench>[\w.-]+):(?P<field>[\w.]+)\s*(?P<op>>=|<=|==|>|<)\s*"
     r"(?P<value>[-+0-9.eE]+)$")
-_SPEEDUP_RE = re.compile(r"^(?P<bench>[\w.-]+)\s*>=\s*(?P<factor>[-+0-9.eE]+)$")
+_SPEEDUP_RE = re.compile(r"^(?P<bench>[\w.-]+)(?:@(?P<machine>[\w.-]+))?"
+                         r"\s*>=\s*(?P<factor>[-+0-9.eE]+)$")
 
 _OPS = {
     ">=": lambda a, b: a >= b,
@@ -235,18 +239,22 @@ def _check_require(runs: list[dict], expr: str) -> bool:
 
 
 def _check_require_speedup(runs: list[dict], expr: str) -> bool:
-    """--require-speedup BENCH>=FACTOR: latest vs earliest same-machine
-    BENCH run by single-thread throughput. Fails when the pair does not
+    """--require-speedup BENCH[@MACHINE]>=FACTOR: latest vs earliest
+    same-machine BENCH run by single-thread throughput, among the runs
+    stamped MACHINE when one is named. Fails when the pair does not
     exist — this gate certifies a recorded pre/post win, so a missing
     baseline means the record is broken."""
     match = _SPEEDUP_RE.match(expr)
     if not match:
         raise SystemExit(
-            f"--require-speedup {expr!r}: expected BENCH>=FACTOR")
+            f"--require-speedup {expr!r}: expected BENCH[@MACHINE]>=FACTOR")
     bench, factor = match["bench"], float(match["factor"])
     entries = [entry for entry in runs
                if _single_thread_throughput(entry.get("report", {}), bench)
                is not None]
+    if match["machine"]:
+        entries = [entry for entry in entries
+                   if _same_machine(entry, {"machine": match["machine"]})]
     if not entries:
         print(f"FAIL: --require-speedup {expr!r}: no {bench} run in "
               "trajectory", file=sys.stderr)
@@ -310,9 +318,10 @@ def main(argv: list[str] | None = None) -> int:
                        help="assert a numeric field of the latest BENCH "
                             "report (machine-independent; repeatable)")
     check.add_argument("--require-speedup", action="append", default=[],
-                       metavar="BENCH>=FACTOR",
+                       metavar="BENCH[@MACHINE]>=FACTOR",
                        help="assert latest vs earliest same-machine BENCH "
-                            "single-thread throughput ratio (repeatable)")
+                            "single-thread throughput ratio, optionally "
+                            "among MACHINE's runs only (repeatable)")
     check.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)

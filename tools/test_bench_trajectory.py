@@ -221,6 +221,23 @@ class TrajectoryTestCase(unittest.TestCase):
             {"bench": "perf_sentry", "sustained_msamples_per_sec": 0.0},
             "perf_sentry"))
 
+    def test_require_speedup_can_pin_a_machine(self) -> None:
+        # Pairs recorded on two hosts: the unqualified gate sees only the
+        # latest host's pair, BENCH@MACHINE certifies each pair on its own.
+        self.append(perf_report(100, 10.0), "pre", machine="old-box")
+        self.append(perf_report(100, 2.0), "post", machine="old-box")
+        self.append(perf_report(100, 3.0), "pre2", machine="new-box")
+        self.append(perf_report(100, 2.0), "post2", machine="new-box")
+        self.assertEqual(
+            self.check(require_speedup=["perf_engine@old-box>=5"]), 0)
+        self.assertEqual(
+            self.check(require_speedup=["perf_engine@new-box>=1.5"]), 0)
+        self.assertEqual(
+            self.check(require_speedup=["perf_engine@new-box>=2"]), 1)
+        self.assertEqual(self.check(require_speedup=["perf_engine>=2"]), 1)
+        self.assertEqual(
+            self.check(require_speedup=["perf_engine@no-box>=1"]), 1)
+
     def test_require_speedup_fails_without_a_baseline(self) -> None:
         # No run at all, then a run with no same-machine predecessor: both
         # must fail — the gate certifies a recorded pair.
