@@ -1,8 +1,9 @@
 // Perf — hot-path micro-benchmarks for the optimized kernels: FFT vs direct
 // convolution, packed-popcount vs byte-loop despreading, the receiver's
 // precomputed timing-search grid vs the per-call search, the link's
-// memoized clean-waveform synthesis, and per-sample libm channel noise vs
-// the add_gauss kernel.
+// memoized clean-waveform synthesis, per-sample libm channel noise vs the
+// add_gauss kernel, and the per-step libm FM discriminator vs the
+// fm_discriminate kernel.
 //
 //   $ ./perf_hotpath --json | tail -n1 > BENCH_perf_hotpath.json
 //
@@ -25,6 +26,7 @@
 #include "zigbee/app.h"
 #include "zigbee/chip_sequences.h"
 #include "zigbee/dsss.h"
+#include "zigbee/oqpsk.h"
 #include "zigbee/receiver.h"
 #include "zigbee/transmitter.h"
 
@@ -51,12 +53,31 @@ double time_ms(std::size_t reps, Fn&& fn) {
 
 volatile double g_sink = 0.0;
 
+/// Discriminator 1: the per-step libm loop OqpskDemodulator used before the
+/// fm_discriminate kernel, kept here as the reference row.
+rvec libm_frequency_chips(std::span<const cplx> waveform,
+                          std::size_t num_chips, std::size_t spc) {
+  rvec chips(num_chips, 0.0);
+  for (std::size_t i = 0; i < num_chips; ++i) {
+    double rotation = 0.0;
+    for (std::size_t s = i * spc + 1; s <= (i + 1) * spc; ++s) {
+      const cplx step = waveform[s] * std::conj(waveform[s - 1]);
+      if (std::norm(step) > 1e-24) {
+        rotation += std::atan2(step.imag(), step.real());
+      }
+    }
+    chips[i] = rotation / (kPi / 2.0);
+  }
+  return chips;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const bench::Options options = bench::parse_options(argc, argv);
   bench::print_banner(options, "Perf: hot-path kernels (convolve / despread / "
-                               "timing grid / waveform cache / noise)");
+                               "timing grid / waveform cache / noise / "
+                               "discriminator)");
   const std::size_t reps = options.trials_or(5);
   dsp::Rng rng = dsp::Rng::for_stream(options.seed, 0);
 
@@ -203,6 +224,32 @@ int main(int argc, char** argv) {
                  sim::Table::num(noise_fast_ms, 3) + " ms",
                  sim::Table::num(noise_reference_ms / noise_fast_ms, 2) + "x"});
 
+  // -- FM discriminator: per-step libm atan2 vs the fm_discriminate kernel --
+  // 64 text frames at 12 dB, each on its own trial stream, demodulated to
+  // their 1408 discriminator chips through discriminator 1's loop and
+  // through OqpskDemodulator::frequency_chips on the active kernel table.
+  const zigbee::OqpskDemodulator demodulator(2);
+  const std::size_t disc_chips = noise_len / 2 - 1;
+  std::vector<cvec> disc_frames(noise_frames, frame_waveform);
+  for (std::size_t f = 0; f < noise_frames; ++f) {
+    dsp::Rng trial_rng = dsp::Rng::for_stream(options.seed, f);
+    trial_rng.add_complex_gaussian(disc_frames[f], std::pow(10.0, -1.2));
+  }
+  const double disc_reference_ms = time_ms(reps, [&] {
+    for (const cvec& frame : disc_frames) {
+      g_sink = g_sink + libm_frequency_chips(frame, disc_chips, 2).back();
+    }
+  });
+  const double disc_fast_ms = time_ms(reps, [&] {
+    for (const cvec& frame : disc_frames) {
+      g_sink = g_sink + demodulator.frequency_chips(frame, disc_chips).back();
+    }
+  });
+  table.add_row({"FM discriminator (64 frames)",
+                 sim::Table::num(disc_reference_ms, 3) + " ms",
+                 sim::Table::num(disc_fast_ms, 3) + " ms",
+                 sim::Table::num(disc_reference_ms / disc_fast_ms, 2) + "x"});
+
   // -- dsp::kernels: scalar table vs best dispatched table ------------------
   // Times each hot kernel at both dispatch levels on the same buffers and
   // reports ns/sample alongside the ratio. Levels are requested explicitly
@@ -337,6 +384,20 @@ int main(int argc, char** argv) {
                 });
   }
 
+  // fm_discriminate: a long noisy chip stream at 2 samples/chip.
+  {
+    const std::size_t spc = 2, num_chips = 32768;
+    cvec wave(num_chips * spc + 1);
+    for (auto& x : wave) x = rng.complex_gaussian(1.0);
+    rvec freq(num_chips);
+    time_kernel("fm_discriminate_kernel",
+                "kernel fm_discriminate (32k chips, spc=2)", num_chips * spc,
+                [&](const dsp::kernels::KernelTable& kt) {
+                  kt.fm_discriminate(wave.data(), num_chips, spc, freq.data());
+                  g_sink = g_sink + freq.back();
+                });
+  }
+
   for (const KernelTiming& timing : kernel_timings) {
     table.add_row({timing.label, sim::Table::num(timing.scalar_ms, 3) + " ms",
                    sim::Table::num(timing.simd_ms, 3) + " ms",
@@ -367,6 +428,13 @@ int main(int argc, char** argv) {
   report.set("noise_reference_ns_per_sample",
              noise_reference_ms * ns_per_sample_per_ms);
   report.set("noise_fast_ns_per_sample", noise_fast_ms * ns_per_sample_per_ms);
+  report.set("discriminator_reference_ms", disc_reference_ms);
+  report.set("discriminator_fast_ms", disc_fast_ms);
+  report.set("discriminator_speedup", disc_reference_ms / disc_fast_ms);
+  report.set("discriminator_reference_ns_per_sample",
+             disc_reference_ms * ns_per_sample_per_ms);
+  report.set("discriminator_fast_ns_per_sample",
+             disc_fast_ms * ns_per_sample_per_ms);
   for (const KernelTiming& timing : kernel_timings) {
     const double per_sample = 1e6 / static_cast<double>(timing.samples);
     report.set(timing.key + "_scalar_ms", timing.scalar_ms);

@@ -11,6 +11,7 @@
 #include <unordered_set>
 
 #include "dsp/rng.h"
+#include "zigbee/oqpsk.h"
 
 namespace ctc::campaign {
 
@@ -99,10 +100,13 @@ Manifest Manifest::from_json(const Json& json) {
 }
 
 std::string spec_fingerprint(const CampaignSpec& spec) {
-  // Units simulated under another noise stream are another experiment, so
-  // the stream id is part of the key: such a manifest must not resume.
+  // Units simulated under another noise stream or decoded by another
+  // discriminator are another experiment, so both ids are part of the key:
+  // such a manifest must not resume.
   const std::string canonical = spec.to_json().dump() + "\nnoise_stream=" +
-                                std::to_string(dsp::kNoiseStream);
+                                std::to_string(dsp::kNoiseStream) +
+                                "\ndiscriminator=" +
+                                std::to_string(zigbee::kDiscriminator);
   std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64
   for (unsigned char c : canonical) {
     hash ^= c;

@@ -14,9 +14,10 @@
 // an uninterrupted one.
 //
 // The manifest is bound to its spec by a fingerprint over the canonical
-// spec JSON and the noise-stream id (dsp::kNoiseStream), so resuming with a
-// modified spec, or with a binary on another noise stream, is rejected
-// instead of silently mixing incompatible partial results.
+// spec JSON, the noise-stream id (dsp::kNoiseStream) and the discriminator
+// id (zigbee::kDiscriminator), so resuming with a modified spec, or with a
+// binary on another noise stream or discriminator, is rejected instead of
+// silently mixing incompatible partial results.
 #pragma once
 
 #include <optional>
@@ -53,7 +54,8 @@ struct Manifest {
 };
 
 /// FNV-1a 64 over the canonical spec JSON followed by
-/// "\nnoise_stream=<dsp::kNoiseStream>" — the resume compatibility key.
+/// "\nnoise_stream=<dsp::kNoiseStream>\ndiscriminator=<zigbee::kDiscriminator>"
+/// — the resume compatibility key.
 std::string spec_fingerprint(const CampaignSpec& spec);
 
 /// Atomically replaces `path` with the serialized manifest (temp file +

@@ -1,9 +1,9 @@
 // Runtime-dispatched SIMD kernel layer for the complex hot loops.
 //
 // Every dense inner loop in the repo — FIR MAC, mixer rotation, matched
-// filtering, cumulant accumulation, energy reduction, packed-chip
-// correlation, Gaussian noise — funnels through the function-pointer table
-// in this header.
+// filtering, FM discrimination, cumulant accumulation, energy reduction,
+// packed-chip correlation, Gaussian noise — funnels through the
+// function-pointer table in this header.
 // The implementation level is chosen ONCE per process (first use) from
 // CPUID, and can be forced with the CTC_SIMD environment variable:
 //
@@ -156,6 +156,17 @@ struct KernelTable {
   /// exactly the draws taken.
   void (*add_gauss)(cplx* x, std::size_t n, double sigma, GaussLanes* lanes);
 
+  // -- FM discriminator (bitwise) ------------------------------------------
+  /// chips[i] = (sum over s = i*spc+1 .. (i+1)*spc of phase_s) / (pi/2),
+  /// summed from 0.0 in order. Step s is wave[s] * conj(wave[s-1]) rounded
+  /// as re = fl(a*c) + fl(b*d), im = fl(b*c) - fl(a*d) (a, b the sample, c, d
+  /// its predecessor); phase_s = fm_atan2(im, re) when re^2 + im^2 > 1e-24,
+  /// else the step is skipped (NaN steps fail the gate). Strictly per chip:
+  /// chip i reads samples i*spc .. (i+1)*spc only, so `wave` needs
+  /// num_chips*spc + 1 samples.
+  void (*fm_discriminate)(const cplx* wave, std::size_t num_chips,
+                          std::size_t spc, double* chips);
+
   // -- O-QPSK matched filter (tolerance) -----------------------------------
   /// soft[i] = (sum_s branch_i(wave[i*spc + s]) * pulse[s]) / pulse_energy,
   /// branch_i = real part for even i, imaginary for odd (the O-QPSK I/Q
@@ -206,5 +217,10 @@ const KernelTable& active();
 /// [0, 1) by exact quadrant reduction plus fdlibm's k_sin/k_cos.
 double gauss_log(double x);
 void gauss_sincos_2pi(double u, double* sin_out, double* cos_out);
+
+/// fm_discriminate's phase at the scalar level, exported for the accuracy
+/// tests: fdlibm's e_atan2 over s_atan in one unfused operation order. Its
+/// special cases (signed zeros, infinities, NaN) are libm's.
+double fm_atan2(double y, double x);
 
 }  // namespace ctc::dsp::kernels

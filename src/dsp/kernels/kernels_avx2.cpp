@@ -20,6 +20,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <numeric>
 
 #include "dsp/kernels/scalar_impl.h"
 
@@ -644,6 +646,143 @@ void add_gauss(cplx* x, std::size_t n, double sigma, GaussLanes* lanes) {
 }
 
 // ---------------------------------------------------------------------------
+// fm_discriminate (bitwise): four steps per pass, step j + l on lane l.
+// Lanes whose step has a zero, infinite or NaN component, or an exponent
+// gap past 2^60, take fm_atan2's branches in the scalar TU; the rest run
+// fm_atan_reduced with the interval id picked from the compare masks and
+// its A, B, hi, lo looked up by one dword permute each (ids 0-3) plus a
+// blend for id 4. Each chip's phases are then summed in step order, so the
+// output is the scalar table's bit for bit.
+// ---------------------------------------------------------------------------
+
+/// Table row (ids 0-3) from `row`, id 4 from `last`, per lane.
+inline __m256d atan_lookup(const double row[4], double last, __m256i index,
+                           __m256d is_last) {
+  const __m256d picked = _mm256_castsi256_pd(_mm256_permutevar8x32_epi32(
+      _mm256_castpd_si256(_mm256_loadu_pd(row)), index));
+  return _mm256_blendv_pd(picked, splat(last), is_last);
+}
+
+/// Phases of the four steps (a + ib) * conj(c + id); 0.0 where gated out.
+inline __m256d fm_step_phases(__m256d a, __m256d b, __m256d c, __m256d d) {
+  using namespace scalar_impl;
+  const __m256d re = vadd(vmul(a, c), vmul(b, d));
+  const __m256d im = vsub(vmul(b, c), vmul(a, d));
+  const __m256d gate = _mm256_cmp_pd(vadd(vmul(re, re), vmul(im, im)),
+                                     splat(1e-24), _CMP_GT_OQ);
+  const __m256d sign = splat(-0.0);
+  const __m256d ax = _mm256_andnot_pd(sign, re);
+  const __m256d ay = _mm256_andnot_pd(sign, im);
+  // Ordinary lanes: both components finite and nonzero, and fdlibm's
+  // k = (iy - ix) >> 20 within [-60, 60], i.e. -60 * 2^20 <= iy - ix <
+  // 61 * 2^20 on the high words.
+  const __m256d inf = splat(std::numeric_limits<double>::infinity());
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d finite_nonzero = _mm256_and_pd(
+      _mm256_and_pd(_mm256_cmp_pd(ax, zero, _CMP_GT_OQ),
+                    _mm256_cmp_pd(ax, inf, _CMP_LT_OQ)),
+      _mm256_and_pd(_mm256_cmp_pd(ay, zero, _CMP_GT_OQ),
+                    _mm256_cmp_pd(ay, inf, _CMP_LT_OQ)));
+  const __m256i gap =
+      _mm256_sub_epi64(_mm256_srli_epi64(_mm256_castpd_si256(ay), 32),
+                       _mm256_srli_epi64(_mm256_castpd_si256(ax), 32));
+  const __m256i far = _mm256_or_si256(
+      _mm256_cmpgt_epi64(gap, splat_u64((61U << 20) - 1)),
+      _mm256_cmpgt_epi64(_mm256_set1_epi64x(-(60LL << 20)), gap));
+  const __m256d ordinary =
+      _mm256_andnot_pd(_mm256_castsi256_pd(far), finite_nonzero);
+
+  const __m256d r = _mm256_div_pd(ay, ax);
+  const __m256d m1 = _mm256_cmp_pd(r, splat(kAtanBreak[0]), _CMP_GE_OQ);
+  const __m256d m2 = _mm256_cmp_pd(r, splat(kAtanBreak[1]), _CMP_GE_OQ);
+  const __m256d m3 = _mm256_cmp_pd(r, splat(kAtanBreak[2]), _CMP_GE_OQ);
+  const __m256d m4 = _mm256_cmp_pd(r, splat(kAtanBreak[3]), _CMP_GE_OQ);
+  // id (0-3 before the m4 blend) = number of set masks; dword pair
+  // (2 id, 2 id + 1) of a 4-double row is element id.
+  const __m256i id = _mm256_sub_epi64(
+      _mm256_sub_epi64(
+          _mm256_sub_epi64(_mm256_setzero_si256(), _mm256_castpd_si256(m1)),
+          _mm256_castpd_si256(m2)),
+      _mm256_castpd_si256(m3));
+  const __m256i lo_dword = _mm256_add_epi64(id, id);
+  const __m256i index = _mm256_or_si256(
+      lo_dword,
+      _mm256_slli_epi64(_mm256_add_epi64(lo_dword, splat_u64(1)), 32));
+  const __m256d ca = atan_lookup(kAtanA, kAtanA[4], index, m4);
+  const __m256d cb = atan_lookup(kAtanB, kAtanB[4], index, m4);
+  const __m256d hi = atan_lookup(kAtanHi, kAtanHi[4], index, m4);
+  const __m256d lo = atan_lookup(kAtanLo, kAtanLo[4], index, m4);
+
+  const __m256d x =
+      _mm256_div_pd(vsub(vmul(ca, r), cb), vadd(ca, vmul(cb, r)));
+  const __m256d z = vmul(x, x);
+  const __m256d w = vmul(z, z);
+  // The scalar Horner chains, innermost term first.
+  __m256d s1 = splat(kAT10);
+  for (double t : {kAT8, kAT6, kAT4, kAT2}) s1 = vadd(splat(t), vmul(w, s1));
+  s1 = vmul(z, vadd(splat(kAT0), vmul(w, s1)));
+  __m256d s2 = splat(kAT9);
+  for (double t : {kAT7, kAT5, kAT3, kAT1}) s2 = vadd(splat(t), vmul(w, s2));
+  s2 = vmul(w, s2);
+  const __m256d atan_r = vsub(hi, vsub(vsub(vmul(x, vadd(s1, s2)), lo), x));
+  // Quadrant fix: pi - (atan_r - pi_lo) where re < 0 (blendv reads its
+  // sign bit), then the sign of im.
+  const __m256d folded = _mm256_blendv_pd(
+      atan_r, vsub(splat(kPi), vsub(atan_r, splat(kPiLo))), re);
+  __m256d phase = _mm256_xor_pd(folded, _mm256_and_pd(im, sign));
+
+  const int special = _mm256_movemask_pd(_mm256_andnot_pd(ordinary, gate));
+  if (special != 0) {
+    alignas(32) double re_l[4];
+    alignas(32) double im_l[4];
+    alignas(32) double phase_l[4];
+    _mm256_store_pd(re_l, re);
+    _mm256_store_pd(im_l, im);
+    _mm256_store_pd(phase_l, phase);
+    for (int l = 0; l < 4; ++l) {
+      if ((special >> l) & 1) phase_l[l] = kernels::fm_atan2(im_l[l], re_l[l]);
+    }
+    phase = _mm256_load_pd(phase_l);
+  }
+  return _mm256_and_pd(phase, gate);
+}
+
+void fm_discriminate(const cplx* wave, std::size_t num_chips, std::size_t spc,
+                     double* chips) {
+  // Whole passes end on a chip boundary every 4 / gcd(spc, 4) chips; the
+  // chips past the last such boundary go through the scalar table.
+  const std::size_t group = 4 / std::gcd(spc, std::size_t{4});
+  const std::size_t vector_chips = num_chips - num_chips % group;
+  const std::size_t steps = vector_chips * spc;
+  const double* w = as_doubles(wave);
+  double rotation = 0.0;
+  std::size_t in_chip = 0;
+  std::size_t chip = 0;
+  for (std::size_t j = 0; j < steps; j += 4) {
+    __m256d prev_re;
+    __m256d prev_im;
+    __m256d cur_re;
+    __m256d cur_im;
+    deinterleave4(w + 2 * j, &prev_re, &prev_im);
+    deinterleave4(w + 2 * j + 2, &cur_re, &cur_im);
+    alignas(32) double phase[4];
+    _mm256_store_pd(phase, fm_step_phases(cur_re, cur_im, prev_re, prev_im));
+    for (std::size_t l = 0; l < 4; ++l) {
+      // A gated-out step adds +0.0, which leaves the sum unchanged: it
+      // starts at +0.0, so it is never -0.0.
+      rotation += phase[l];
+      if (++in_chip == spc) {
+        chips[chip++] = rotation / scalar_impl::kHalfPi;
+        rotation = 0.0;
+        in_chip = 0;
+      }
+    }
+  }
+  scalar_table().fm_discriminate(wave + steps, num_chips - vector_chips, spc,
+                                 chips + vector_chips);
+}
+
+// ---------------------------------------------------------------------------
 // O-QPSK matched filter (tolerance): per-chip fused deinterleave + dot.
 // ---------------------------------------------------------------------------
 
@@ -780,6 +919,7 @@ const KernelTable& avx2_table() {
       .corr_many = corr_many,
       .cumulant_acc = cumulant_acc,
       .add_gauss = add_gauss,
+      .fm_discriminate = fm_discriminate,
       .oqpsk_mf = oqpsk_mf,
       .pack_hard_chips = pack_hard_chips,
       .pack_sign_chips = pack_sign_chips,

@@ -25,6 +25,7 @@ const KernelTable& scalar_table() {
       .corr_many = scalar_impl::corr_many,
       .cumulant_acc = scalar_impl::cumulant_acc,
       .add_gauss = scalar_impl::add_gauss,
+      .fm_discriminate = scalar_impl::fm_discriminate,
       .oqpsk_mf = scalar_impl::oqpsk_mf,
       .pack_hard_chips = scalar_impl::pack_hard_chips,
       .pack_sign_chips = scalar_impl::pack_sign_chips,
@@ -43,5 +44,7 @@ double gauss_log(double x) { return scalar_impl::gauss_log(x); }
 void gauss_sincos_2pi(double u, double* sin_out, double* cos_out) {
   scalar_impl::gauss_sincos_2pi(u, sin_out, cos_out);
 }
+
+double fm_atan2(double y, double x) { return scalar_impl::fm_atan2(y, x); }
 
 }  // namespace ctc::dsp::kernels

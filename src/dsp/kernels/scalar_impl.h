@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "dsp/kernels/kernels.h"
 #include "dsp/types.h"
@@ -405,6 +406,117 @@ inline void add_gauss(cplx* x, std::size_t n, double sigma,
     double cos_v = 0.0;
     gauss_sincos_2pi(u2, &sin_v, &cos_v);
     x[i] = cplx{x[i].real() + scaled * cos_v, x[i].imag() + scaled * sin_v};
+  }
+}
+
+// -- fm_discriminate ----------------------------------------------------------
+// fdlibm e_atan2 over s_atan. The AVX2 kernel sends every lane that would
+// take one of fm_atan2's early branches through fm_atan2 itself, so only
+// fm_atan_reduced and the final quadrant fix have to round alike there.
+
+// s_atan's breakpoints 7/16, 11/16, 19/16, 39/16 split [0, inf) into five
+// intervals. Interval id reduces r to x = (A r - B) / (A + B r) — the
+// identity for id 0, then (2r - 1)/(2 + r), (r - 1)/(1 + r),
+// (r - 1.5)/(1 + 1.5 r) and -1/r — and adds back atan's value hi + lo at
+// the interval's anchor (0, 1/2, 1, 3/2, inf).
+inline constexpr double kAtanBreak[4] = {0.4375, 0.6875, 1.1875, 2.4375};
+inline constexpr double kAtanA[5] = {1.0, 2.0, 1.0, 1.0, 0.0};
+inline constexpr double kAtanB[5] = {0.0, 1.0, 1.0, 1.5, 1.0};
+inline constexpr double kAtanHi[5] = {0.0, 0x1.dac670561bb4fp-2,
+                                      0x1.921fb54442d18p-1,
+                                      0x1.f730bd281f69bp-1, kHalfPi};
+inline constexpr double kAtanLo[5] = {0.0, 0x1.a2b7f222f65e2p-56,
+                                      0x1.1a62633145c07p-55,
+                                      0x1.007887af0cbbdp-56,
+                                      0x1.1a62633145c07p-54};
+inline constexpr double kAT0 = 0x1.555555555550dp-2;
+inline constexpr double kAT1 = -0x1.999999998ebc4p-3;
+inline constexpr double kAT2 = 0x1.24924920083ffp-3;
+inline constexpr double kAT3 = -0x1.c71c6fe231671p-4;
+inline constexpr double kAT4 = 0x1.745cdc54c206ep-4;
+inline constexpr double kAT5 = -0x1.3b0f2af749a6dp-4;
+inline constexpr double kAT6 = 0x1.10d66a0d03d51p-4;
+inline constexpr double kAT7 = -0x1.dde2d52defd9ap-5;
+inline constexpr double kAT8 = 0x1.97b4b24760debp-5;
+inline constexpr double kAT9 = -0x1.2b4442c6a6c2fp-5;
+inline constexpr double kAT10 = 0x1.0ad3ae322da11p-6;
+inline constexpr double kPiLo = 0x1.1a62633145c07p-53;  // pi - fl(pi)
+
+// atan(r) for r = |y/x| >= 0 finite. fdlibm's separate id < 0 form
+// x - x (s1 + s2) and its r < 2^-27 early return give the same bits as
+// this one expression with hi = lo = 0, so one path serves all five ids.
+inline double fm_atan_reduced(double r) {
+  const std::size_t id = std::size_t{r >= kAtanBreak[0]} +
+                         std::size_t{r >= kAtanBreak[1]} +
+                         std::size_t{r >= kAtanBreak[2]} +
+                         std::size_t{r >= kAtanBreak[3]};
+  const double a = kAtanA[id];
+  const double b = kAtanB[id];
+  const double x = (a * r - b) / (a + b * r);
+  const double z = x * x;
+  const double w = z * z;
+  const double s1 =
+      z * (kAT0 + w * (kAT2 + w * (kAT4 + w * (kAT6 + w * (kAT8 +
+                                                           w * kAT10)))));
+  const double s2 =
+      w * (kAT1 + w * (kAT3 + w * (kAT5 + w * (kAT7 + w * kAT9))));
+  return kAtanHi[id] - ((x * (s1 + s2) - kAtanLo[id]) - x);
+}
+
+// The high word of |v| (sign cleared), fdlibm's ix / iy.
+inline std::int64_t fm_high_word(double v) {
+  return static_cast<std::int64_t>(
+      (std::bit_cast<std::uint64_t>(v) >> 32) & 0x7fffffffU);
+}
+
+inline double fm_atan2(double y, double x) {
+  if (std::isnan(x) || std::isnan(y)) return x + y;
+  const bool x_neg = std::signbit(x);
+  const bool y_neg = std::signbit(y);
+  const double ax = std::abs(x);
+  const double ay = std::abs(y);
+  const double inf = std::numeric_limits<double>::infinity();
+  if (ay == 0.0) return x_neg ? (y_neg ? -kPi : kPi) : y;
+  if (ax == 0.0) return y_neg ? -kHalfPi : kHalfPi;
+  if (ax == inf) {
+    const double quarter = 0x1.921fb54442d18p-1;  // fl(pi/4)
+    if (ay == inf) {
+      const double v = x_neg ? 3.0 * quarter : quarter;
+      return y_neg ? -v : v;
+    }
+    return x_neg ? (y_neg ? -kPi : kPi) : (y_neg ? -0.0 : 0.0);
+  }
+  if (ay == inf) return y_neg ? -kHalfPi : kHalfPi;
+  // fdlibm's exponent-gap shortcuts: |y/x| past 2^60 is pi/2, and below
+  // 2^-60 with x < 0 the result is +-pi.
+  const std::int64_t k = (fm_high_word(y) - fm_high_word(x)) >> 20;
+  double z;
+  if (k > 60) {
+    z = kHalfPi + 0.5 * kPiLo;
+  } else if (x_neg && k < -60) {
+    z = 0.0;
+  } else {
+    z = fm_atan_reduced(std::abs(y / x));
+  }
+  if (!x_neg) return y_neg ? -z : z;
+  return y_neg ? (z - kPiLo) - kPi : kPi - (z - kPiLo);
+}
+
+// Legacy extend_frequency_chips loop with fm_atan2 for libm's atan2.
+inline void fm_discriminate(const cplx* wave, std::size_t num_chips,
+                            std::size_t spc, double* chips) {
+  for (std::size_t i = 0; i < num_chips; ++i) {
+    double rotation = 0.0;
+    for (std::size_t s = i * spc + 1; s <= (i + 1) * spc; ++s) {
+      const double a = wave[s].real();
+      const double b = wave[s].imag();
+      const double c = wave[s - 1].real();
+      const double d = wave[s - 1].imag();
+      const double re = (a * c) + (b * d);
+      const double im = (b * c) - (a * d);
+      if ((re * re) + (im * im) > 1e-24) rotation += fm_atan2(im, re);
+    }
+    chips[i] = rotation / kHalfPi;
   }
 }
 

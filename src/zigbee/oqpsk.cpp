@@ -85,18 +85,11 @@ void OqpskDemodulator::extend_frequency_chips(std::span<const cplx> waveform,
   const std::size_t first = chips.size();
   if (first >= num_chips) return;
   chips.resize(num_chips, 0.0);
-  for (std::size_t i = first; i < num_chips; ++i) {
-    double rotation = 0.0;
-    // Transitions spanning [i*spc, (i+1)*spc]: peak of chip i-1 to peak of
-    // chip i.
-    for (std::size_t s = i * spc + 1; s <= (i + 1) * spc; ++s) {
-      const cplx step = waveform[s] * std::conj(waveform[s - 1]);
-      if (std::norm(step) > 1e-24) {
-        rotation += std::atan2(step.imag(), step.real());
-      }
-    }
-    chips[i] = rotation / (kPi / 2.0);  // clean MSK rotates +-pi/2 per chip
-  }
+  // Chip i sums the phase steps spanning [i*spc, (i+1)*spc], peak of chip
+  // i-1 to peak of chip i, over pi/2 (clean MSK rotates +-pi/2 per chip).
+  dsp::kernels::active().fm_discriminate(waveform.data() + first * spc,
+                                         num_chips - first, spc,
+                                         chips.data() + first);
 }
 
 std::vector<std::uint8_t> OqpskDemodulator::hard_decision(

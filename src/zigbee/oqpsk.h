@@ -23,6 +23,27 @@
 
 namespace ctc::zigbee {
 
+/// Version of the FM-discriminator chips (frequency_chips), bumped whenever
+/// their bits change on purpose.
+///   * step s is waveform[s] * conj(waveform[s-1]), rounded as
+///     re = fl(a*c) + fl(b*d), im = fl(b*c) - fl(a*d) (a, b the sample, c, d
+///     its predecessor) — the libstdc++ complex multiply's bits;
+///   * a step counts only if re^2 + im^2 > 1e-24, so a NaN step adds
+///     nothing (libstdc++'s __muldc3 infinity recovery is not reproduced: a
+///     step whose components are both NaN is gated out);
+///   * its phase is fdlibm's e_atan2 over s_atan (dsp::kernels::fm_atan2),
+///     in one unfused operation order, within 2 ulp of libm and with libm's
+///     signed-zero, infinity and NaN cases; the dispatched fm_discriminate
+///     kernel computes it four steps at a time on AVX2 and recomputes any
+///     lane with a zero, infinite or NaN component, or an exponent gap past
+///     2^60, through the scalar routine, so the chips are the same at every
+///     SIMD level and no longer depend on libm.
+/// Discriminator 1 called libm's atan2 per step, whose bits belonged to the
+/// platform libm, at 24-36 ns/sample. It is gone; nothing can select it.
+/// Campaign manifests fold this id into their fingerprint, so a run
+/// checkpointed under another discriminator is refused rather than merged.
+inline constexpr int kDiscriminator = 2;
+
 class OqpskModulator {
  public:
   explicit OqpskModulator(std::size_t samples_per_chip = 2);

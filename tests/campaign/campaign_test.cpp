@@ -304,32 +304,54 @@ TEST(CampaignExecutorTest, RejectsManifestFromDifferentSpec) {
   EXPECT_THROW(run_campaign(modified, options), CampaignError);
 }
 
-TEST(CampaignExecutorTest, RejectsManifestFromAnotherNoiseStream) {
-  // A checkpoint written by a binary on noise stream 1, whose fingerprint
-  // was FNV-1a 64 over the canonical spec JSON alone, must not resume: its
-  // units would merge with units simulated under another noise stream.
-  const CampaignSpec spec = CampaignSpec::parse(tiny_attack_spec_text());
+/// FNV-1a 64 of `key` as spec_fingerprint() prints it.
+std::string fnv1a_hex(const std::string& key) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (unsigned char c : spec.to_json().dump()) {
+  for (unsigned char c : key) {
     hash ^= c;
     hash *= 0x100000001b3ULL;
   }
-  char stream1[20];
-  std::snprintf(stream1, sizeof stream1, "%016llx",
+  char buffer[20];
+  std::snprintf(buffer, sizeof buffer, "%016llx",
                 static_cast<unsigned long long>(hash));
-  EXPECT_NE(spec_fingerprint(spec), stream1);
+  return buffer;
+}
 
+/// Checkpoints one unit of `spec` into a fresh `--out`, rewrites the
+/// manifest's fingerprint to `fingerprint` (an older binary's key), and
+/// expects the resume to be refused.
+void expect_resume_refused(const CampaignSpec& spec, const char* dir,
+                           const std::string& fingerprint) {
+  EXPECT_NE(spec_fingerprint(spec), fingerprint);
   ExecutorOptions options;
-  options.out_dir = fresh_dir("stream1");
+  options.out_dir = fresh_dir(dir);
   options.max_units = 1;
   options.quiet = true;
   run_campaign(spec, options);
   const std::string path = options.out_dir + "/manifest.json";
   Manifest manifest = *load_manifest(path);
-  manifest.fingerprint = stream1;
+  manifest.fingerprint = fingerprint;
   save_manifest(manifest, path);
   options.max_units = 0;
   EXPECT_THROW(run_campaign(spec, options), CampaignError);
+}
+
+TEST(CampaignExecutorTest, RejectsManifestFromAnotherNoiseStream) {
+  // A checkpoint written by a binary on noise stream 1, whose fingerprint
+  // was FNV-1a 64 over the canonical spec JSON alone, must not resume: its
+  // units would merge with units simulated under another noise stream.
+  const CampaignSpec spec = CampaignSpec::parse(tiny_attack_spec_text());
+  expect_resume_refused(spec, "stream1", fnv1a_hex(spec.to_json().dump()));
+}
+
+TEST(CampaignExecutorTest, RejectsManifestFromAnotherDiscriminator) {
+  // A checkpoint written by a binary on discriminator 1 (libm atan2), whose
+  // key ended at the noise stream, must not resume: its DE^2 values would
+  // merge with ones from another discriminator into one report.
+  const CampaignSpec spec = CampaignSpec::parse(tiny_attack_spec_text());
+  expect_resume_refused(
+      spec, "discriminator1",
+      fnv1a_hex(spec.to_json().dump() + "\nnoise_stream=2"));
 }
 
 TEST(CampaignExecutorTest, ValidatesOptions) {

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "dsp/rng.h"
@@ -327,6 +328,67 @@ TEST(KernelsEquivalence, AddGaussBitwise) {
       best_table().cadd(c.data() + offset, noise.data() + offset, n);
       expect_bitwise(b, c, "add_gauss vs zeros + cadd", n, offset);
       EXPECT_EQ(std::memcmp(&lanes_n, &lanes_b, sizeof(GaussLanes)), 0);
+    }
+  }
+}
+
+TEST(KernelsEquivalence, FmDiscriminateBitwise) {
+  Rng rng = Rng::for_stream(1, 23);
+  const double inf = std::numeric_limits<double>::infinity();
+  // Component values that take fm_atan2's special branches, and magnitudes
+  // whose ratios sit on s_atan's reduction thresholds and on fdlibm's 2^60
+  // exponent-gap cutoffs.
+  const std::vector<double> specials = {
+      0.0, -0.0, inf, -inf, std::nan(""), 0x1p-1074, 1e-310, 1e300, -1e300,
+      1e-300};
+  const std::vector<double> ratios = {0x1p-27, 0.4375, 0.6875,
+                                      1.1875,  2.4375, 0x1p60,
+                                      0x1p-60, 0x1p61, 0x1p-61};
+  // Every tail length at 1-4 samples per chip (0-9 chips), a few passes
+  // plus a tail (31) and one text frame's discriminator chips (1408).
+  const std::vector<std::size_t> chip_counts = {0, 1, 2, 3, 4,  5,
+                                                6, 7, 8, 9, 31, 1408};
+  for (std::size_t spc = 1; spc <= 4; ++spc) {
+    for (std::size_t chips : chip_counts) {
+      for (std::size_t offset : {std::size_t{0}, std::size_t{1}}) {
+        for (int variant = 0; variant < 4; ++variant) {
+          cvec wave = random_cvec(rng, chips * spc + 1 + offset);
+          for (std::size_t i = 0; i < wave.size(); ++i) {
+            const std::size_t pick = rng.next_u64() % 16;
+            if (variant == 1 && pick < 3) {
+              // A special value in one component.
+              const double v = specials[rng.next_u64() % specials.size()];
+              if (pick == 0) {
+                wave[i] = cplx{v, wave[i].imag()};
+              } else {
+                wave[i] = cplx{wave[i].real(), v};
+              }
+            } else if (variant == 2 && pick < 4) {
+              // Steps whose squared magnitude straddles the 1e-24 gate.
+              wave[i] *= std::sqrt(1e-24) * rng.uniform(0.5, 2.0);
+            } else if (variant == 3 && i > 0 && pick < 6) {
+              // The next step's im/re ratio lands on a threshold, +-1 ulp:
+              // with prev = (1, 0) the step is (re, im) of this sample.
+              double ratio = ratios[rng.next_u64() % ratios.size()];
+              if (pick == 1) ratio = std::nextafter(ratio, 0.0);
+              if (pick == 2) ratio = std::nextafter(ratio, inf);
+              const double re = rng.uniform(0.5, 2.0) * (pick & 1 ? -1 : 1);
+              wave[i - 1] = cplx{1.0, 0.0};
+              wave[i] = cplx{re, re * ratio * (pick & 2 ? -1 : 1)};
+            }
+          }
+          rvec a(chips + 1, 7.0);
+          rvec b(chips + 1, 7.0);
+          scalar_table().fm_discriminate(wave.data() + offset, chips, spc,
+                                         a.data());
+          best_table().fm_discriminate(wave.data() + offset, chips, spc,
+                                       b.data());
+          ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)),
+                    0)
+              << "fm_discriminate spc=" << spc << " chips=" << chips
+              << " offset=" << offset << " variant=" << variant;
+        }
+      }
     }
   }
 }

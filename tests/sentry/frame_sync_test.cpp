@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "campaign/json.h"
+#include "dsp/kernels/kernels.h"
 #include "sentry/source.h"
 #include "zigbee/transmitter.h"
 
@@ -137,6 +142,70 @@ TEST(StreamScannerTest, TruncatedTailFrameIsDroppedNotHung) {
       scan_stream(std::span<const cplx>(stream.data(), cut), 4096);
   EXPECT_EQ(output.stats.verdicts, 2u);
   EXPECT_EQ(output.stats.samples_consumed, cut);
+}
+
+TEST(StreamScannerTest, NanOrInfSampleInPsduStillYieldsAFiniteVerdict) {
+  // Frame 1 authentic, frame 2 emulated.
+  const LinkSourceConfig config = quiet_config(2, 2);
+  const cvec clean = collect_stream(config);
+  const ScanOutput reference = scan_stream(clean, 4096);
+  ASSERT_EQ(reference.records.size(), 2u);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const zigbee::Receiver receiver(ScannerConfig{}.receiver);
+  for (const cplx bad : {cplx{nan, nan}, cplx{nan, 0.5}, cplx{inf, -inf},
+                         cplx{-inf, 0.25}}) {
+    for (std::size_t f = 0; f < 2; ++f) {
+      const VerdictRecord& frame = reference.records[f];
+      SCOPED_TRACE(testing::Message() << "frame " << f + 1 << " sample ("
+                                      << bad.real() << "," << bad.imag()
+                                      << ")");
+      cvec stream = clean;
+      // 401 samples into the PSDU, past the 12-symbol SHR + PHR.
+      stream[frame.stream_position + 768 + 401] = bad;
+      const std::span<const cplx> wave(stream.data() + frame.stream_position,
+                                       frame.frame_samples);
+
+      // The discriminator chips of the damaged frame are finite, and the
+      // same bits, at both kernel levels.
+      const std::size_t num_chips = wave.size() / 2 - 1;
+      rvec chips[2];
+      const dsp::kernels::SimdLevel levels[2] = {
+          dsp::kernels::SimdLevel::scalar,
+          dsp::kernels::best_supported_level()};
+      for (std::size_t l = 0; l < 2; ++l) {
+        chips[l].assign(num_chips, 0.0);
+        dsp::kernels::table(levels[l]).fm_discriminate(wave.data(), num_chips,
+                                                       2, chips[l].data());
+        for (double chip : chips[l]) ASSERT_TRUE(std::isfinite(chip));
+      }
+      EXPECT_EQ(std::memcmp(chips[0].data(), chips[1].data(),
+                            num_chips * sizeof(double)),
+                0);
+
+      // So are the receiver's, which feed the detector.
+      const zigbee::ReceiveResult rx = receiver.receive(wave);
+      ASSERT_TRUE(rx.psdu_complete);
+      ASSERT_FALSE(rx.freq_chips.empty());
+      for (double chip : rx.freq_chips) ASSERT_TRUE(std::isfinite(chip));
+
+      // The frame's verdict line parses with finite features and the link
+      // kind's decision.
+      const ScanOutput output = scan_stream(stream, 4096);
+      const VerdictRecord* verdict = nullptr;
+      for (const VerdictRecord& record : output.records) {
+        if (record.stream_position == frame.stream_position) verdict = &record;
+      }
+      ASSERT_NE(verdict, nullptr);
+      const campaign::Json line = campaign::Json::parse(verdict->to_jsonl());
+      for (const char* key : {"de2", "c40", "c42"}) {
+        EXPECT_TRUE(std::isfinite(line.at(key).as_number())) << key;
+      }
+      EXPECT_TRUE(line.at("valid").as_bool());
+      EXPECT_EQ(line.at("is_attack").as_bool(),
+                LinkSource::is_attack_frame(config, f + 1));
+    }
+  }
 }
 
 TEST(StreamScannerTest, PpduSamplesMatchesTransmitterOutput) {
