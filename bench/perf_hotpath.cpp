@@ -1,9 +1,9 @@
 // Perf — hot-path micro-benchmarks for the optimized kernels: FFT vs direct
 // convolution, packed-popcount vs byte-loop despreading, the receiver's
-// precomputed timing-search grid vs the per-call search, the link's
-// memoized clean-waveform synthesis, per-sample libm channel noise vs the
-// add_gauss kernel, and the per-step libm FM discriminator vs the
-// fm_discriminate kernel.
+// construction-time timing-search grid vs a per-call search, the link's
+// memoized clean-waveform synthesis vs the synthesis chain, per-sample libm
+// channel noise vs the add_gauss kernel, and the per-step libm FM
+// discriminator vs the fm_discriminate kernel.
 //
 //   $ ./perf_hotpath --json | tail -n1 > BENCH_perf_hotpath.json
 //
@@ -17,15 +17,19 @@
 #include <chrono>
 #include <cmath>
 
+#include "attack/emulator.h"
 #include "bench_common.h"
 #include "dsp/fir.h"
 #include "dsp/kernels/kernels.h"
 #include "dsp/pulse.h"
+#include "dsp/resample.h"
 #include "dsp/rng.h"
+#include "dsp/stats.h"
 #include "sim/link.h"
 #include "zigbee/app.h"
 #include "zigbee/chip_sequences.h"
 #include "zigbee/dsss.h"
+#include "zigbee/frame.h"
 #include "zigbee/oqpsk.h"
 #include "zigbee/receiver.h"
 #include "zigbee/transmitter.h"
@@ -69,6 +73,37 @@ rvec libm_frequency_chips(std::span<const cplx> waveform,
     chips[i] = rotation / (kPi / 2.0);
   }
   return chips;
+}
+
+/// The per-call clock-recovery search, composed from public calls as the
+/// reference row: every shifted SHR reference and its window energy is
+/// derived per frame, then the capture is retimed by the winning tau and
+/// decoded by a receiver without timing recovery.
+zigbee::ReceiveResult percall_timing_receive(
+    std::span<const cplx> waveform, std::span<const cplx> shr_reference,
+    const zigbee::ReceiverConfig& config, const zigbee::Receiver& untimed) {
+  const dsp::kernels::KernelTable& kt = dsp::kernels::active();
+  const std::size_t window = 2 * (zigbee::kPreambleBytes + 1) *
+                             zigbee::kChipsPerSymbol * config.samples_per_chip;
+  double best_metric = -1.0;
+  double best_tau = 0.0;
+  for (double tau = -config.timing_search_range;
+       tau <= config.timing_search_range + 1e-12;
+       tau += config.timing_search_step) {
+    const cvec shifted = dsp::fractional_delay(shr_reference, tau);
+    const double energy = kt.energy(shifted.data(), window);
+    const cplx correlation = kt.dot_conj(waveform.data(), shifted.data(), window);
+    const double metric = energy > 0.0 ? std::norm(correlation) / energy : 0.0;
+    if (metric > best_metric) {
+      best_metric = metric;
+      best_tau = tau;
+    }
+  }
+  if (best_tau == 0.0) return untimed.receive(waveform);
+  zigbee::ReceiveResult result =
+      untimed.receive(dsp::fractional_delay(waveform, -best_tau));
+  result.timing_offset_estimate = best_tau;
+  return result;
 }
 
 }  // namespace
@@ -151,17 +186,19 @@ int main(int argc, char** argv) {
                  sim::Table::num(despread_reference_ms / despread_packed_ms, 2) +
                      "x"});
 
-  // -- receive: per-call timing search vs precomputed grid ------------------
+  // -- receive: per-call timing search vs construction-time grid ------------
   const auto frames = zigbee::make_text_workload(1);
   const cvec frame_waveform = zigbee::Transmitter().transmit_frame(frames[0]);
+  zigbee::TransmitterConfig shr_config;
+  shr_config.normalize_power = false;  // the receiver's reference amplitude
+  const cvec shr_reference = zigbee::Transmitter(shr_config).shr_reference();
   zigbee::ReceiverConfig rx_config;
+  const zigbee::Receiver receiver_untimed(rx_config);
   rx_config.timing_recovery = true;
-  rx_config.precompute_timing_grid = false;
-  const zigbee::Receiver receiver_percall(rx_config);
-  rx_config.precompute_timing_grid = true;
   const zigbee::Receiver receiver_grid(rx_config);
   const double receive_percall_ms = time_ms(reps, [&] {
-    const auto result = receiver_percall.receive(frame_waveform);
+    const auto result = percall_timing_receive(frame_waveform, shr_reference,
+                                               rx_config, receiver_untimed);
     g_sink = g_sink + (result.frame_ok() ? 1.0 : 0.0);
   });
   const double receive_grid_ms = time_ms(reps, [&] {
@@ -175,16 +212,18 @@ int main(int argc, char** argv) {
 
   // -- clean waveform: per-call synthesis vs memoized -----------------------
   // The emulated link is the expensive one (TX -> OFDM emulation -> power
-  // normalization); cached calls only copy the stored waveform out.
+  // normalization); cached calls only copy the stored waveform out. The
+  // reference row runs that synthesis chain per call.
   sim::LinkConfig link_config;
   link_config.kind = sim::LinkKind::emulated;
-  link_config.memoize_waveforms = false;
-  const sim::Link link_uncached(link_config);
-  link_config.memoize_waveforms = true;
   const sim::Link link_cached(link_config);
   link_cached.clean_waveform(frames[0]);  // fill outside the timed region
+  const zigbee::Transmitter synthesis_tx;
+  const attack::WaveformEmulator synthesis_emulator(link_config.emulator);
   const double clean_uncached_ms = time_ms(reps, [&] {
-    const cvec waveform = link_uncached.clean_waveform(frames[0]);
+    const cvec waveform = dsp::normalize_power(
+        synthesis_emulator.emulate(synthesis_tx.transmit_frame(frames[0]))
+            .emulated_4mhz);
     g_sink = g_sink + waveform.front().real();
   });
   const double clean_cached_ms = time_ms(reps, [&] {

@@ -1,24 +1,25 @@
 // Perf — the multi-sensor mesh under load: sensor-field trial throughput
-// as the field grows (4 / 16 / 64 sensors), and the batched SoA channel
-// sweep against its serial per-sensor reference.
+// as the field grows (4 / 16 / 64 sensors), with a thread-count replay
+// check on every size.
 //
 //   $ ./perf_mesh --json | tail -n1 > BENCH_perf_mesh.json
 //
 // Like perf_engine/perf_hotpath this JSON intentionally contains wall
-// times — do not use it in the CI determinism diff. The batched and serial
-// paths must agree bit-for-bit (same engine run index replayed through
-// both); `batched_equals_serial` records that check and IS deterministic,
-// as are the trial/sensor counters.
+// times — do not use it in the CI determinism diff. Each size's timed run
+// index is replayed (seek_run) on a one-thread and on a four-thread engine,
+// and every MeshStats field must match bit-for-bit; `thread_replay_equal`
+// records that check and IS deterministic, as are the trial/sensor
+// counters.
 // Reported fields:
-//   * sensors                   — field sizes swept;
-//   * batched_sensors_per_sec   — per size, sensor-observations/s through
-//     channel::propagate_batch_multi (one SoA sweep per trial);
-//   * serial_sensors_per_sec    — per size, the per-sensor reference path;
-//   * batch_speedup             — per size, batched rate / serial rate;
-//   * sensors_per_sec           — min batched rate over the sweep (the
-//     trajectory floor);
-//   * batched_equals_serial     — 1 iff every size matched bit-for-bit.
+//   * sensors              — field sizes swept;
+//   * sensors_per_sec_by_m — per size, sensor-observations/s through
+//     mesh::run_mesh_trials on the bench's engine;
+//   * sensors_per_sec      — min rate over the sweep (the trajectory
+//     floor);
+//   * thread_replay_equal  — 1 iff every size's one- and four-thread
+//     replays matched the timed run bit-for-bit.
 #include <chrono>
+#include <cstring>
 #include <vector>
 
 #include "bench_common.h"
@@ -31,25 +32,25 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-mesh::MeshConfig field_config(std::size_t sensors, bool batched) {
-  mesh::MeshConfig config;
-  config.sensors = sensors;
-  config.batched_channel = batched;
-  return config;
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+/// Every MeshStats field, doubles compared bitwise.
 bool same_stats(const mesh::MeshStats& a, const mesh::MeshStats& b) {
-  if (a.trials != b.trials || a.sensors_usable != b.sensors_usable ||
+  if (a.trials != b.trials || a.sensors_total != b.sensors_total ||
+      a.sensors_usable != b.sensors_usable ||
       a.sensor_attacks != b.sensor_attacks ||
       a.majority_attacks != b.majority_attacks ||
       a.weighted_attacks != b.weighted_attacks ||
       a.bayesian_attacks != b.bayesian_attacks ||
-      a.de2_sum != b.de2_sum ||
+      a.localization_converged != b.localization_converged ||
+      !same_bits(a.de2_sum, b.de2_sum) ||
       a.position_errors.size() != b.position_errors.size()) {
     return false;
   }
   for (std::size_t i = 0; i < a.position_errors.size(); ++i) {
-    if (a.position_errors[i] != b.position_errors[i]) return false;
+    if (!same_bits(a.position_errors[i], b.position_errors[i])) return false;
   }
   return true;
 }
@@ -59,7 +60,9 @@ bool same_stats(const mesh::MeshStats& a, const mesh::MeshStats& b) {
 int main(int argc, char** argv) {
   const bench::Options options = bench::parse_options(argc, argv);
   sim::TrialEngine engine = bench::make_engine(
-      options, "Perf: sensor-field mesh (batched vs serial channel sweep)");
+      options, "Perf: sensor-field mesh (throughput, thread replay)");
+  sim::TrialEngine one_thread({options.seed, 1});
+  sim::TrialEngine four_threads({options.seed, 4});
   bench::JsonReport report(options, "perf_mesh");
 
   const auto frames = zigbee::make_text_workload(8);
@@ -67,54 +70,43 @@ int main(int argc, char** argv) {
   report.set("trials_per_point", static_cast<std::uint64_t>(trials));
 
   const std::vector<std::size_t> sweep = {4, 16, 64};
-  std::vector<double> sizes, batched_rate, serial_rate, speedup;
+  std::vector<double> sizes, rates;
   bool all_equal = true;
   double floor_rate = 0.0;
 
-  sim::Table table({"sensors", "batched", "serial", "speedup", "match"});
+  sim::Table table({"sensors", "rate", "replay 1/4 threads"});
   for (const std::size_t sensors : sweep) {
-    const mesh::SensorField batched(field_config(sensors, true));
-    const mesh::SensorField serial(field_config(sensors, false));
+    mesh::MeshConfig config;
+    config.sensors = sensors;
+    const mesh::SensorField field(config);
     const double observations = static_cast<double>(trials * sensors);
 
-    // Replay the SAME engine run index through both paths: the serial
-    // sweep is the bit-exact reference for the batched one.
     const std::uint64_t run_index = engine.next_run_index();
-    const auto batched_start = Clock::now();
-    const mesh::MeshStats batched_stats =
-        run_mesh_trials(batched, frames, trials, engine);
-    const double batched_s =
-        std::chrono::duration<double>(Clock::now() - batched_start).count();
-    engine.seek_run(run_index);
-    const auto serial_start = Clock::now();
-    const mesh::MeshStats serial_stats =
-        run_mesh_trials(serial, frames, trials, engine);
-    const double serial_s =
-        std::chrono::duration<double>(Clock::now() - serial_start).count();
+    const auto start = Clock::now();
+    const mesh::MeshStats stats = run_mesh_trials(field, frames, trials, engine);
+    const double seconds =
+        std::chrono::duration<double>(Clock::now() - start).count();
 
-    const bool equal = same_stats(batched_stats, serial_stats);
+    one_thread.seek_run(run_index);
+    four_threads.seek_run(run_index);
+    const bool equal =
+        same_stats(stats, run_mesh_trials(field, frames, trials, one_thread)) &&
+        same_stats(stats, run_mesh_trials(field, frames, trials, four_threads));
     all_equal = all_equal && equal;
-    const double brate = observations / batched_s;
-    const double srate = observations / serial_s;
+    const double rate = observations / seconds;
     sizes.push_back(static_cast<double>(sensors));
-    batched_rate.push_back(brate);
-    serial_rate.push_back(srate);
-    speedup.push_back(brate / srate);
-    if (floor_rate == 0.0 || brate < floor_rate) floor_rate = brate;
+    rates.push_back(rate);
+    if (floor_rate == 0.0 || rate < floor_rate) floor_rate = rate;
     table.add_row({sim::Table::num(static_cast<double>(sensors), 0),
-                   sim::Table::num(brate, 0) + " obs/s",
-                   sim::Table::num(srate, 0) + " obs/s",
-                   sim::Table::num(brate / srate, 2) + "x",
+                   sim::Table::num(rate, 0) + " obs/s",
                    equal ? "bit-exact" : "MISMATCH"});
   }
   table.print();
 
   report.set("sensors", sizes);
-  report.set("batched_sensors_per_sec", batched_rate);
-  report.set("serial_sensors_per_sec", serial_rate);
-  report.set("batch_speedup", speedup);
+  report.set("sensors_per_sec_by_m", rates);
   report.set("sensors_per_sec", floor_rate);
-  report.set("batched_equals_serial",
+  report.set("thread_replay_equal",
              static_cast<std::uint64_t>(all_equal ? 1 : 0));
   bench::finish(report, options);
   return all_equal ? 0 : 1;

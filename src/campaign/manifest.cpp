@@ -127,7 +127,7 @@ void write_file_atomic(const std::string& path, const std::string& content) {
   // content, so checkpoint artifacts stay byte-identical across processes.
   const std::string temp =
       path + ".tmp." +
-      std::to_string(static_cast<long>(::getpid())) +  // det-lint: allow(rng)
+      std::to_string(static_cast<long>(::getpid())) +  // ctc-lint: allow(rng)
       "." + std::to_string(counter.fetch_add(1));
   std::FILE* file = std::fopen(temp.c_str(), "w");
   if (file == nullptr) fail_io(temp, "cannot open");

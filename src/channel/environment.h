@@ -14,7 +14,6 @@
 #include "channel/fading.h"
 #include "channel/multipath.h"
 #include "channel/pathloss.h"
-#include "dsp/batch.h"
 #include "dsp/rng.h"
 #include "dsp/types.h"
 
@@ -65,32 +64,9 @@ struct Environment {
   void propagate_into(cvec& out, std::span<const cplx> signal,
                       dsp::Rng& rng) const;
 
-  /// Batched (SoA) channel: pushes `rngs.size()` independent realizations
-  /// of the same frame through the channel, one batch row per trial. Stages
-  /// run stage-major (fading over all rows, then CFO/phase, then timing,
-  /// then noise), but each row consumes ONLY its own RNG stream and in the
-  /// same draw order as propagate_into() (fade -> phase -> noise), so row
-  /// r is bit-for-bit the serial propagate(signal, rngs[r]) result. `out`
-  /// is reshaped to rngs.size() x signal.size().
-  void propagate_batch(dsp::BatchBuffer& out, std::span<const cplx> signal,
-                       std::span<dsp::Rng> rngs) const;
-
   static Environment awgn(double snr_db);
   static Environment real_world(double distance_m,
                                 double sample_rate_hz = 4.0e6);
 };
-
-/// Batched (SoA) channel with a DISTINCT environment per row: row r of `out`
-/// is bit-for-bit envs[r].propagate(signal, rngs[r]). This is the multi-
-/// sensor sweep Environment::propagate_batch cannot express (it applies ONE
-/// environment — one noise variance, one CFO — to every row); a mesh of M
-/// sensors at different distances needs per-row path loss, fading and noise.
-/// Stages still run stage-major across rows, but each row consumes only its
-/// own RNG stream in the serial draw order (fade -> phase -> noise), so the
-/// result is independent of the batch partition. Requires
-/// envs.size() == rngs.size(); `out` is reshaped to rows x signal.size().
-void propagate_batch_multi(dsp::BatchBuffer& out, std::span<const cplx> signal,
-                           std::span<const Environment> envs,
-                           std::span<dsp::Rng> rngs);
 
 }  // namespace ctc::channel

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "dsp/batch.h"
 #include "dsp/require.h"
 #include "sim/telemetry.h"
 
@@ -72,53 +71,29 @@ MeshObservation SensorField::observe_frame(const zigbee::MacFrame& frame,
 
   // Per-sensor streams: one trial-unique seed draw from the engine stream,
   // then sensor s reads for_stream(sensor_seed, s) — see src/dsp/rng.h.
+  // Each stream serves its shadowing draw first, then its channel draws.
   const std::uint64_t sensor_seed = rng.next_u64();
-  thread_local std::vector<dsp::Rng> sensor_rngs;
-  sensor_rngs.clear();
-  sensor_rngs.reserve(sensors);
-  for (std::size_t s = 0; s < sensors; ++s) {
-    sensor_rngs.push_back(dsp::Rng::for_stream(sensor_seed, s));
-  }
-
   MeshObservation observation;
   observation.sensors.resize(sensors);
-  // Shadowing draws come FIRST on every sensor's stream (before its channel
-  // draws), in both the batched and the serial path, so the two stay
-  // bit-identical.
+  thread_local cvec received;
   for (std::size_t s = 0; s < sensors; ++s) {
+    dsp::Rng sensor_rng = dsp::Rng::for_stream(sensor_seed, s);
     SensorObservation& sensor = observation.sensors[s];
     sensor.snr_db = environments_[s].snr_db;
     sensor.measured_rssi_dbm =
-        model_rssi_dbm_[s] +
-        config_.shadow_sigma_db * sensor_rngs[s].gaussian();
-  }
-
-  auto decode = [&](std::size_t s, std::span<const cplx> received) {
-    SensorObservation& sensor = observation.sensors[s];
+        model_rssi_dbm_[s] + config_.shadow_sigma_db * sensor_rng.gaussian();
+    environments_[s].propagate_into(received, clean, sensor_rng);
     const zigbee::ReceiveResult rx = receiver_.receive(received);
     const rvec& chips = config_.tap == sim::DefenseTap::discriminator
                             ? rx.freq_chips
                             : rx.soft_chips;
     sensor.usable = chips.size() >= kMinChipSamples;
-    if (!sensor.usable) return;
+    if (!sensor.usable) continue;
     const defense::Verdict verdict = detector_.classify(chips);
     sensor.is_attack = verdict.is_attack;
     sensor.de2 = verdict.distance_sq;
     sensor.c40 = verdict.feature.c40;
     sensor.c42 = verdict.feature.c42;
-  };
-
-  if (config_.batched_channel) {
-    thread_local dsp::BatchBuffer batch;
-    channel::propagate_batch_multi(batch, clean, environments_,
-                                   std::span<dsp::Rng>(sensor_rngs));
-    for (std::size_t s = 0; s < sensors; ++s) decode(s, batch.row(s));
-  } else {
-    thread_local cvec received;
-    for (std::size_t s = 0; s < sensors; ++s) {
-      environments_[s].propagate_into(received, clean, sensor_rngs[s]);
-      decode(s, received);
-    }
   }
 
   std::vector<SensorVote> votes(sensors);

@@ -8,14 +8,10 @@
 // provided RNG contributes exactly one draw (the per-trial sensor seed);
 // sensor s then draws from dsp::Rng::for_stream(sensor_seed, s), so the
 // whole fan-out is a pure function of (seed, run_index, trial_index,
-// sensor_id) — bit-identical at any thread count, batch partition, or
-// shard boundary (scheme documented in src/dsp/rng.h).
-//
-// The per-sensor channel sweep reuses the SoA batch path: M sensors are a
-// natural batch, one row per sensor, pushed through
-// channel::propagate_batch_multi in a single stage-major sweep. The serial
-// per-sensor path is kept behind `batched_channel = false` as the bit-
-// identical reference for the equivalence test.
+// sensor_id) — bit-identical at any thread count or shard boundary (scheme
+// documented in src/dsp/rng.h). Sensors run one after another through one
+// thread-local channel buffer: channel::Environment::propagate_into, then
+// the receiver and the detector.
 #pragma once
 
 #include <cstddef>
@@ -79,10 +75,6 @@ struct MeshConfig {
   /// Class-conditional DE^2 models for the Bayesian rule (shared by all
   /// sensors).
   GaussianPair bayes;
-
-  /// SoA multi-environment channel sweep vs the serial per-sensor
-  /// reference; bit-identical either way.
-  bool batched_channel = true;
 };
 
 /// One sensor's view of one trial.

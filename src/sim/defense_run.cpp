@@ -34,13 +34,11 @@ double DefenseSamples::min_distance() const {
   return *std::min_element(distances.begin(), distances.end());
 }
 
-namespace {
-
-/// The classification back half of a defense trial, shared by the serial
-/// and the batched collectors.
-DefenseObservation defense_features(const FrameObservation& observation,
-                                    const defense::Detector& detector,
-                                    DefenseTap tap) {
+DefenseObservation observe_defense_frame(const Link& link,
+                                         const zigbee::MacFrame& frame,
+                                         const defense::Detector& detector,
+                                         dsp::Rng& rng, DefenseTap tap) {
+  const FrameObservation observation = link.send(frame, rng);
   const rvec& chips = tap == DefenseTap::discriminator
                           ? observation.rx.freq_chips
                           : observation.rx.soft_chips;
@@ -52,15 +50,6 @@ DefenseObservation defense_features(const FrameObservation& observation,
   result.c40 = verdict.feature.c40;
   result.c42 = verdict.feature.c42;
   return result;
-}
-
-}  // namespace
-
-DefenseObservation observe_defense_frame(const Link& link,
-                                         const zigbee::MacFrame& frame,
-                                         const defense::Detector& detector,
-                                         dsp::Rng& rng, DefenseTap tap) {
-  return defense_features(link.send(frame, rng), detector, tap);
 }
 
 DefenseSamples collect_defense_samples(const Link& link,
@@ -79,38 +68,6 @@ DefenseSamples collect_defense_samples(const Link& link,
     return observe_defense_frame(link, frames[i % frames.size()], detector, rng,
                                  tap);
   });
-}
-
-DefenseSamples collect_defense_samples_batched(
-    const Link& link, std::span<const zigbee::MacFrame> frames,
-    std::size_t count, const defense::Detector& detector, TrialEngine& engine,
-    std::size_t batch_size, DefenseTap tap) {
-  CTC_REQUIRE(!frames.empty());
-  link.prime(frames);
-  return engine.run_batched<DefenseSamples>(
-      count, batch_size, [&](std::size_t first, std::span<dsp::Rng> rngs) {
-        std::vector<DefenseObservation> results;
-        results.reserve(rngs.size());
-        // Consecutive trials on the same frame share one SoA channel sweep.
-        // Frames cycle with period frames.size(), so with several frames the
-        // runs shrink (down to single-trial sends) but stay bit-identical.
-        std::size_t k = 0;
-        while (k < rngs.size()) {
-          const std::size_t frame_index = (first + k) % frames.size();
-          std::size_t run = k + 1;
-          while (run < rngs.size() &&
-                 (first + run) % frames.size() == frame_index) {
-            ++run;
-          }
-          const auto observations = link.send_batch(
-              frames[frame_index], rngs.subspan(k, run - k));
-          for (const FrameObservation& observation : observations) {
-            results.push_back(defense_features(observation, detector, tap));
-          }
-          k = run;
-        }
-        return results;
-      });
 }
 
 DefenseSamples collect_defense_samples(const Link& link,

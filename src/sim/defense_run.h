@@ -64,16 +64,6 @@ DefenseSamples collect_defense_samples(const Link& link,
                                        TrialEngine& engine,
                                        DefenseTap tap = DefenseTap::discriminator);
 
-/// Batched variant: engine trials run in SoA batches of `batch_size`
-/// through Link::send_batch (consecutive trials that hit the same frame
-/// share one stage-major channel sweep). Bit-identical to the TrialEngine
-/// overload of collect_defense_samples at any thread count and batch size —
-/// every trial keeps its own RNG stream and results fold in trial order.
-DefenseSamples collect_defense_samples_batched(
-    const Link& link, std::span<const zigbee::MacFrame> frames,
-    std::size_t count, const defense::Detector& detector, TrialEngine& engine,
-    std::size_t batch_size, DefenseTap tap = DefenseTap::discriminator);
-
 /// Serial compatibility path: threads one caller-owned generator through
 /// the trials in order. Prefer the TrialEngine overload.
 DefenseSamples collect_defense_samples(const Link& link,

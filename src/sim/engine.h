@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -95,70 +94,6 @@ class TrialEngine {
       for (std::size_t k = 0; k < batch; ++k) {
         aggregator.add(std::move(*slots[k]));
         slots[k].reset();
-        if (k < telemetry_slots.size()) {
-          telemetry::commit(std::move(telemetry_slots[k]));
-        }
-      }
-    }
-  }
-
-  /// Batched (SoA) variant of run(): `fn(first_index, rngs)` processes
-  /// `rngs.size()` consecutive trials in one call and returns their results
-  /// in trial order (a vector of exactly rngs.size() elements). Trial
-  /// first_index + k draws from the SAME stream the serial run() would hand
-  /// it — dsp::Rng::for_stream(seed, base | (first_index + k)) — and batch
-  /// results are folded in trial-index order, so an aggregate is
-  /// bit-identical to run() with the equivalent per-trial fn at ANY thread
-  /// count and ANY batch size (the batch fn must consume rngs[k] only for
-  /// trial k). Batches execute in bounded rounds across the thread pool;
-  /// per-batch telemetry snapshots commit in batch order.
-  template <class Aggregator, class BatchFn>
-  Aggregator run_batched(std::size_t count, std::size_t batch_size,
-                         BatchFn&& fn) {
-    Aggregator aggregator{};
-    run_batched_into(aggregator, count, batch_size, std::forward<BatchFn>(fn));
-    return aggregator;
-  }
-
-  /// As run_batched(), folding into an existing aggregator.
-  template <class Aggregator, class BatchFn>
-  void run_batched_into(Aggregator& aggregator, std::size_t count,
-                        std::size_t batch_size, BatchFn&& fn) {
-    using Results = std::decay_t<decltype(std::declval<BatchFn&>()(
-        std::size_t{}, std::declval<std::span<dsp::Rng>>()))>;
-    CTC_REQUIRE(count <= kMaxTrialsPerRun);
-    CTC_REQUIRE(batch_size >= 1);
-    const std::uint64_t base = next_run_base();
-    const std::size_t num_batches =
-        count == 0 ? 0 : (count + batch_size - 1) / batch_size;
-    const std::size_t round = block_size(num_batches);
-    std::vector<Results> slots(round);
-    std::vector<telemetry::TrialSnapshot> telemetry_slots(
-        telemetry::enabled() ? round : 0);
-    for (std::size_t bstart = 0; bstart < num_batches; bstart += round) {
-      const std::size_t in_round = std::min(round, num_batches - bstart);
-      pool_->parallel_for(in_round, [&](std::size_t k) {
-        const std::size_t first = (bstart + k) * batch_size;
-        const std::size_t batch = std::min(batch_size, count - first);
-        thread_local std::vector<dsp::Rng> rngs;
-        rngs.clear();
-        rngs.reserve(batch);
-        for (std::size_t i = 0; i < batch; ++i) {
-          rngs.push_back(dsp::Rng::for_stream(config_.seed, base | (first + i)));
-        }
-        telemetry::TrialScope scope;
-        {
-          CTC_TELEM_TIMER("engine", "batch");
-          CTC_TELEM_COUNT("engine", "trials", batch);
-          slots[k] = fn(first, std::span<dsp::Rng>(rngs));
-          CTC_REQUIRE_MSG(slots[k].size() == batch,
-                          "batch fn must return one result per trial");
-        }
-        if (k < telemetry_slots.size()) telemetry_slots[k] = scope.capture();
-      });
-      for (std::size_t k = 0; k < in_round; ++k) {
-        for (auto& result : slots[k]) aggregator.add(std::move(result));
-        slots[k] = Results{};
         if (k < telemetry_slots.size()) {
           telemetry::commit(std::move(telemetry_slots[k]));
         }

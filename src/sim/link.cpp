@@ -82,12 +82,10 @@ const Link::CachedFrame& Link::cached_frame(const zigbee::MacFrame& frame) const
 }
 
 cvec Link::clean_waveform(const zigbee::MacFrame& frame) const {
-  if (!config_.memoize_waveforms) return synthesize_waveform(frame);
   return cached_frame(frame).clean;
 }
 
 void Link::prime(std::span<const zigbee::MacFrame> frames) const {
-  if (!config_.memoize_waveforms) return;
   for (const zigbee::MacFrame& frame : frames) cached_frame(frame);
 }
 
@@ -99,8 +97,15 @@ channel::Environment Link::effective_environment() const {
   return env;
 }
 
-FrameObservation Link::observe(std::span<const cplx> received,
-                               const bytevec& sent_psdu) const {
+FrameObservation Link::send(const zigbee::MacFrame& frame, dsp::Rng& rng) const {
+  const CachedFrame& cached = cached_frame(frame);
+  const bytevec& sent_psdu = cached.psdu;
+
+  // Thread-local workspace: send() runs once per Monte Carlo trial and the
+  // propagated copy dominated the per-trial allocations.
+  thread_local cvec received;
+  effective_environment().propagate_into(received, cached.clean, rng);
+
   FrameObservation observation;
   observation.rx = receiver_.receive(received);
 
@@ -121,54 +126,6 @@ FrameObservation Link::observe(std::span<const cplx> received,
   }
   observation.success = observation.rx.frame_ok() && observation.payload_match;
   return observation;
-}
-
-FrameObservation Link::send(const zigbee::MacFrame& frame, dsp::Rng& rng) const {
-  cvec local_clean;
-  bytevec local_psdu;
-  const cvec* clean = &local_clean;
-  const bytevec* sent_psdu = &local_psdu;
-  if (config_.memoize_waveforms) {
-    const CachedFrame& cached = cached_frame(frame);
-    clean = &cached.clean;
-    sent_psdu = &cached.psdu;
-  } else {
-    local_clean = synthesize_waveform(frame);
-    local_psdu = frame.serialize();
-  }
-
-  // Thread-local workspace: send() runs once per Monte Carlo trial and the
-  // propagated copy dominated the per-trial allocations.
-  thread_local cvec received;
-  effective_environment().propagate_into(received, *clean, rng);
-  return observe(received, *sent_psdu);
-}
-
-std::vector<FrameObservation> Link::send_batch(const zigbee::MacFrame& frame,
-                                               std::span<dsp::Rng> rngs) const {
-  std::vector<FrameObservation> observations;
-  observations.reserve(rngs.size());
-  if (rngs.empty()) return observations;
-
-  cvec local_clean;
-  bytevec local_psdu;
-  const cvec* clean = &local_clean;
-  const bytevec* sent_psdu = &local_psdu;
-  if (config_.memoize_waveforms) {
-    const CachedFrame& cached = cached_frame(frame);
-    clean = &cached.clean;
-    sent_psdu = &cached.psdu;
-  } else {
-    local_clean = synthesize_waveform(frame);
-    local_psdu = frame.serialize();
-  }
-
-  thread_local dsp::BatchBuffer batch;
-  effective_environment().propagate_batch(batch, *clean, rngs);
-  for (std::size_t r = 0; r < rngs.size(); ++r) {
-    observations.push_back(observe(batch.row(r), *sent_psdu));
-  }
-  return observations;
 }
 
 }  // namespace ctc::sim

@@ -15,7 +15,6 @@
 #include "attack/carrier_allocation.h"
 #include "attack/emulator.h"
 #include "channel/environment.h"
-#include "dsp/batch.h"
 #include "dsp/rng.h"
 #include "zigbee/receiver.h"
 #include "zigbee/transmitter.h"
@@ -38,13 +37,6 @@ struct LinkConfig {
   /// paper's simulation shortcut (common baseband) is used.
   bool attack_via_rf = false;
   attack::CarrierPlan carrier_plan;  ///< used when attack_via_rf
-  /// Memoize the clean (pre-channel) waveform and serialized PSDU per frame.
-  /// The synthesis chain (TX -> emulation -> normalization) is a pure
-  /// function of the frame bytes, so Monte Carlo sweeps that send the same
-  /// frame thousands of times pay for it once. The cached send() path is
-  /// bit-identical to the uncached one; the flag exists so the equivalence
-  /// tests can pin the reference path.
-  bool memoize_waveforms = true;
 };
 
 struct FrameObservation {
@@ -62,15 +54,6 @@ class Link {
   /// Sends one MAC frame through the link and decodes it.
   FrameObservation send(const zigbee::MacFrame& frame, dsp::Rng& rng) const;
 
-  /// Batched send: rngs.size() independent channel realizations of the SAME
-  /// frame, propagated through the channel stage-major in one SoA workspace
-  /// (see channel::Environment::propagate_batch) and then decoded row by
-  /// row. Result k is bit-identical to send(frame, rngs[k]) — the batch
-  /// path only amortizes the synthesis lookup and the channel sweep; every
-  /// per-trial draw comes from that trial's own RNG stream.
-  std::vector<FrameObservation> send_batch(const zigbee::MacFrame& frame,
-                                           std::span<dsp::Rng> rngs) const;
-
   /// The clean (pre-channel) waveform this link would emit for a frame —
   /// the observed ZigBee waveform for authentic links, the emulated one for
   /// attack links. Unit average power.
@@ -80,7 +63,7 @@ class Link {
   /// this before fanning trials out so cache fills (and their synthesis
   /// telemetry) happen serially in frame order rather than inside whichever
   /// trial happens to run first — that keeps the telemetry JSON bit-stable
-  /// across thread counts. No-op when memoization is off.
+  /// across thread counts.
   void prime(std::span<const zigbee::MacFrame> frames) const;
 
   const LinkConfig& config() const { return config_; }
@@ -103,12 +86,8 @@ class Link {
   };
 
   const CachedFrame& cached_frame(const zigbee::MacFrame& frame) const;
-  /// The raw synthesis chain (no cache): body of the public clean_waveform.
+  /// The raw synthesis chain a cache fill runs.
   cvec synthesize_waveform(const zigbee::MacFrame& frame) const;
-  /// Decodes one propagated waveform and scores it against the sent PSDU —
-  /// the shared back half of send() and send_batch().
-  FrameObservation observe(std::span<const cplx> received,
-                           const bytevec& sent_psdu) const;
   /// The per-send channel: the configured environment with the profile's
   /// sensitivity gain folded into a plain SNR.
   channel::Environment effective_environment() const;

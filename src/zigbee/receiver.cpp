@@ -47,9 +47,7 @@ Receiver::Receiver(ReceiverConfig config)
   tx_config.normalize_power = false;  // reference amplitude = 1 per branch
   shr_reference_ = Transmitter(tx_config).shr_reference();
 
-  if (config_.timing_recovery && config_.precompute_timing_grid) {
-    // Same tau sequence and energy summation order as the per-frame search,
-    // so the cached grid reproduces its metrics bit-for-bit.
+  if (config_.timing_recovery) {
     const std::size_t window =
         kShrSymbols * kChipsPerSymbol * config_.samples_per_chip;
     for (double tau = -config_.timing_search_range;
@@ -78,41 +76,25 @@ ReceiveResult Receiver::receive(std::span<const cplx> waveform) const {
 
   // Clock recovery (Fig. 1): maximize the SHR correlation magnitude over a
   // sub-sample timing grid, then undo the winning fractional delay. The
-  // shifted references (and their window energies) come from the grid
-  // precomputed at construction; the fallback re-derives them per call.
+  // shifted references (and their window energies) come from the grid built
+  // at construction.
   thread_local cvec retimed;
   const dsp::kernels::KernelTable& kt = dsp::kernels::active();
   if (config_.timing_recovery) {
     const std::size_t window = shr_chips * spc;
     double best_metric = -1.0;
     double best_offset = 0.0;
-    const auto score_candidate = [&](double tau,
-                                     std::span<const cplx> shifted_reference,
-                                     double reference_energy) {
+    for (const TimingReference& entry : timing_grid_) {
       const cplx correlation =
-          kt.dot_conj(waveform.data(), shifted_reference.data(), window);
+          kt.dot_conj(waveform.data(), entry.reference.data(), window);
       // Normalize: linear interpolation attenuates the shifted reference,
       // which would otherwise bias the search toward tau = 0.
-      const double metric =
-          reference_energy > 0.0 ? std::norm(correlation) / reference_energy : 0.0;
+      const double metric = entry.window_energy > 0.0
+                                ? std::norm(correlation) / entry.window_energy
+                                : 0.0;
       if (metric > best_metric) {
         best_metric = metric;
-        best_offset = tau;
-      }
-    };
-    if (!timing_grid_.empty()) {
-      for (const TimingReference& entry : timing_grid_) {
-        score_candidate(entry.tau, entry.reference, entry.window_energy);
-      }
-    } else {
-      for (double tau = -config_.timing_search_range;
-           tau <= config_.timing_search_range + 1e-12;
-           tau += config_.timing_search_step) {
-        const cvec shifted_reference =
-            dsp::fractional_delay(std::span<const cplx>(shr_reference_), tau);
-        const double reference_energy =
-            kt.energy(shifted_reference.data(), window);
-        score_candidate(tau, shifted_reference, reference_energy);
+        best_offset = entry.tau;
       }
     }
     if (best_offset != 0.0) {

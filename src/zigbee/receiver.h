@@ -93,15 +93,11 @@ struct ReceiverConfig {
   /// Off by default to keep the calibrated experiment profiles unchanged;
   /// the ablation tests show the low-SNR gain under timing offsets.
   bool timing_recovery = false;
-  /// Timing search half-range (fractions of a sample) and grid step.
+  /// Timing search half-range (fractions of a sample) and grid step. The
+  /// shifted SHR references of the whole tau grid are built once, at
+  /// construction.
   double timing_search_range = 0.5;
   double timing_search_step = 0.0625;
-  /// Build the fractional-delay reference grid once at construction instead
-  /// of re-deriving every shifted SHR reference per frame per tau. The
-  /// cached search is bit-identical to the per-call one (same tau sequence,
-  /// same summation order); the flag exists so the equivalence tests can
-  /// pin the reference path.
-  bool precompute_timing_grid = true;
 };
 
 class Receiver {
@@ -123,8 +119,7 @@ class Receiver {
 
  private:
   /// One clock-recovery candidate: the SHR reference delayed by tau, with
-  /// its correlation-window energy preaccumulated in the same order the
-  /// per-frame search would have used.
+  /// its correlation-window energy.
   struct TimingReference {
     double tau = 0.0;
     cvec reference;
@@ -134,7 +129,7 @@ class Receiver {
   ReceiverConfig config_;
   OqpskDemodulator demodulator_;
   cvec shr_reference_;
-  std::vector<TimingReference> timing_grid_;  ///< empty unless precomputed
+  std::vector<TimingReference> timing_grid_;  ///< empty unless timing_recovery
 };
 
 }  // namespace ctc::zigbee

@@ -1,21 +1,30 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
+#include "channel/environment.h"
+#include "defense/detector.h"
 #include "dsp/require.h"
+#include "dsp/rng.h"
 #include "mesh/sensor_field.h"
 #include "sim/engine.h"
+#include "sim/link.h"
 #include "zigbee/app.h"
+#include "zigbee/receiver.h"
 
 namespace ctc::mesh {
 namespace {
 
-MeshConfig small_field(std::size_t sensors, bool batched = true) {
+MeshConfig small_field(std::size_t sensors) {
   MeshConfig config;
   config.sensors = sensors;
-  config.batched_channel = batched;
   return config;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 std::vector<zigbee::MacFrame> workload() {
@@ -61,18 +70,71 @@ TEST(SensorFieldTest, RejectsDegenerateConfigs) {
   EXPECT_THROW(SensorField{on_top}, ContractError);
 }
 
-TEST(SensorFieldTest, BatchedAndSerialChannelsAreBitIdentical) {
-  const SensorField batched(small_field(9, true));
-  const SensorField serial(small_field(9, false));
-  const auto frames = workload();
+TEST(SensorFieldTest, ObserveFrameMatchesPerSensorComposition) {
+  // Pins the per-sensor stream layout: one sensor-seed draw from the trial
+  // stream, then sensor s reads for_stream(sensor_seed, s) — its shadowing
+  // draw first, then its channel — and runs the receiver and the detector.
+  // Fading, CFO and random phase make every channel stage draw.
+  MeshConfig config = small_field(9);
+  config.rician_k_factor = 4.0;
+  config.cfo_hz = 80.0;
+  config.random_phase = true;
+  const SensorField field(config);
+  const zigbee::MacFrame frame = workload()[1];
 
-  sim::TrialEngine engine({20190707, 1});
-  const std::uint64_t run_index = engine.next_run_index();
-  const MeshStats batched_stats =
-      run_mesh_trials(batched, frames, 6, engine);
-  engine.seek_run(run_index);
-  const MeshStats serial_stats = run_mesh_trials(serial, frames, 6, engine);
-  expect_same_stats(batched_stats, serial_stats);
+  dsp::Rng trial_rng = dsp::Rng::for_stream(20190707, 3);
+  dsp::Rng oracle_rng = trial_rng;
+  const MeshObservation observed = field.observe_frame(frame, trial_rng);
+  ASSERT_EQ(observed.sensors.size(), config.sensors);
+
+  sim::LinkConfig link_config;
+  link_config.kind = config.kind;
+  link_config.profile = config.profile;
+  link_config.emulator = config.emulator;
+  const cvec clean = sim::Link(link_config).clean_waveform(frame);
+  zigbee::ReceiverConfig rx_config;
+  rx_config.profile = config.profile;
+  const zigbee::Receiver receiver(rx_config);
+  const defense::Detector detector(config.detector);
+
+  const std::uint64_t sensor_seed = oracle_rng.next_u64();
+  std::size_t usable = 0;
+  for (std::size_t s = 0; s < config.sensors; ++s) {
+    SCOPED_TRACE("sensor " + std::to_string(s));
+    const double meters = field.distances()[s];
+    channel::Environment env;
+    env.snr_db = config.path_loss.snr_db(meters) + config.snr_offset_db +
+                 config.profile.sensitivity_gain_db;
+    env.rician_k_factor = config.rician_k_factor;
+    env.cfo_hz = config.cfo_hz;
+    env.random_phase = config.random_phase;
+    env.sample_rate_hz = config.sample_rate_hz;
+
+    dsp::Rng sensor_rng = dsp::Rng::for_stream(sensor_seed, s);
+    const double rssi = config.path_loss.rssi_dbm(meters) +
+                        config.shadow_sigma_db * sensor_rng.gaussian();
+    const zigbee::ReceiveResult rx =
+        receiver.receive(env.propagate(clean, sensor_rng));
+    SensorObservation expected;
+    expected.usable = rx.freq_chips.size() >= 8;
+    if (expected.usable) {
+      const defense::Verdict verdict = detector.classify(rx.freq_chips);
+      expected.is_attack = verdict.is_attack;
+      expected.de2 = verdict.distance_sq;
+      expected.c40 = verdict.feature.c40;
+      expected.c42 = verdict.feature.c42;
+      ++usable;
+    }
+
+    const SensorObservation& actual = observed.sensors[s];
+    EXPECT_TRUE(same_bits(actual.measured_rssi_dbm, rssi));
+    EXPECT_TRUE(same_bits(actual.de2, expected.de2));
+    EXPECT_TRUE(same_bits(actual.c40, expected.c40));
+    EXPECT_TRUE(same_bits(actual.c42, expected.c42));
+    EXPECT_EQ(actual.usable, expected.usable);
+    EXPECT_EQ(actual.is_attack, expected.is_attack);
+  }
+  EXPECT_GT(usable, 0u);
 }
 
 TEST(SensorFieldTest, ThreadCountDoesNotChangeTheNumbers) {

@@ -27,7 +27,6 @@ LinkConfig shared_link_config() {
   LinkConfig config;
   config.kind = LinkKind::authentic;
   config.environment = channel::Environment::awgn(9.0);
-  config.memoize_waveforms = true;
   return config;
 }
 

@@ -10,6 +10,12 @@ validation over README.md and docs/*.md:
              linking document. Pure #anchor links and external URLs are
              skipped.
 
+  path       Every inline-code repo path with a file extension
+             (`src/sim/link.h`, or include-style `sim/link.h` under src/)
+             must exist. The `x.h/.cpp` shorthand names both files; spans
+             with whitespace or a `<`, `*` or `{` (placeholders, globs,
+             brace lists) are not paths.
+
   json       Every ```json fence must strictly json.loads(). Annotated
              examples belong in ```jsonc fences, which are validated after
              stripping //-comments — so schema examples stay readable AND
@@ -66,6 +72,10 @@ OPERATOR_TOKENS = {"|", "||", "&&", ";", ";;", "&", "(", ")"}
 REDIRECT_RE = re.compile(r"^\d*(?:>>?|<<?<?)(?:&\d*)?$")
 
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+FILE_NAME_RE = re.compile(r"\.[A-Za-z0-9]+$")
+# `dir/name.h/.cpp`: one span naming a header and its source twin.
+TWIN_PATH_RE = re.compile(r"^(.+)\.([A-Za-z0-9]+)/\.([A-Za-z0-9]+)$")
 FENCE_RE = re.compile(r"^\s*```\s*([A-Za-z0-9_+-]*)\s*$")
 SKIP_MARKER = "<!-- check-docs: skip -->"
 
@@ -228,15 +238,19 @@ def bash_parses(script: str):
     return True, ""
 
 
-def check_links(rel: str, path: Path, root: Path, lines: list,
-                findings: list) -> None:
+def prose_lines(lines: list):
+    """Yields (line_no, line) for every line outside ``` fences."""
     in_fence = False
     for line_no, line in enumerate(lines, 1):
         if FENCE_RE.match(line):
             in_fence = not in_fence
-            continue
-        if in_fence:
-            continue
+        elif not in_fence:
+            yield line_no, line
+
+
+def check_links(rel: str, path: Path, root: Path, lines: list,
+                findings: list) -> None:
+    for line_no, line in prose_lines(lines):
         for match in LINK_RE.finditer(line):
             target = match.group(1)
             if re.match(r"^[a-z][a-z0-9+.-]*:", target):  # http:, mailto:, …
@@ -258,6 +272,30 @@ def check_links(rel: str, path: Path, root: Path, lines: list,
                 findings.append(Finding(
                     rel, line_no, "link",
                     f"broken link: {target} (resolved {resolved.relative_to(root)})"))
+
+
+def span_paths(span: str) -> list:
+    """The repo paths an inline code span names: [] unless the span is one
+    slash-separated token ending in a file extension."""
+    if re.search(r"[\s<*{]", span) or "/" not in span or "://" in span:
+        return []
+    twin = TWIN_PATH_RE.match(span)
+    if twin:
+        stem = twin.group(1)
+        return [f"{stem}.{twin.group(2)}", f"{stem}.{twin.group(3)}"]
+    return [span] if FILE_NAME_RE.search(span.rsplit("/", 1)[-1]) else []
+
+
+def check_paths(rel: str, root: Path, lines: list, findings: list) -> None:
+    for line_no, line in prose_lines(lines):
+        for match in CODE_SPAN_RE.finditer(line):
+            for path in span_paths(match.group(1)):
+                if (root / path).exists() or (root / "src" / path).exists():
+                    continue
+                findings.append(Finding(
+                    rel, line_no, "path",
+                    f"`{path}` names no file in the repo (checked from the "
+                    "root and from src/) — fix or drop the reference"))
 
 
 def check_fences(rel: str, lines: list, findings: list) -> None:
@@ -342,6 +380,7 @@ def main(argv: list) -> int:
         corpus_parts.append(text)
         lines = text.splitlines()
         check_links(rel, path, root, lines, findings)
+        check_paths(rel, root, lines, findings)
         check_fences(rel, lines, findings)
     check_coverage(root, "\n".join(corpus_parts), findings)
 

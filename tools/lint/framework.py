@@ -10,11 +10,8 @@ Waiver syntax (one spelling, all lints):
 
     // ctc-lint: allow(<rule>[, <rule>...])
 
-on the flagged line suppresses those rules for that line. The legacy
-spelling `// det-lint: allow(<rule>)` from the original determinism lint is
-accepted as a deprecated alias everywhere — see docs/STATIC_ANALYSIS.md for
-the migration note. Waivers are expected to be rare and justified by an
-adjacent comment.
+on the flagged line suppresses those rules for that line. Waivers are
+expected to be rare and justified by an adjacent comment.
 """
 
 from __future__ import annotations
@@ -26,12 +23,10 @@ from pathlib import Path
 SOURCE_EXTENSIONS = {".h", ".hpp", ".cc", ".cpp", ".cxx"}
 SCAN_DIRS = ("src", "bench", "tools", "examples", "tests")
 
-# The unified waiver plus the deprecated det-lint alias. Both accept a
-# comma-separated rule list; rule names are lowercase kebab-case.
-WAIVER_RES = (
-    re.compile(r"//\s*ctc-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)"),
-    re.compile(r"//\s*det-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)"),
-)
+# The waiver takes a comma-separated rule list; rule names are lowercase
+# kebab-case.
+WAIVER_RE = re.compile(
+    r"//\s*ctc-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*([<"])([^">]+)[">]', re.MULTILINE)
 
@@ -107,13 +102,11 @@ def blank_comments(text: str) -> str:
 
 
 def line_waivers(raw_line: str) -> set:
-    """Rules waived on this raw (unblanked) source line, either spelling."""
-    rules = set()
-    for waiver_re in WAIVER_RES:
-        match = waiver_re.search(raw_line)
-        if match:
-            rules.update(rule.strip() for rule in match.group(1).split(","))
-    return rules
+    """Rules waived on this raw (unblanked) source line."""
+    match = WAIVER_RE.search(raw_line)
+    if not match:
+        return set()
+    return {rule.strip() for rule in match.group(1).split(",")}
 
 
 class SourceFile:

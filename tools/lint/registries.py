@@ -21,7 +21,8 @@ and verified against the documentation that promises them.
 
   telemetry-registry  Every CTC_TELEM_{COUNT,GAUGE,HISTO,TIMER} site in
                     src/ must appear as `stage/name` in a
-                    docs/TELEMETRY.md family table.
+                    docs/TELEMETRY.md family table, and every family-table
+                    row must name a metric some site in src/ emits.
 
   stream-ids        Every dsp::Rng::for_stream call site in src/ must be
                     registered below with the stream-ID namespace it owns
@@ -84,6 +85,9 @@ SCHEMA_NAME_RE = re.compile(r'\\?"([a-z][a-z0-9_]*_schema)\\?"')
 ESCAPED_KEY_RE = re.compile(r'\\"([A-Za-z_][A-Za-z0-9_]*)\\"\s*:')
 SET_KEY_RE = re.compile(r'\.\s*(?:set|at)\s*\(\s*"([A-Za-z_][A-Za-z0-9_]*)"')
 DOC_TOKEN_RE = re.compile(r'[`"]([A-Za-z_][A-Za-z0-9_]*)[`"]')
+DOC_FAMILY_ROW_RE = re.compile(
+    r"^\|\s*`([a-z][a-z0-9_]*/[a-z][a-z0-9_]*)`\s*\|\s*"
+    r"(?:counter|gauge|histo|timer)\s*\|")
 
 
 def _tree_map(tree):
@@ -317,11 +321,23 @@ def telemetry_sites(tree) -> list:
     return sites
 
 
+def documented_families(doc_text: str) -> list:
+    """(line, `stage/name`) for every docs/TELEMETRY.md family-table row
+    (`| `stage/name` | kind | meaning |`)."""
+    rows = []
+    for line_no, line in enumerate(doc_text.splitlines(), 1):
+        match = DOC_FAMILY_ROW_RE.match(line)
+        if match:
+            rows.append((line_no, match.group(1)))
+    return rows
+
+
 def check_telemetry_registry(tree, root: Path) -> list:
     doc_text = _read_doc(root, TELEMETRY_DOC)
     findings = []
     tree_map = _tree_map(tree)
-    for rel, line_no, kind, stage, name in telemetry_sites(tree):
+    sites = telemetry_sites(tree)
+    for rel, line_no, kind, stage, name in sites:
         if tree_map[rel].waived(line_no, "telemetry-registry"):
             continue
         family = f"{stage}/{name}"
@@ -331,6 +347,16 @@ def check_telemetry_registry(tree, root: Path) -> list:
                 f"{kind} metric `{family}` is missing from the "
                 f"{TELEMETRY_DOC} family tables — document it (stage, "
                 "name, kind, meaning) where consumers look first"))
+    if doc_text is None:
+        return findings
+    emitted = {f"{stage}/{name}" for _, _, _, stage, name in sites}
+    for line_no, family in documented_families(doc_text):
+        if family not in emitted:
+            findings.append(framework.Finding(
+                TELEMETRY_DOC, line_no, "telemetry-registry",
+                f"documented metric `{family}` is emitted by no "
+                "CTC_TELEM_* site in src/ — drop the row (or restore the "
+                "metric) so the tables list only what a run can report"))
     return findings
 
 

@@ -35,9 +35,8 @@ to expose them. This lint enforces the reproducibility rules *statically*:
                  intrinsics elsewhere fork numerics between build hosts.
 
 A finding can be waived inline with `// ctc-lint: allow(<rule>)` on the
-flagged line (the legacy spelling `// det-lint: allow(<rule>)` still works
-as a deprecated alias — see docs/STATIC_ANALYSIS.md); waivers are expected
-to be rare and justified in an adjacent comment. Allowlisted files are
+flagged line (see docs/STATIC_ANALYSIS.md); waivers are expected to be rare
+and justified in an adjacent comment. Allowlisted files are
 enumerated below WITH the reason they are exempt — extend the list only
 with a reason.
 
@@ -95,8 +94,8 @@ CLOCK_ALLOWLIST = {
         "(trajectory-gated, never diffed for determinism)",
     "bench/perf_mesh.cpp":
         "sensor-field throughput bench: wall time IS the measurand "
-        "(trajectory-gated, never diffed for determinism; the batched-vs-"
-        "serial equality bit is clock-free)",
+        "(trajectory-gated, never diffed for determinism; the thread-"
+        "replay equality bit is clock-free)",
 }
 TELEM_ALLOWLIST = {
     "src/sim/telemetry.h": "defines the timer machinery",
@@ -107,8 +106,8 @@ TELEM_ALLOWLIST = {
     "tests/sim/telemetry_disabled_test.cpp": "tests the compiled-out macros",
 }
 
-# Back-compat names: both spellings parse via the framework now.
-WAIVER_RE = framework.WAIVER_RES[1]
+# Back-compat names for the framework's shared plumbing.
+WAIVER_RE = framework.WAIVER_RE
 Violation = framework.Finding
 blank_comments = framework.blank_comments
 line_waivers = framework.line_waivers

@@ -81,6 +81,35 @@ class LinkRule(CheckDocsFixture):
         self.assertEqual(status, 0, output)
 
 
+class PathRule(CheckDocsFixture):
+    def test_existing_paths_pass(self):
+        self.write("src/alpha/alpha.cpp", "// alpha\n")
+        self.write("README.md", self.base_readme(
+            "`src/alpha/alpha.h`, include-style `alpha/alpha.h`, the twin "
+            "`src/alpha/alpha.h/.cpp` and `docs/GUIDE.md`.\n"))
+        self.write("docs/GUIDE.md", "# guide\n")
+        status, output = self.run_check()
+        self.assertEqual(status, 0, output)
+
+    def test_missing_path_flagged(self):
+        self.write("docs/GUIDE.md",
+                   "`src/alpha/gone.cpp` and `src/alpha/alpha.h/.cpp`\n")
+        self.write("README.md", self.base_readme())
+        status, output = self.run_check()
+        self.assertEqual(status, 1)
+        self.assertIn("docs/GUIDE.md:1: [path] `src/alpha/gone.cpp`", output)
+        self.assertIn("`src/alpha/alpha.cpp`", output)
+        self.assertNotIn("`src/alpha/alpha.h`", output)
+
+    def test_non_paths_skipped(self):
+        self.write("README.md", self.base_readme(
+            "`BENCH_<bench>.json` `src/alpha/*.cpp` `alpha/{a,b}.h` "
+            "`python3 tools/x.py` `stage/name` `https://x.org/a.md`\n"
+            "```\n`src/alpha/fenced.cpp`\n```\n"))
+        status, output = self.run_check()
+        self.assertEqual(status, 0, output)
+
+
 class JsonRule(CheckDocsFixture):
     def test_valid_json_fence_passes(self):
         self.write("README.md", self.base_readme(

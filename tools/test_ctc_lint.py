@@ -101,12 +101,14 @@ class LayerDepTest(unittest.TestCase):
         findings = self.deps({"src/newthing/widget.cpp": "int x;\n"})
         self.assertEqual(rules_of(findings), ["layer-unmapped"])
 
-    def test_waiver_suppresses_both_spellings(self):
-        for spelling in ("ctc-lint", "det-lint"):
+    def test_waiver_suppresses_only_the_ctc_lint_spelling(self):
+        # det-lint: was a deprecated alias and is retired.
+        for spelling, expected in (("ctc-lint", []),
+                                   ("det-lint", ["layer-dep"])):
             findings = self.deps(
                 {"src/zigbee/receiver.cpp":
                  f'#include "sim/link.h"  // {spelling}: allow(layer-dep)\n'})
-            self.assertEqual(findings, [], msg=spelling)
+            self.assertEqual(rules_of(findings), expected, msg=spelling)
 
 
 class LayerCycleTest(unittest.TestCase):
@@ -297,6 +299,16 @@ class TelemetryRegistryTest(unittest.TestCase):
             "  // ctc-lint: allow(telemetry-registry)\n",
             "unrelated\n")
         self.assertEqual(findings, [])
+
+    def test_row_no_site_emits_fires(self):
+        findings = self.findings(
+            'CTC_TELEM_COUNT("zigbee_tx", "frames", 1);\n',
+            "| `zigbee_tx/frames` | counter | frames |\n"
+            "| `zigbee_tx/retired` | timer | gone |\n")
+        self.assertEqual(rules_of(findings), ["telemetry-registry"])
+        self.assertEqual((findings[0].path, findings[0].line),
+                         ("docs/TELEMETRY.md", 2))
+        self.assertIn("zigbee_tx/retired", findings[0].message)
 
 
 class StreamIdsTest(unittest.TestCase):

@@ -83,13 +83,12 @@ class LintFixtureTest(unittest.TestCase):
         self.assert_rules("std::mt19937 per_sensor(sensor_id);\n", ["rng"],
                           rel="src/mesh/sensor_field.cpp")
 
-    def test_rng_waiver_suppresses(self):
+    def test_rng_retired_det_lint_spelling_no_longer_waives(self):
+        # The det-lint alias is retired (docs/STATIC_ANALYSIS.md).
         self.assert_rules(
-            "std::mt19937 legacy;  // det-lint: allow(rng)\n", [])
+            "std::mt19937 legacy;  // det-lint: allow(rng)\n", ["rng"])
 
-    def test_rng_unified_ctc_lint_waiver_suppresses(self):
-        # The unified spelling works everywhere; det-lint above is the
-        # deprecated alias (docs/STATIC_ANALYSIS.md migration note).
+    def test_rng_ctc_lint_waiver_suppresses(self):
         self.assert_rules(
             "std::mt19937 legacy;  // ctc-lint: allow(rng)\n", [])
 
@@ -201,7 +200,12 @@ class LintFixtureTest(unittest.TestCase):
 
     def test_intrinsics_waiver_suppresses(self):
         self.assert_rules(
-            "#include <immintrin.h>  // det-lint: allow(intrinsics)\n", [])
+            "#include <immintrin.h>  // ctc-lint: allow(intrinsics)\n", [])
+
+    def test_intrinsics_retired_det_lint_spelling_no_longer_waives(self):
+        self.assert_rules(
+            "#include <immintrin.h>  // det-lint: allow(intrinsics)\n",
+            ["intrinsics"])
 
     # -- telem-mix ----------------------------------------------------------
 
