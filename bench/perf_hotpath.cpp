@@ -1,9 +1,10 @@
 // Perf — hot-path micro-benchmarks for the optimized kernels: FFT vs direct
 // convolution, packed-popcount vs byte-loop despreading, the receiver's
 // construction-time timing-search grid vs a per-call search, the link's
-// memoized clean-waveform synthesis vs the synthesis chain, per-sample libm
-// channel noise vs the add_gauss kernel, and the per-step libm FM
-// discriminator vs the fm_discriminate kernel.
+// memoized clean-waveform synthesis vs the synthesis chain, the QAM scale
+// search's per-candidate allocating cost vs the qam_cost kernel (plus one
+// whole emulation), per-sample libm channel noise vs the add_gauss kernel,
+// and the per-step libm FM discriminator vs the fm_discriminate kernel.
 //
 //   $ ./perf_hotpath --json | tail -n1 > BENCH_perf_hotpath.json
 //
@@ -14,11 +15,15 @@
 // the equivalence test suites (tests/dsp/convolve_equivalence_test.cpp and
 // friends); this bench only answers "was the rewrite worth it?" and feeds
 // tools/bench_trajectory.py ratio assertions, which are machine-independent.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <string>
 
 #include "attack/emulator.h"
+#include "attack/qam_quantize.h"
 #include "bench_common.h"
+#include "dsp/fft.h"
 #include "dsp/fir.h"
 #include "dsp/kernels/kernels.h"
 #include "dsp/pulse.h"
@@ -106,13 +111,89 @@ zigbee::ReceiveResult percall_timing_receive(
   return result;
 }
 
+/// The QAM scale search before the qam_cost kernel, kept as the reference
+/// row: one allocating quantize_to_qam64 call per candidate, summed in
+/// point order, over the same coarse grid and golden-section refinement.
+double allocating_cost(std::span<const cplx> points, double alpha) {
+  const auto quantized = attack::quantize_to_qam64(points, alpha);
+  double cost = 0.0;
+  for (std::size_t n = 0; n < points.size(); ++n) {
+    cost += std::norm(points[n] - quantized[n].value);
+  }
+  return cost;
+}
+
+double per_candidate_search(std::span<const cplx> points) {
+  const attack::ScaleSearchConfig config;
+  double peak = 0.0;
+  for (const cplx& point : points) {
+    peak = std::max({peak, std::abs(point.real()), std::abs(point.imag())});
+  }
+  const double max_alpha = std::max(peak, config.min_alpha + 1e-6);
+  double best_alpha = config.min_alpha;
+  double best_cost = allocating_cost(points, best_alpha);
+  for (std::size_t i = 1; i < config.coarse_steps; ++i) {
+    const double alpha =
+        config.min_alpha + (max_alpha - config.min_alpha) *
+                               static_cast<double>(i) /
+                               static_cast<double>(config.coarse_steps - 1);
+    const double cost = allocating_cost(points, alpha);
+    if (cost < best_cost) {
+      best_cost = cost;
+      best_alpha = alpha;
+    }
+  }
+  const double cell = (max_alpha - config.min_alpha) /
+                      static_cast<double>(config.coarse_steps - 1);
+  double lo = std::max(config.min_alpha, best_alpha - cell);
+  double hi = std::min(max_alpha, best_alpha + cell);
+  constexpr double kInvPhi = 0.6180339887498949;
+  double x1 = hi - kInvPhi * (hi - lo);
+  double x2 = lo + kInvPhi * (hi - lo);
+  double f1 = allocating_cost(points, x1);
+  double f2 = allocating_cost(points, x2);
+  for (std::size_t round = 0; round < config.refine_rounds; ++round) {
+    if (f1 < f2) {
+      hi = x2;
+      x2 = x1;
+      f2 = f1;
+      x1 = hi - kInvPhi * (hi - lo);
+      f1 = allocating_cost(points, x1);
+    } else {
+      lo = x1;
+      x1 = x2;
+      f1 = f2;
+      x2 = lo + kInvPhi * (hi - lo);
+      f2 = allocating_cost(points, x2);
+    }
+  }
+  const double refined = (f1 < f2) ? x1 : x2;
+  return std::min(f1, f2) < best_cost ? refined : best_alpha;
+}
+
+/// The emulator's pooled scale-search input for one observed frame: the
+/// kept bins of every 80-sample slot's FFT (CP skipped) at 20 MHz.
+cvec pooled_points(std::span<const cplx> observed,
+                   std::span<const std::size_t> bins) {
+  cvec upsampled = dsp::upsample(observed, 5);
+  upsampled.resize((upsampled.size() + 79) / 80 * 80, cplx{0.0, 0.0});
+  const dsp::FftPlan plan(64);
+  cvec pooled;
+  for (std::size_t start = 0; start < upsampled.size(); start += 80) {
+    const cvec spectrum =
+        plan.forward(std::span<const cplx>(upsampled).subspan(start + 16, 64));
+    for (std::size_t bin : bins) pooled.push_back(spectrum[bin]);
+  }
+  return pooled;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const bench::Options options = bench::parse_options(argc, argv);
   bench::print_banner(options, "Perf: hot-path kernels (convolve / despread / "
-                               "timing grid / waveform cache / noise / "
-                               "discriminator)");
+                               "timing grid / waveform cache / scale search / "
+                               "noise / discriminator)");
   const std::size_t reps = options.trials_or(5);
   dsp::Rng rng = dsp::Rng::for_stream(options.seed, 0);
 
@@ -234,6 +315,32 @@ int main(int argc, char** argv) {
                  sim::Table::num(clean_uncached_ms, 3) + " ms",
                  sim::Table::num(clean_cached_ms, 3) + " ms",
                  sim::Table::num(clean_uncached_ms / clean_cached_ms, 2) + "x"});
+
+  // -- QAM scale search: per-candidate allocating cost vs qam_cost ----------
+  // One text frame's pooled points (about 1239) through Eq. 4's search,
+  // then the whole emulation of that frame on the fast path.
+  const attack::EmulationResult emulation =
+      synthesis_emulator.emulate(frame_waveform);
+  const cvec pooled = pooled_points(frame_waveform, emulation.kept_bins);
+  const double emulate_ms = time_ms(reps, [&] {
+    g_sink = g_sink +
+             synthesis_emulator.emulate(frame_waveform).emulated_4mhz[0].real();
+  });
+  const double scale_search_reference_ms = time_ms(reps, [&] {
+    g_sink = g_sink + per_candidate_search(pooled);
+  });
+  const double scale_search_fast_ms = time_ms(reps, [&] {
+    g_sink = g_sink + attack::optimize_scale(pooled);
+  });
+  table.add_row({"QAM scale search (" + std::to_string(pooled.size()) +
+                     " points)",
+                 sim::Table::num(scale_search_reference_ms, 3) + " ms",
+                 sim::Table::num(scale_search_fast_ms, 3) + " ms",
+                 sim::Table::num(
+                     scale_search_reference_ms / scale_search_fast_ms, 2) +
+                     "x"});
+  table.add_row({"emulate (one text frame)", "-",
+                 sim::Table::num(emulate_ms, 3) + " ms", "-"});
 
   // -- channel noise: per-sample libm draws vs the add_gauss kernel ---------
   // 64 frame-length buffers, each on its own trial stream like the engine's
@@ -461,6 +568,11 @@ int main(int argc, char** argv) {
   report.set("clean_uncached_ms", clean_uncached_ms);
   report.set("clean_cached_ms", clean_cached_ms);
   report.set("clean_speedup", clean_uncached_ms / clean_cached_ms);
+  report.set("scale_search_reference_ms", scale_search_reference_ms);
+  report.set("scale_search_fast_ms", scale_search_fast_ms);
+  report.set("scale_search_speedup",
+             scale_search_reference_ms / scale_search_fast_ms);
+  report.set("emulate_ms", emulate_ms);
   report.set("noise_reference_ms", noise_reference_ms);
   report.set("noise_fast_ms", noise_fast_ms);
   report.set("noise_speedup", noise_reference_ms / noise_fast_ms);

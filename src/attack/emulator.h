@@ -35,10 +35,6 @@ struct EmulatorConfig {
   /// Fixed QAM scale; nullopt = optimize per frame (Eq. 4). The paper's
   /// simulation uses sqrt(26).
   std::optional<double> alpha;
-  /// Reuse per-slot emulation results within a frame. A ZigBee frame cycles
-  /// through only 16 chip sequences, so most 80-sample slots repeat; keying
-  /// on the exact slot samples keeps the output bitwise identical.
-  bool memoize = true;
 };
 
 struct SymbolDiagnostics {
@@ -60,6 +56,10 @@ class WaveformEmulator {
   explicit WaveformEmulator(EmulatorConfig config = {});
 
   /// Emulates an observed ZigBee baseband frame (4 MHz sample rate).
+  /// Throws ContractError on an empty frame or a non-finite sample. A
+  /// ZigBee frame cycles through only 16 chip sequences, so most 80-sample
+  /// slots repeat: each distinct slot (keyed on its exact samples) is
+  /// transformed and emulated once, and its repeats copy that result.
   EmulationResult emulate(std::span<const cplx> observed_4mhz) const;
 
   /// The core per-symbol step on an 80-sample slot at 20 MHz; exposed for

@@ -3,21 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "dsp/kernels/kernels.h"
 #include "dsp/require.h"
 
 namespace ctc::attack {
-
-namespace {
-
-// Nearest odd level in {-7..7} to value/alpha.
-int nearest_level(double value, double alpha) {
-  const double scaled = value / alpha;
-  int level = 2 * static_cast<int>(std::floor(scaled / 2.0)) + 1;
-  if (scaled - static_cast<double>(level) > 1.0) level += 2;
-  return std::clamp(level, -7, 7);
-}
-
-}  // namespace
 
 std::vector<QuantizedPoint> quantize_to_qam64(std::span<const cplx> points,
                                               double alpha) {
@@ -25,22 +14,22 @@ std::vector<QuantizedPoint> quantize_to_qam64(std::span<const cplx> points,
   std::vector<QuantizedPoint> out;
   out.reserve(points.size());
   for (const cplx& point : points) {
+    const double i_level = dsp::kernels::qam_level(point.real(), alpha);
+    const double q_level = dsp::kernels::qam_level(point.imag(), alpha);
     QuantizedPoint q;
-    q.i_level = nearest_level(point.real(), alpha);
-    q.q_level = nearest_level(point.imag(), alpha);
-    q.value = alpha * cplx{static_cast<double>(q.i_level),
-                           static_cast<double>(q.q_level)};
+    q.i_level = static_cast<int>(i_level);
+    q.q_level = static_cast<int>(q_level);
+    q.value = alpha * cplx{i_level, q_level};
     out.push_back(q);
   }
   return out;
 }
 
 double quantization_cost(std::span<const cplx> points, double alpha) {
-  const auto quantized = quantize_to_qam64(points, alpha);
+  CTC_REQUIRE(alpha > 0.0);
   double cost = 0.0;
-  for (std::size_t n = 0; n < points.size(); ++n) {
-    cost += std::norm(points[n] - quantized[n].value);
-  }
+  dsp::kernels::active().qam_cost(points.data(), points.size(), &alpha, 1,
+                                  &cost);
   return cost;
 }
 
@@ -56,18 +45,26 @@ double optimize_scale(std::span<const cplx> points, ScaleSearchConfig config) {
     max_alpha = std::max(peak, config.min_alpha + 1e-6);
   }
 
-  // Coarse grid.
-  double best_alpha = config.min_alpha;
-  double best_cost = quantization_cost(points, best_alpha);
+  CTC_REQUIRE(config.min_alpha > 0.0 && max_alpha > 0.0);
+
+  // Coarse grid: every candidate in one kernel call (four per AVX2 pass),
+  // then the first minimum in index order.
+  std::vector<double> alphas(config.coarse_steps);
+  std::vector<double> costs(config.coarse_steps);
+  alphas[0] = config.min_alpha;
   for (std::size_t i = 1; i < config.coarse_steps; ++i) {
-    const double alpha =
-        config.min_alpha + (max_alpha - config.min_alpha) *
-                               static_cast<double>(i) /
-                               static_cast<double>(config.coarse_steps - 1);
-    const double cost = quantization_cost(points, alpha);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best_alpha = alpha;
+    alphas[i] = config.min_alpha + (max_alpha - config.min_alpha) *
+                                       static_cast<double>(i) /
+                                       static_cast<double>(config.coarse_steps - 1);
+  }
+  dsp::kernels::active().qam_cost(points.data(), points.size(), alphas.data(),
+                                  alphas.size(), costs.data());
+  double best_alpha = alphas[0];
+  double best_cost = costs[0];
+  for (std::size_t i = 1; i < config.coarse_steps; ++i) {
+    if (costs[i] < best_cost) {
+      best_cost = costs[i];
+      best_alpha = alphas[i];
     }
   }
 

@@ -30,35 +30,69 @@ std::vector<rvec> SubcarrierSelector::window_magnitudes(
   return magnitudes;
 }
 
+namespace {
+
+/// Coarse estimation of one window: votes for every bin above `threshold`,
+/// and the window's magnitudes added to the per-bin totals.
+void tally(const double* window, std::size_t n, double threshold,
+           std::vector<std::size_t>& votes, rvec& totals) {
+  for (std::size_t k = 0; k < n; ++k) {
+    if (window[k] > threshold) ++votes[k];
+    totals[k] += window[k];
+  }
+}
+
+/// Detailed estimation: the num_kept most-voted indexes (ties broken toward
+/// larger total magnitude so the choice is deterministic and sensible),
+/// ascending.
+std::vector<std::size_t> most_voted(const std::vector<std::size_t>& votes,
+                                    const rvec& totals, std::size_t num_kept) {
+  std::vector<std::size_t> order(votes.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (votes[a] != votes[b]) return votes[a] > votes[b];
+    return totals[a] > totals[b];
+  });
+  std::vector<std::size_t> bins(order.begin(), order.begin() + num_kept);
+  std::sort(bins.begin(), bins.end());
+  return bins;
+}
+
+}  // namespace
+
 SelectionResult SubcarrierSelector::select(std::span<const rvec> magnitudes) const {
   CTC_REQUIRE_MSG(!magnitudes.empty(), "need at least one analysis window");
   const std::size_t n = magnitudes.front().size();
   SelectionResult result;
   result.votes.assign(n, 0);
   result.magnitudes.assign(magnitudes.begin(), magnitudes.end());
-
-  // Coarse estimation: binary highlight per window.
-  for (const rvec& window : magnitudes) {
-    CTC_REQUIRE(window.size() == n);
-    for (std::size_t k = 0; k < n; ++k) {
-      if (window[k] > config_.coarse_threshold) ++result.votes[k];
-    }
-  }
-
-  // Detailed estimation: the num_kept most-voted indexes (ties broken toward
-  // larger total magnitude so the choice is deterministic and sensible).
   rvec totals(n, 0.0);
   for (const rvec& window : magnitudes) {
-    for (std::size_t k = 0; k < n; ++k) totals[k] += window[k];
+    CTC_REQUIRE(window.size() == n);
+    tally(window.data(), n, config_.coarse_threshold, result.votes, totals);
   }
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (result.votes[a] != result.votes[b]) return result.votes[a] > result.votes[b];
-    return totals[a] > totals[b];
-  });
-  result.bins.assign(order.begin(), order.begin() + config_.num_kept);
-  std::sort(result.bins.begin(), result.bins.end());
+  result.bins = most_voted(result.votes, totals, config_.num_kept);
+  return result;
+}
+
+SelectionResult SubcarrierSelector::select_from_spectra(
+    std::span<const cplx> spectra, std::span<const std::size_t> windows) const {
+  CTC_REQUIRE_MSG(!windows.empty(), "need at least one analysis window");
+  const std::size_t n = wifi::kNumSubcarriers;
+  CTC_REQUIRE(spectra.size() % n == 0);
+  rvec magnitudes(spectra.size());
+  for (std::size_t i = 0; i < spectra.size(); ++i) {
+    magnitudes[i] = std::abs(spectra[i]);
+  }
+  SelectionResult result;
+  result.votes.assign(n, 0);
+  rvec totals(n, 0.0);
+  for (const std::size_t window : windows) {
+    CTC_REQUIRE(window < spectra.size() / n);
+    tally(magnitudes.data() + window * n, n, config_.coarse_threshold,
+          result.votes, totals);
+  }
+  result.bins = most_voted(result.votes, totals, config_.num_kept);
   return result;
 }
 

@@ -47,6 +47,13 @@ class SubcarrierSelector {
   /// Convenience: both steps from a 20 MHz waveform.
   SelectionResult select_from_waveform(std::span<const cplx> waveform20mhz) const;
 
+  /// Both steps from precomputed 64-point spectra: window w is the spectrum
+  /// spectra[64 * windows[w], 64 * windows[w] + 64), so windows may share
+  /// one. Same bins and votes as select() on those windows' magnitudes;
+  /// `magnitudes` stays empty.
+  SelectionResult select_from_spectra(std::span<const cplx> spectra,
+                                      std::span<const std::size_t> windows) const;
+
   /// The fixed default the paper lands on: bins {0,1,2,3} and {61,62,63}
   /// (paper's 1-based 1-4 and 62-64).
   static std::vector<std::size_t> paper_default_bins();

@@ -92,13 +92,15 @@ cvec convolve(std::span<const cplx> signal, std::span<const double> taps) {
 cvec filter_same(std::span<const cplx> signal, std::span<const double> taps,
                  ConvolvePolicy policy) {
   CTC_REQUIRE(taps.size() % 2 == 1);
-  const cvec full = policy == ConvolvePolicy::direct ? convolve_direct(signal, taps)
-                    : policy == ConvolvePolicy::fft  ? convolve_fft(signal, taps)
-                                                     : convolve(signal, taps);
-  const std::size_t delay = (taps.size() - 1) / 2;
-  cvec out(signal.size());
-  for (std::size_t i = 0; i < signal.size(); ++i) out[i] = full[i + delay];
-  return out;
+  cvec full = policy == ConvolvePolicy::direct ? convolve_direct(signal, taps)
+              : policy == ConvolvePolicy::fft  ? convolve_fft(signal, taps)
+                                               : convolve(signal, taps);
+  if (full.empty()) return full;  // empty signal
+  // Trim the group delay in place rather than copying into a second buffer.
+  const auto delay = static_cast<std::ptrdiff_t>((taps.size() - 1) / 2);
+  full.erase(full.begin(), full.begin() + delay);
+  full.resize(signal.size());
+  return full;
 }
 
 FirFilter::FirFilter(rvec taps) : taps_(std::move(taps)) {

@@ -2,8 +2,8 @@
 //
 // Every dense inner loop in the repo — FIR MAC, mixer rotation, matched
 // filtering, FM discrimination, cumulant accumulation, energy reduction,
-// packed-chip correlation, Gaussian noise — funnels through the
-// function-pointer table in this header.
+// packed-chip correlation, Gaussian noise, the attack's QAM scale search —
+// funnels through the function-pointer table in this header.
 // The implementation level is chosen ONCE per process (first use) from
 // CPUID, and can be forced with the CTC_SIMD environment variable:
 //
@@ -167,6 +167,16 @@ struct KernelTable {
   void (*fm_discriminate)(const cplx* wave, std::size_t num_chips,
                           std::size_t spc, double* chips);
 
+  // -- QAM scale search (bitwise) ------------------------------------------
+  /// costs[c] = Eq. 4's quantization cost of the n points on the
+  /// alphas[c]-scaled 64-QAM grid, for c in [0, m). Per component v the
+  /// level is qam_level(v, alpha); the point adds fl(fl(dr*dr) + fl(di*di)),
+  /// d = point - fl(alpha * level) per component, to a sum that starts at
+  /// 0.0 and runs in point order. The AVX2 form evaluates four candidates
+  /// per pass, one per lane.
+  void (*qam_cost)(const cplx* points, std::size_t n, const double* alphas,
+                   std::size_t m, double* costs);
+
   // -- O-QPSK matched filter (tolerance) -----------------------------------
   /// soft[i] = (sum_s branch_i(wave[i*spc + s]) * pulse[s]) / pulse_energy,
   /// branch_i = real part for even i, imaginary for odd (the O-QPSK I/Q
@@ -222,5 +232,11 @@ void gauss_sincos_2pi(double u, double* sin_out, double* cos_out);
 /// tests: fdlibm's e_atan2 over s_atan in one unfused operation order. Its
 /// special cases (signed zeros, infinities, NaN) are libm's.
 double fm_atan2(double y, double x);
+
+/// qam_cost's level rule, shared with attack::quantize_to_qam64: the
+/// nearest odd level in [-7, 7] to value / alpha, i.e. 2 floor(s / 2) + 1
+/// for s = value / alpha, plus 2 if s - level > 1, clamped as a double
+/// (NaN gives -7), so the result always converts to int.
+double qam_level(double value, double alpha);
 
 }  // namespace ctc::dsp::kernels

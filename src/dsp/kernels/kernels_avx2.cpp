@@ -783,6 +783,71 @@ void fm_discriminate(const cplx* wave, std::size_t num_chips, std::size_t spc,
 }
 
 // ---------------------------------------------------------------------------
+// qam_cost (bitwise): four candidate alphas per pass, one per lane. Each
+// point's components are broadcast, and every lane runs qam_level's divide,
+// floor, compare and clamp, then the residual square-and-add, in the scalar
+// order, so each lane's sum is the scalar table's for its alpha. The halving
+// is a multiply by 0.5: x / 2 and x * 0.5 are the same correctly rounded
+// value. The last m mod 4 candidates (the golden-section search asks for
+// one at a time) run two points per register instead, [re0, im0, re1, im1]:
+// one divide per two points, a horizontal add for each point's
+// fl(dr^2 + di^2), then the point-order scalar sum.
+// ---------------------------------------------------------------------------
+
+inline __m256d qam_level4(__m256d value, __m256d alpha) {
+  const __m256d scaled = _mm256_div_pd(value, alpha);
+  __m256d level = vadd(
+      vmul(splat(2.0), _mm256_floor_pd(vmul(scaled, splat(0.5)))), splat(1.0));
+  const __m256d up =
+      _mm256_cmp_pd(vsub(scaled, level), splat(1.0), _CMP_GT_OQ);
+  level = _mm256_blendv_pd(level, vadd(level, splat(2.0)), up);
+  // max/min return the second operand for a NaN level: -7, as in scalar.
+  level = _mm256_max_pd(level, splat(-7.0));
+  return _mm256_min_pd(level, splat(7.0));
+}
+
+inline __m256d qam_residual(__m256d value, __m256d alpha) {
+  return vsub(value, vmul(alpha, qam_level4(value, alpha)));
+}
+
+double qam_cost_single(const double* pd, std::size_t n, double a) {
+  const __m256d alpha = splat(a);
+  double cost = 0.0;
+  for (std::size_t i = 0; i < n; i += 2) {
+    // An odd last point fills both halves and adds only the low one.
+    const __m256d v =
+        i + 1 < n ? _mm256_loadu_pd(pd + 2 * i)
+                  : _mm256_broadcast_pd(
+                        reinterpret_cast<const __m128d*>(pd + 2 * i));
+    const __m256d d = qam_residual(v, alpha);
+    const __m256d sq = vmul(d, d);
+    const __m256d norms = _mm256_hadd_pd(sq, sq);  // [n0, n0, n1, n1]
+    cost = cost + _mm256_cvtsd_f64(norms);
+    if (i + 1 < n) {
+      cost = cost + _mm_cvtsd_f64(_mm256_extractf128_pd(norms, 1));
+    }
+  }
+  return cost;
+}
+
+void qam_cost(const cplx* points, std::size_t n, const double* alphas,
+              std::size_t m, double* costs) {
+  const double* pd = as_doubles(points);
+  std::size_t c = 0;
+  for (; c + 4 <= m; c += 4) {
+    const __m256d alpha = _mm256_loadu_pd(alphas + c);
+    __m256d cost = _mm256_setzero_pd();
+    for (std::size_t i = 0; i < n; ++i) {
+      const __m256d dr = qam_residual(_mm256_broadcast_sd(pd + 2 * i), alpha);
+      const __m256d di = qam_residual(_mm256_broadcast_sd(pd + 2 * i + 1), alpha);
+      cost = vadd(cost, vadd(vmul(dr, dr), vmul(di, di)));
+    }
+    _mm256_storeu_pd(costs + c, cost);
+  }
+  for (; c < m; ++c) costs[c] = qam_cost_single(pd, n, alphas[c]);
+}
+
+// ---------------------------------------------------------------------------
 // O-QPSK matched filter (tolerance): per-chip fused deinterleave + dot.
 // ---------------------------------------------------------------------------
 
@@ -920,6 +985,7 @@ const KernelTable& avx2_table() {
       .cumulant_acc = cumulant_acc,
       .add_gauss = add_gauss,
       .fm_discriminate = fm_discriminate,
+      .qam_cost = qam_cost,
       .oqpsk_mf = oqpsk_mf,
       .pack_hard_chips = pack_hard_chips,
       .pack_sign_chips = pack_sign_chips,

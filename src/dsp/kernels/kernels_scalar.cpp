@@ -26,6 +26,7 @@ const KernelTable& scalar_table() {
       .cumulant_acc = scalar_impl::cumulant_acc,
       .add_gauss = scalar_impl::add_gauss,
       .fm_discriminate = scalar_impl::fm_discriminate,
+      .qam_cost = scalar_impl::qam_cost,
       .oqpsk_mf = scalar_impl::oqpsk_mf,
       .pack_hard_chips = scalar_impl::pack_hard_chips,
       .pack_sign_chips = scalar_impl::pack_sign_chips,
@@ -46,5 +47,9 @@ void gauss_sincos_2pi(double u, double* sin_out, double* cos_out) {
 }
 
 double fm_atan2(double y, double x) { return scalar_impl::fm_atan2(y, x); }
+
+double qam_level(double value, double alpha) {
+  return scalar_impl::qam_level(value, alpha);
+}
 
 }  // namespace ctc::dsp::kernels

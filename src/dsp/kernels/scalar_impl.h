@@ -502,6 +502,39 @@ inline double fm_atan2(double y, double x) {
   return y_neg ? (z - kPiLo) - kPi : kPi - (z - kPiLo);
 }
 
+// -- qam_cost -----------------------------------------------------------------
+// The nearest odd 64-QAM level of value / alpha, kept as a double so the
+// clamp comes before any integer conversion. The clamp is written as the
+// AVX2 max/min select (a NaN level becomes -7).
+inline double qam_level(double value, double alpha) {
+  const double scaled = value / alpha;
+  double level = 2.0 * std::floor(scaled / 2.0) + 1.0;
+  if (scaled - level > 1.0) level += 2.0;
+  level = level > -7.0 ? level : -7.0;
+  return level < 7.0 ? level : 7.0;
+}
+
+// Eq. 4's cost at one alpha: each point adds fl(fl(dr^2) + fl(di^2)),
+// d = point - alpha * level, to a sum that starts at 0.0, in point order.
+inline double qam_cost_one(const cplx* points, std::size_t n, double alpha) {
+  double cost = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double re = points[i].real();
+    const double im = points[i].imag();
+    const double dr = re - alpha * qam_level(re, alpha);
+    const double di = im - alpha * qam_level(im, alpha);
+    cost += (dr * dr) + (di * di);
+  }
+  return cost;
+}
+
+inline void qam_cost(const cplx* points, std::size_t n, const double* alphas,
+                     std::size_t m, double* costs) {
+  for (std::size_t c = 0; c < m; ++c) {
+    costs[c] = qam_cost_one(points, n, alphas[c]);
+  }
+}
+
 // Legacy extend_frequency_chips loop with fm_atan2 for libm's atan2.
 inline void fm_discriminate(const cplx* wave, std::size_t num_chips,
                             std::size_t spc, double* chips) {

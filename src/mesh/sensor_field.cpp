@@ -124,6 +124,11 @@ MeshObservation SensorField::observe_frame(const zigbee::MacFrame& frame,
   return observation;
 }
 
+void SensorField::prime(std::span<const zigbee::MacFrame> frames,
+                        sim::TrialEngine& engine) const {
+  link_.prime(frames, engine);
+}
+
 void SensorField::prime(std::span<const zigbee::MacFrame> frames) const {
   link_.prime(frames);
 }
@@ -205,7 +210,7 @@ MeshStats run_mesh_trials(const SensorField& field,
                           std::span<const zigbee::MacFrame> frames,
                           std::size_t count, sim::TrialEngine& engine) {
   CTC_REQUIRE(!frames.empty());
-  field.prime(frames);
+  field.prime(frames, engine);
   return engine.run<MeshStats>(count, [&](std::size_t index, dsp::Rng& rng) {
     return field.observe_frame(frames[index % frames.size()], rng);
   });

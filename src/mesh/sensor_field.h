@@ -114,7 +114,12 @@ class SensorField {
   MeshObservation observe_frame(const zigbee::MacFrame& frame,
                                 dsp::Rng& rng) const;
 
-  /// Pre-fills the waveform cache (see sim::Link::prime).
+  /// Pre-fills the waveform cache on `engine`'s workers (see
+  /// sim::Link::prime).
+  void prime(std::span<const zigbee::MacFrame> frames,
+             sim::TrialEngine& engine) const;
+
+  /// Pre-fills the waveform cache on the calling thread.
   void prime(std::span<const zigbee::MacFrame> frames) const;
 
  private:

@@ -63,7 +63,7 @@ DefenseSamples collect_defense_samples(const Link& link,
   // counter or cumulant state can leak between trials. A StreamingDetector
   // would NOT be safe here — it accumulates across push_chips() calls and
   // needs begin_frame() at every frame boundary (see defense/streaming.h).
-  link.prime(frames);
+  link.prime(frames, engine);
   return engine.run<DefenseSamples>(count, [&](std::size_t i, dsp::Rng& rng) {
     return observe_defense_frame(link, frames[i % frames.size()], detector, rng,
                                  tap);

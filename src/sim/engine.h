@@ -67,32 +67,44 @@ class TrialEngine {
   /// several workloads — e.g. every SNR point — into one statistic).
   template <class Aggregator, class TrialFn>
   void run_into(Aggregator& aggregator, std::size_t count, TrialFn&& trial) {
-    using Result = trial_result_t<TrialFn>;
     CTC_REQUIRE(count <= kMaxTrialsPerRun);
     const std::uint64_t base = next_run_base();
+    run_ordered(
+        count,
+        [&](std::size_t index) {
+          dsp::Rng rng = dsp::Rng::for_stream(config_.seed, base | index);
+          CTC_TELEM_TIMER("engine", "trial");
+          CTC_TELEM_COUNT("engine", "trials", 1);
+          return trial(index, rng);
+        },
+        [&](trial_result_t<TrialFn>&& result) {
+          aggregator.add(std::move(result));
+        });
+  }
+
+  /// The loop under run_into(), without RNG streams: runs `task(index)` for
+  /// every index in [0, count) on the pool, each under its own
+  /// telemetry::TrialScope, and hands the results to `sink` in index order,
+  /// committing each task's telemetry snapshot right after its result, so
+  /// double-valued telemetry sums are bit-identical at any thread count
+  /// (see sim/telemetry.h). Consumes no run index. Tasks execute in bounded
+  /// blocks so at most ~one block of results is alive.
+  template <class Task, class Sink>
+  void run_ordered(std::size_t count, Task&& task, Sink&& sink) {
+    using Result = std::decay_t<decltype(task(std::size_t{}))>;
     const std::size_t block = block_size(count);
     std::vector<std::optional<Result>> slots(block);
-    // Telemetry piggybacks on the same order contract as the results: each
-    // trial's metrics are captured into a per-slot snapshot on the worker
-    // and committed below in trial-index order, so double-valued telemetry
-    // sums are bit-identical at any thread count (see sim/telemetry.h).
     std::vector<telemetry::TrialSnapshot> telemetry_slots(
         telemetry::enabled() ? block : 0);
     for (std::size_t start = 0; start < count; start += block) {
       const std::size_t batch = std::min(block, count - start);
       pool_->parallel_for(batch, [&](std::size_t k) {
-        const std::size_t index = start + k;
-        dsp::Rng rng = dsp::Rng::for_stream(config_.seed, base | index);
         telemetry::TrialScope scope;
-        {
-          CTC_TELEM_TIMER("engine", "trial");
-          CTC_TELEM_COUNT("engine", "trials", 1);
-          slots[k].emplace(trial(index, rng));
-        }
+        slots[k].emplace(task(start + k));
         if (k < telemetry_slots.size()) telemetry_slots[k] = scope.capture();
       });
       for (std::size_t k = 0; k < batch; ++k) {
-        aggregator.add(std::move(*slots[k]));
+        sink(std::move(*slots[k]));
         slots[k].reset();
         if (k < telemetry_slots.size()) {
           telemetry::commit(std::move(telemetry_slots[k]));

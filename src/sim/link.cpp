@@ -1,10 +1,12 @@
 #include "sim/link.h"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
 #include "attack/carrier_allocation.h"
 #include "dsp/stats.h"
+#include "sim/engine.h"
 #include "sim/telemetry.h"
 #include "wifi/ofdm.h"
 #include "zigbee/dsss.h"
@@ -45,32 +47,29 @@ cvec Link::synthesize_waveform(const zigbee::MacFrame& frame) const {
   return waveform;
 }
 
-const Link::CachedFrame& Link::cached_frame(const zigbee::MacFrame& frame) const {
-  bytevec psdu = frame.serialize();
+Link::CachedFrame& Link::entry_for(const bytevec& psdu) const {
   std::string key(reinterpret_cast<const char*>(psdu.data()), psdu.size());
   WaveformCache& cache = *cache_;
-  CachedFrame* entry = nullptr;
   {
     std::shared_lock lock(cache.mutex);
     auto it = cache.entries.find(key);
-    if (it != cache.entries.end()) entry = it->second.get();
+    if (it != cache.entries.end()) return *it->second;
   }
-  if (entry == nullptr) {
-    std::unique_lock lock(cache.mutex);
-    entry = cache.entries
-                .try_emplace(std::move(key), std::make_unique<CachedFrame>())
-                .first->second.get();
-  }
+  std::unique_lock lock(cache.mutex);
+  return *cache.entries
+              .try_emplace(std::move(key), std::make_unique<CachedFrame>())
+              .first->second;
+}
+
+bool Link::fill(CachedFrame& entry, const zigbee::MacFrame& frame,
+                bytevec& psdu, bool quiet) const {
   bool filled = false;
-  std::call_once(entry->once, [&] {
-    // When the fill happens inside an engine trial, which trial wins the
-    // race is scheduling-dependent; drop the synthesis telemetry so the
-    // merged gauges stay bit-stable across thread counts. Links primed
-    // before the trial loop never take this branch.
+  std::call_once(entry.once, [&] {
     std::optional<telemetry::SuppressScope> suppress;
-    if (telemetry::in_trial_scope()) suppress.emplace();
-    entry->clean = synthesize_waveform(frame);
-    entry->psdu = std::move(psdu);
+    if (quiet) suppress.emplace();
+    entry.clean = synthesize_waveform(frame);
+    entry.psdu = std::move(psdu);
+    entry.filled.store(true, std::memory_order_release);
     filled = true;
   });
   if (filled) {
@@ -78,15 +77,62 @@ const Link::CachedFrame& Link::cached_frame(const zigbee::MacFrame& frame) const
   } else {
     CTC_TELEM_COUNT("link", "waveform_cache_hits", 1);
   }
-  return *entry;
+  return filled;
+}
+
+const Link::CachedFrame& Link::cached_frame(const zigbee::MacFrame& frame) const {
+  bytevec psdu = frame.serialize();
+  CachedFrame& entry = entry_for(psdu);
+  // When the fill happens inside an engine trial, which trial wins the
+  // race is scheduling-dependent; drop the synthesis telemetry so the
+  // merged gauges stay bit-stable across thread counts. Primed links never
+  // take this branch.
+  fill(entry, frame, psdu, telemetry::in_trial_scope());
+  return entry;
 }
 
 cvec Link::clean_waveform(const zigbee::MacFrame& frame) const {
   return cached_frame(frame).clean;
 }
 
+void Link::prime(std::span<const zigbee::MacFrame> frames,
+                 TrialEngine& engine) const {
+  CTC_TELEM_TIMER("link", "prime");
+  struct Fill {
+    const zigbee::MacFrame* frame;
+    CachedFrame* entry;
+    bytevec psdu;
+  };
+  // The first occurrence of each unfilled entry is a fill; every other
+  // frame is a hit, counted here.
+  std::vector<Fill> fills;
+  for (const zigbee::MacFrame& frame : frames) {
+    bytevec psdu = frame.serialize();
+    CachedFrame& entry = entry_for(psdu);
+    const bool claimed = std::any_of(fills.begin(), fills.end(), [&](const Fill& f) {
+      return f.entry == &entry;
+    });
+    if (claimed || entry.filled.load(std::memory_order_acquire)) {
+      CTC_TELEM_COUNT("link", "waveform_cache_hits", 1);
+    } else {
+      fills.push_back({&frame, &entry, std::move(psdu)});
+    }
+  }
+  if (fills.empty()) return;
+  // A prime inside an engine trial races other trials for its fills, so
+  // like a lazy fill it drops the synthesis telemetry.
+  const bool quiet = telemetry::in_trial_scope();
+  engine.run_ordered(
+      fills.size(),
+      [&](std::size_t k) {
+        return fill(*fills[k].entry, *fills[k].frame, fills[k].psdu, quiet);
+      },
+      [](bool) {});
+}
+
 void Link::prime(std::span<const zigbee::MacFrame> frames) const {
-  for (const zigbee::MacFrame& frame : frames) cached_frame(frame);
+  TrialEngine calling_thread(EngineConfig{.threads = 1});
+  prime(frames, calling_thread);
 }
 
 channel::Environment Link::effective_environment() const {

@@ -3,6 +3,7 @@
 // configurable channel environment (Sec. VII-B simulation settings).
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -20,6 +21,8 @@
 #include "zigbee/transmitter.h"
 
 namespace ctc::sim {
+
+class TrialEngine;
 
 enum class LinkKind {
   authentic,  ///< ZigBee transmitter -> ZigBee receiver
@@ -59,11 +62,20 @@ class Link {
   /// attack links. Unit average power.
   cvec clean_waveform(const zigbee::MacFrame& frame) const;
 
-  /// Fills the waveform cache for `frames` up front. The trial engine calls
-  /// this before fanning trials out so cache fills (and their synthesis
-  /// telemetry) happen serially in frame order rather than inside whichever
-  /// trial happens to run first — that keeps the telemetry JSON bit-stable
-  /// across thread counts.
+  /// Fills the waveform cache for `frames` up front, synthesizing each
+  /// missing frame once (a frame repeated within the span is a cache hit)
+  /// on `engine`'s workers. run_frames, collect_defense_samples and
+  /// mesh::run_mesh_trials call it before fanning trials out, so fills and
+  /// their synthesis telemetry happen outside whichever trial happens to
+  /// run first. Each fill runs under its own telemetry::TrialScope through
+  /// TrialEngine::run_ordered, so its snapshot commits in frame order and
+  /// the telemetry JSON stays bit-stable across thread counts. Consumes no
+  /// run index; a span whose frames are all cached never touches the pool.
+  /// Called from inside an engine trial, its fills record no synthesis
+  /// telemetry, like lazy fills.
+  void prime(std::span<const zigbee::MacFrame> frames, TrialEngine& engine) const;
+
+  /// prime(frames, engine) on the calling thread.
   void prime(std::span<const zigbee::MacFrame> frames) const;
 
   const LinkConfig& config() const { return config_; }
@@ -74,6 +86,7 @@ class Link {
   /// while holding only a shared lock on the map.
   struct CachedFrame {
     std::once_flag once;
+    std::atomic<bool> filled{false};  ///< set last inside the call_once
     cvec clean;
     bytevec psdu;
   };
@@ -86,6 +99,14 @@ class Link {
   };
 
   const CachedFrame& cached_frame(const zigbee::MacFrame& frame) const;
+  /// The cache entry for serialized frame bytes, inserted empty if absent.
+  CachedFrame& entry_for(const bytevec& psdu) const;
+  /// Fills `entry` once under its call_once, moving `psdu` into it (a
+  /// throwing synthesis leaves it unfilled), and counts the miss, or the
+  /// hit if it was already filled. `quiet` drops the synthesis telemetry.
+  /// True if this call filled it.
+  bool fill(CachedFrame& entry, const zigbee::MacFrame& frame, bytevec& psdu,
+            bool quiet) const;
   /// The raw synthesis chain a cache fill runs.
   cvec synthesize_waveform(const zigbee::MacFrame& frame) const;
   /// The per-send channel: the configured environment with the profile's

@@ -29,9 +29,8 @@ double FrameStats::success_rate() const { return 1.0 - packet_error_rate(); }
 FrameStats run_frames(const Link& link, std::span<const zigbee::MacFrame> frames,
                       std::size_t count, TrialEngine& engine) {
   CTC_REQUIRE(!frames.empty());
-  // Fill the link's waveform cache serially, in frame order, before trials
-  // fan out across worker threads (see Link::prime).
-  link.prime(frames);
+  // Fill the link's waveform cache before trials fan out (see Link::prime).
+  link.prime(frames, engine);
   return engine.run<FrameStats>(count, [&](std::size_t i, dsp::Rng& rng) {
     return link.send(frames[i % frames.size()], rng);
   });

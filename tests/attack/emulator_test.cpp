@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "dsp/require.h"
+#include "dsp/resample.h"
 #include "dsp/stats.h"
 #include "sim/telemetry.h"
 #include "zigbee/app.h"
@@ -158,25 +160,48 @@ TEST(EmulatorTest, FewerBinsMeansMoreDiscardedEnergy) {
 }
 
 TEST(EmulatorTest, MemoizedOutputIsBitwiseIdenticalToUncached) {
-  EmulatorConfig cached_config;
-  cached_config.memoize = true;
-  EmulatorConfig uncached_config;
-  uncached_config.memoize = false;
+  // The reference runs emulate_symbol on every slot of the upsampled,
+  // zero-padded frame, with the frame's alpha and kept bins and no slot
+  // reuse, then decimates the concatenated symbols.
+  const WaveformEmulator emulator;
   const cvec observed = observed_waveform();
-  const EmulationResult cached = WaveformEmulator(cached_config).emulate(observed);
-  const EmulationResult uncached =
-      WaveformEmulator(uncached_config).emulate(observed);
-  EXPECT_EQ(cached.wifi_waveform_20mhz, uncached.wifi_waveform_20mhz);
-  EXPECT_EQ(cached.emulated_4mhz, uncached.emulated_4mhz);
-  EXPECT_EQ(cached.symbol_grids, uncached.symbol_grids);
-  EXPECT_EQ(cached.kept_bins, uncached.kept_bins);
-  ASSERT_EQ(cached.diagnostics.size(), uncached.diagnostics.size());
-  for (std::size_t n = 0; n < cached.diagnostics.size(); ++n) {
-    EXPECT_EQ(cached.diagnostics[n].alpha, uncached.diagnostics[n].alpha);
-    EXPECT_EQ(cached.diagnostics[n].quantization_error,
-              uncached.diagnostics[n].quantization_error);
-    EXPECT_EQ(cached.diagnostics[n].discarded_energy,
-              uncached.diagnostics[n].discarded_energy);
+  const EmulationResult result = emulator.emulate(observed);
+  cvec upsampled = dsp::upsample(observed, emulator.config().interpolation);
+  ASSERT_EQ(result.wifi_waveform_20mhz.size(), (upsampled.size() + 79) / 80 * 80);
+  upsampled.resize(result.wifi_waveform_20mhz.size(), cplx{0.0, 0.0});
+  const double alpha = result.diagnostics.front().alpha;
+
+  cvec wifi;
+  std::vector<cvec> grids;
+  std::vector<SymbolDiagnostics> diagnostics;
+  for (std::size_t start = 0; start < upsampled.size(); start += 80) {
+    SymbolDiagnostics symbol_diagnostics;
+    cvec grid;
+    const cvec symbol = emulator.emulate_symbol(
+        std::span<const cplx>(upsampled).subspan(start, 80), result.kept_bins,
+        alpha, &symbol_diagnostics, &grid);
+    wifi.insert(wifi.end(), symbol.begin(), symbol.end());
+    grids.push_back(std::move(grid));
+    diagnostics.push_back(symbol_diagnostics);
+  }
+  cvec emulated = dsp::decimate(wifi, emulator.config().interpolation);
+  emulated.resize(observed.size(), cplx{0.0, 0.0});
+
+  const auto same_bytes = [](const cvec& a, const cvec& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+  };
+  EXPECT_TRUE(same_bytes(result.wifi_waveform_20mhz, wifi));
+  EXPECT_TRUE(same_bytes(result.emulated_4mhz, emulated));
+  ASSERT_EQ(result.symbol_grids.size(), grids.size());
+  ASSERT_EQ(result.diagnostics.size(), diagnostics.size());
+  for (std::size_t n = 0; n < grids.size(); ++n) {
+    EXPECT_TRUE(same_bytes(result.symbol_grids[n], grids[n])) << "slot " << n;
+    EXPECT_EQ(result.diagnostics[n].alpha, diagnostics[n].alpha);
+    EXPECT_EQ(result.diagnostics[n].quantization_error,
+              diagnostics[n].quantization_error);
+    EXPECT_EQ(result.diagnostics[n].discarded_energy,
+              diagnostics[n].discarded_energy);
   }
 }
 

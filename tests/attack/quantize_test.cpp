@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+
+#include "attack/emulator.h"
+#include "dsp/fft.h"
 #include "dsp/require.h"
+#include "dsp/resample.h"
 #include "dsp/rng.h"
+#include "zigbee/app.h"
+#include "zigbee/transmitter.h"
 
 namespace ctc::attack {
 namespace {
@@ -24,9 +33,13 @@ TEST(QuantizeTest, ExactGridPointsAreFixedPoints) {
 }
 
 TEST(QuantizeTest, LevelsAreClampedToPlusMinusSeven) {
-  const auto q = quantize_to_qam64(cvec{{100.0, -50.0}}, 1.0);
+  // 1e300 / alpha is far past the int range: the level is clamped as a
+  // double before it becomes an int.
+  const auto q = quantize_to_qam64(cvec{{100.0, -50.0}, {1e300, -1e300}}, 1.0);
   EXPECT_EQ(q[0].i_level, 7);
   EXPECT_EQ(q[0].q_level, -7);
+  EXPECT_EQ(q[1].i_level, 7);
+  EXPECT_EQ(q[1].q_level, -7);
 }
 
 TEST(QuantizeTest, NearestLevelRounding) {
@@ -95,6 +108,104 @@ TEST(OptimizeScaleTest, PaperExampleLandsNearSqrt26) {
   const double alpha = optimize_scale(points);
   EXPECT_GT(alpha, 1.5);
   EXPECT_LT(alpha, 10.0);
+}
+
+/// The per-candidate cost the scale search used before the qam_cost kernel:
+/// allocate the quantized points, then sum |p - Q(p)|^2 in point order.
+double allocating_cost(std::span<const cplx> points, double alpha) {
+  const auto quantized = quantize_to_qam64(points, alpha);
+  double cost = 0.0;
+  for (std::size_t n = 0; n < points.size(); ++n) {
+    cost += std::norm(points[n] - quantized[n].value);
+  }
+  return cost;
+}
+
+/// optimize_scale's search with one allocating_cost call per candidate:
+/// the coarse grid in index order, then golden-section refinement.
+double per_candidate_search(std::span<const cplx> points) {
+  const ScaleSearchConfig config;
+  double peak = 0.0;
+  for (const cplx& point : points) {
+    peak = std::max({peak, std::abs(point.real()), std::abs(point.imag())});
+  }
+  const double max_alpha = std::max(peak, config.min_alpha + 1e-6);
+  double best_alpha = config.min_alpha;
+  double best_cost = allocating_cost(points, best_alpha);
+  for (std::size_t i = 1; i < config.coarse_steps; ++i) {
+    const double alpha =
+        config.min_alpha + (max_alpha - config.min_alpha) *
+                               static_cast<double>(i) /
+                               static_cast<double>(config.coarse_steps - 1);
+    const double cost = allocating_cost(points, alpha);
+    if (cost < best_cost) {
+      best_cost = cost;
+      best_alpha = alpha;
+    }
+  }
+  const double cell = (max_alpha - config.min_alpha) /
+                      static_cast<double>(config.coarse_steps - 1);
+  double lo = std::max(config.min_alpha, best_alpha - cell);
+  double hi = std::min(max_alpha, best_alpha + cell);
+  constexpr double kInvPhi = 0.6180339887498949;
+  double x1 = hi - kInvPhi * (hi - lo);
+  double x2 = lo + kInvPhi * (hi - lo);
+  double f1 = allocating_cost(points, x1);
+  double f2 = allocating_cost(points, x2);
+  for (std::size_t round = 0; round < config.refine_rounds; ++round) {
+    if (f1 < f2) {
+      hi = x2;
+      x2 = x1;
+      f2 = f1;
+      x1 = hi - kInvPhi * (hi - lo);
+      f1 = allocating_cost(points, x1);
+    } else {
+      lo = x1;
+      x1 = x2;
+      f1 = f2;
+      x2 = lo + kInvPhi * (hi - lo);
+      f2 = allocating_cost(points, x2);
+    }
+  }
+  const double refined = (f1 < f2) ? x1 : x2;
+  return std::min(f1, f2) < best_cost ? refined : best_alpha;
+}
+
+/// The emulator's pooled points for one observed frame: the kept bins of
+/// every 80-sample slot's FFT (CP skipped) of the upsampled, padded frame.
+cvec pooled_points(const cvec& observed, std::span<const std::size_t> bins) {
+  cvec upsampled = dsp::upsample(observed, 5);
+  upsampled.resize((upsampled.size() + 79) / 80 * 80, cplx{0.0, 0.0});
+  const dsp::FftPlan plan(64);
+  cvec pooled;
+  for (std::size_t start = 0; start < upsampled.size(); start += 80) {
+    const cvec spectrum =
+        plan.forward(std::span<const cplx>(upsampled).subspan(start + 16, 64));
+    for (std::size_t bin : bins) pooled.push_back(spectrum[bin]);
+  }
+  return pooled;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(OptimizeScaleTest, BitEqualToThePerCandidateSearchOnRealFrames) {
+  const zigbee::Transmitter transmitter;
+  const WaveformEmulator emulator;
+  for (unsigned index : {0u, 1u, 17u, 42u, 99u}) {
+    SCOPED_TRACE("frame " + std::to_string(index));
+    const cvec observed =
+        transmitter.transmit_frame(zigbee::make_text_frame(index, index & 0xFF));
+    const EmulationResult emulation = emulator.emulate(observed);
+    const cvec pooled = pooled_points(observed, emulation.kept_bins);
+    const double alpha = optimize_scale(pooled);
+    EXPECT_TRUE(same_bits(alpha, per_candidate_search(pooled)));
+    EXPECT_TRUE(same_bits(alpha, emulation.diagnostics.front().alpha));
+    for (double candidate : {0.05, 0.5, alpha, 3.0, 5.0990195135927845, 12.0}) {
+      EXPECT_TRUE(same_bits(quantization_cost(pooled, candidate),
+                            allocating_cost(pooled, candidate)))
+          << "alpha " << candidate;
+    }
+  }
 }
 
 TEST(OptimizeScaleTest, RejectsEmptyInput) {

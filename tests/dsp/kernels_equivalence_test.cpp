@@ -393,6 +393,51 @@ TEST(KernelsEquivalence, FmDiscriminateBitwise) {
   }
 }
 
+TEST(KernelsEquivalence, QamCostBitwise) {
+  Rng rng = Rng::for_stream(1, 24);
+  // Power-of-two alphas make value / alpha exact, so points at alpha * 2k
+  // sit exactly on the level boundaries (the nearest-level rule rounds an
+  // even quotient up), +-1 ulp around them, on the +-6 / +-8 edges of the
+  // +-7 clamp, and far past it (1e300 / alpha overflows every int).
+  const std::vector<double> alphas = {0.25, 0.5, 1.0, 2.0, 0.05, 5.0990195135927845,
+                                      3.7, 1e-3, 40.0};
+  std::vector<double> specials = {0.0,   -0.0,    0x1p-1074, -0x1p-1074,
+                                  1e-310, -1e-310, 1e-300,   -1e-300,
+                                  1e300,  -1e300};
+  for (const double alpha : {0.25, 0.5, 1.0, 2.0}) {
+    for (int k = -5; k <= 5; ++k) {
+      const double edge = alpha * 2.0 * k;
+      specials.push_back(edge);
+      specials.push_back(std::nextafter(edge, -1e300));
+      specials.push_back(std::nextafter(edge, 1e300));
+    }
+    specials.push_back(7.0 * alpha);
+    specials.push_back(-7.0 * alpha);
+  }
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                              std::size_t{1239}}) {
+    for (int variant = 0; variant < 2; ++variant) {
+      cvec points = random_cvec(rng, n);
+      for (auto& p : points) p *= 8.0;
+      if (variant == 1) {
+        for (auto& p : points) {
+          const double re = specials[rng.next_u64() % specials.size()];
+          const double im = specials[rng.next_u64() % specials.size()];
+          p = cplx{re, im};
+        }
+      }
+      for (std::size_t m = 1; m <= alphas.size(); ++m) {
+        std::vector<double> a(m + 1, 7.0);
+        std::vector<double> b(m + 1, 7.0);
+        scalar_table().qam_cost(points.data(), n, alphas.data(), m, a.data());
+        best_table().qam_cost(points.data(), n, alphas.data(), m, b.data());
+        ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+            << "qam_cost n=" << n << " m=" << m << " variant=" << variant;
+      }
+    }
+  }
+}
+
 TEST(KernelsEquivalence, FirMacTolerance) {
   Rng rng = Rng::for_stream(1, 13);
   for (std::size_t n : kLengths) {

@@ -3,6 +3,9 @@
 // or silent wrong answers.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "attack/emulator.h"
 #include "defense/detector.h"
 #include "dsp/require.h"
@@ -84,6 +87,20 @@ TEST(FailureInjectionTest, EmulatorOnPureNoiseStillProducesLegalStructure) {
       EXPECT_NEAR(std::abs(wifi[start + i] - wifi[start + 64 + i]), 0.0, 1e-12);
     }
   }
+}
+
+// One non-finite sample would make every scale-search cost NaN, which
+// silently pinned alpha to the search floor; the emulator refuses the frame.
+TEST(FailureInjectionTest, EmulatorRejectsANanSample) {
+  cvec frame = zigbee::Transmitter().transmit_frame(zigbee::make_text_frame(0, 0));
+  frame[100] = cplx{std::nan(""), 0.0};
+  EXPECT_THROW(attack::WaveformEmulator().emulate(frame), ContractError);
+}
+
+TEST(FailureInjectionTest, EmulatorRejectsAnInfSample) {
+  cvec frame = zigbee::Transmitter().transmit_frame(zigbee::make_text_frame(0, 0));
+  frame[100] = cplx{0.0, -std::numeric_limits<double>::infinity()};
+  EXPECT_THROW(attack::WaveformEmulator().emulate(frame), ContractError);
 }
 
 TEST(FailureInjectionTest, DetectorRejectsTinySamples) {

@@ -11,12 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "attack/emulator.h"
 #include "dsp/rng.h"
 #include "dsp/stats.h"
+#include "sim/engine.h"
 #include "sim/telemetry.h"
 #include "zigbee/app.h"
 
@@ -177,6 +180,83 @@ TEST_F(LinkCacheTelemetryTest, PrimeFillsOncePerFrameThenSendsHit) {
   EXPECT_EQ(counter(metrics, "waveform_cache_misses"), frames.size());
   // 4 from the second prime + 4 from the sends.
   EXPECT_EQ(counter(metrics, "waveform_cache_hits"), 2 * frames.size());
+}
+
+/// One emulated link primed twice over `frames` on `engine` (with the
+/// one-argument prime when it is null): the link counters, the telemetry
+/// JSON without timers, and the cached waveforms (read after the JSON is
+/// taken, so those reads count nowhere).
+struct PrimeRun {
+  std::string json;
+  std::uint64_t misses = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t hit_calls = 0;
+  std::uint64_t emulated_frames = 0;
+  std::vector<cvec> waveforms;
+};
+
+PrimeRun prime_twice(std::span<const zigbee::MacFrame> frames,
+                     TrialEngine* engine) {
+  telemetry::reset();
+  const Link link(link_config(LinkKind::emulated));
+  if (engine != nullptr) {
+    const std::uint64_t run = engine->next_run_index();
+    link.prime(frames, *engine);
+    link.prime(frames, *engine);
+    EXPECT_EQ(engine->next_run_index(), run) << "prime consumed a run index";
+  } else {
+    link.prime(frames);
+    link.prime(frames);
+  }
+  PrimeRun out;
+  const auto metrics = telemetry::collect();
+  for (const auto& metric : metrics) {
+    const auto total = static_cast<std::uint64_t>(metric.cell.sum);
+    if (metric.stage == "link" && metric.name == "waveform_cache_misses") {
+      out.misses = total;
+    }
+    if (metric.stage == "link" && metric.name == "waveform_cache_hits") {
+      out.hits = total;
+      out.hit_calls = metric.cell.count;
+    }
+    if (metric.stage == "attack" && metric.name == "frames") {
+      out.emulated_frames = total;
+    }
+  }
+  out.json = telemetry::to_json(metrics, /*include_timers=*/false);
+  for (const auto& frame : frames) out.waveforms.push_back(link.clean_waveform(frame));
+  return out;
+}
+
+TEST_F(LinkCacheTelemetryTest, EnginePrimeIsThreadCountInvariant) {
+  // Five distinct frames plus a repeat of one inside the same span.
+  auto frames = zigbee::make_text_workload(5);
+  frames.push_back(frames[1]);
+  const LinkConfig config = link_config(LinkKind::emulated);
+
+  const PrimeRun serial = prime_twice(frames, nullptr);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    TrialEngine engine(EngineConfig{.seed = 7, .threads = threads});
+    const PrimeRun run = prime_twice(frames, &engine);
+    // The repeat is synthesized once. Counts as for a serial fill per
+    // frame: the first prime has 5 misses and the repeat's hit, the second
+    // prime hits all 6.
+    EXPECT_EQ(run.emulated_frames, 5u);
+    EXPECT_EQ(run.misses, 5u);
+    EXPECT_EQ(run.hits, 7u);
+    EXPECT_EQ(run.hit_calls, 7u);
+    EXPECT_EQ(run.json, serial.json);
+    ASSERT_EQ(run.waveforms.size(), frames.size());
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      const cvec reference = reference_waveform(config, frames[f]);
+      ASSERT_EQ(run.waveforms[f].size(), reference.size());
+      EXPECT_EQ(std::memcmp(run.waveforms[f].data(), reference.data(),
+                            reference.size() * sizeof(cplx)),
+                0)
+          << "frame " << f;
+    }
+  }
 }
 
 }  // namespace
