@@ -1,10 +1,10 @@
-// Perf — hot-path micro-benchmarks for the optimized kernels: FFT vs direct
-// convolution, packed-popcount vs byte-loop despreading, the receiver's
-// construction-time timing-search grid vs a per-call search, the link's
-// memoized clean-waveform synthesis vs the synthesis chain, the QAM scale
-// search's per-candidate allocating cost vs the qam_cost kernel (plus one
-// whole emulation), per-sample libm channel noise vs the add_gauss kernel,
-// and the per-step libm FM discriminator vs the fm_discriminate kernel.
+// Perf — hot-path micro-benchmarks for the optimized kernels: packed-popcount
+// vs byte-loop despreading, the receiver's construction-time timing-search
+// grid vs a per-call search, the link's memoized clean-waveform synthesis vs
+// the synthesis chain, the QAM scale search's per-candidate allocating cost
+// vs the qam_cost kernel (plus one whole emulation), per-sample libm channel
+// noise vs the add_gauss kernel, the per-step libm FM discriminator vs the
+// fm_discriminate kernel, and the scalar vs SIMD table on selected kernels.
 //
 //   $ ./perf_hotpath --json | tail -n1 > BENCH_perf_hotpath.json
 //
@@ -12,7 +12,7 @@
 // path on the same inputs and reports both wall times plus the ratio. Like
 // perf_engine, this JSON intentionally contains wall times — do not use it
 // in the CI determinism diff. The *correctness* of each pair is covered by
-// the equivalence test suites (tests/dsp/convolve_equivalence_test.cpp and
+// the equivalence test suites (tests/dsp/kernels_equivalence_test.cpp and
 // friends); this bench only answers "was the rewrite worth it?" and feeds
 // tools/bench_trajectory.py ratio assertions, which are machine-independent.
 #include <algorithm>
@@ -24,7 +24,6 @@
 #include "attack/qam_quantize.h"
 #include "bench_common.h"
 #include "dsp/fft.h"
-#include "dsp/fir.h"
 #include "dsp/kernels/kernels.h"
 #include "dsp/pulse.h"
 #include "dsp/resample.h"
@@ -191,36 +190,13 @@ cvec pooled_points(std::span<const cplx> observed,
 
 int main(int argc, char** argv) {
   const bench::Options options = bench::parse_options(argc, argv);
-  bench::print_banner(options, "Perf: hot-path kernels (convolve / despread / "
-                               "timing grid / waveform cache / scale search / "
+  bench::print_banner(options, "Perf: hot-path kernels (despread / timing "
+                               "grid / waveform cache / scale search / "
                                "noise / discriminator)");
   const std::size_t reps = options.trials_or(5);
   dsp::Rng rng = dsp::Rng::for_stream(options.seed, 0);
 
   sim::Table table({"kernel", "reference", "fast path", "ratio"});
-
-  // -- convolve: direct vs FFT ----------------------------------------------
-  // A long-filter workload comfortably past the use_fft_convolution()
-  // crossover (the direct form's vectorized MAC loop keeps short filters —
-  // the whole per-trial receive path — on the direct side; see fir.cpp).
-  const std::size_t signal_len = 8192;
-  const std::size_t num_taps = 4097;
-  cvec signal(signal_len);
-  for (auto& x : signal) x = rng.complex_gaussian(1.0);
-  rvec taps(num_taps);
-  for (auto& t : taps) t = rng.uniform(-1.0, 1.0);
-  const double convolve_direct_ms = time_ms(reps, [&] {
-    const cvec out = dsp::convolve_direct(signal, taps);
-    g_sink = g_sink + out.back().real();
-  });
-  const double convolve_fft_ms = time_ms(reps, [&] {
-    const cvec out = dsp::convolve_fft(signal, taps);
-    g_sink = g_sink + out.back().real();
-  });
-  table.add_row({"convolve (n=8192, t=4097)",
-                 sim::Table::num(convolve_direct_ms, 3) + " ms",
-                 sim::Table::num(convolve_fft_ms, 3) + " ms",
-                 sim::Table::num(convolve_direct_ms / convolve_fft_ms, 2) + "x"});
 
   // -- despread: byte loop vs packed popcount -------------------------------
   // All 16 symbols, many repetitions, a couple of deterministic chip errors
@@ -556,9 +532,6 @@ int main(int argc, char** argv) {
   bench::JsonReport report(options, "perf_hotpath");
   report.set("simd_level", std::string(dsp::kernels::level_name(best_level)));
   report.set("reps", static_cast<std::uint64_t>(reps));
-  report.set("convolve_direct_ms", convolve_direct_ms);
-  report.set("convolve_fft_ms", convolve_fft_ms);
-  report.set("convolve_speedup", convolve_direct_ms / convolve_fft_ms);
   report.set("despread_reference_ms", despread_reference_ms);
   report.set("despread_packed_ms", despread_packed_ms);
   report.set("despread_speedup", despread_reference_ms / despread_packed_ms);

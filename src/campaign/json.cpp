@@ -12,6 +12,11 @@ namespace ctc::campaign {
 
 namespace {
 
+// Deepest container nesting parse() accepts. The parser recurses once per
+// level, so an unbounded document would exhaust the stack; campaign specs
+// and manifests nest a handful of levels.
+constexpr std::size_t kMaxNestingDepth = 256;
+
 [[noreturn]] void fail(const char* what, std::size_t position) {
   throw JsonError(std::string("json: ") + what + " at offset " +
                   std::to_string(position));
@@ -22,7 +27,7 @@ class Parser {
   explicit Parser(std::string_view text) : text_(text) {}
 
   Json parse_document() {
-    Json value = parse_value();
+    Json value = parse_value(0);
     skip_space();
     if (pos_ != text_.size()) fail("trailing characters", pos_);
     return value;
@@ -53,13 +58,18 @@ class Parser {
     return true;
   }
 
-  Json parse_value() {
+  // `depth` counts the containers enclosing the value.
+  Json parse_value(std::size_t depth) {
     skip_space();
-    switch (peek()) {
+    const char first = peek();
+    if ((first == '{' || first == '[') && depth == kMaxNestingDepth) {
+      fail("containers nested too deeply", pos_);
+    }
+    switch (first) {
       case '{':
-        return parse_object();
+        return parse_object(depth + 1);
       case '[':
-        return parse_array();
+        return parse_array(depth + 1);
       case '"':
         return Json(parse_string());
       case 't':
@@ -76,7 +86,7 @@ class Parser {
     }
   }
 
-  Json parse_object() {
+  Json parse_object(std::size_t depth) {
     expect('{');
     Json::Object object;
     skip_space();
@@ -93,7 +103,7 @@ class Parser {
       }
       skip_space();
       expect(':');
-      object.emplace_back(std::move(key), parse_value());
+      object.emplace_back(std::move(key), parse_value(depth));
       skip_space();
       if (peek() == ',') {
         ++pos_;
@@ -104,7 +114,7 @@ class Parser {
     }
   }
 
-  Json parse_array() {
+  Json parse_array(std::size_t depth) {
     expect('[');
     Json::Array array;
     skip_space();
@@ -113,7 +123,7 @@ class Parser {
       return Json(std::move(array));
     }
     while (true) {
-      array.push_back(parse_value());
+      array.push_back(parse_value(depth));
       skip_space();
       if (peek() == ',') {
         ++pos_;

@@ -53,7 +53,8 @@ class Json {
   static Json array() { return Json(Array{}); }
   static Json object() { return Json(Object{}); }
 
-  /// Parses `text` as a single JSON document (trailing non-space rejected).
+  /// Parses `text` as a single JSON document (trailing non-space and
+  /// containers nested more than 256 deep rejected).
   static Json parse(std::string_view text);
 
   Type type() const;

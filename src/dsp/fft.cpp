@@ -1,10 +1,6 @@
 #include "dsp/fft.h"
 
-#include <bit>
 #include <cmath>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "dsp/require.h"
 
@@ -83,34 +79,10 @@ void FftPlan::inverse_inplace(std::span<cplx> data) const {
   transform(data, /*invert=*/true);
 }
 
-void FftPlan::forward_into(cvec& out, std::span<const cplx> input) const {
-  CTC_REQUIRE(input.size() == size_);
-  out.assign(input.begin(), input.end());
-  transform(out, /*invert=*/false);
-}
-
 void FftPlan::inverse_into(cvec& out, std::span<const cplx> input) const {
   CTC_REQUIRE(input.size() == size_);
   out.assign(input.begin(), input.end());
   transform(out, /*invert=*/true);
-}
-
-const FftPlan& shared_fft_plan(std::size_t size) {
-  // Plans are immutable after construction, so concurrent users only need
-  // the map itself serialized; node pointers stay stable across rehashing.
-  static std::mutex mutex;
-  static std::unordered_map<std::size_t, std::unique_ptr<FftPlan>> plans;
-  std::lock_guard<std::mutex> lock(mutex);
-  auto it = plans.find(size);
-  if (it == plans.end()) {
-    it = plans.emplace(size, std::make_unique<FftPlan>(size)).first;
-  }
-  return *it->second;
-}
-
-std::size_t next_power_of_two(std::size_t n) {
-  if (n <= 1) return 1;
-  return std::size_t{1} << std::bit_width(n - 1);
 }
 
 cvec dft(std::span<const cplx> input) {

@@ -3,7 +3,9 @@
 // The attack pipeline (Sec. V of the paper) is built around the 64-point
 // FFT/IFFT of the 802.11g OFDM modulator. FftPlan implements an iterative
 // radix-2 Cooley–Tukey transform for any power-of-two size with precomputed
-// twiddles; dft()/idft() are O(n^2) reference implementations used by tests.
+// twiddles; each user (the emulator's slot transform, the OFDM modulator,
+// Welch PSD) owns its plan. dft()/idft() are O(n^2) reference
+// implementations used by tests.
 //
 // Conventions (match Eq. (1) of the paper and standard OFDM usage):
 //   forward:  X[k] = sum_n x[n] * exp(-j 2 pi k n / N)        (no scaling)
@@ -40,9 +42,8 @@ class FftPlan {
   /// In-place inverse transform (includes the 1/N scaling) — no allocation.
   void inverse_inplace(std::span<cplx> data) const;
 
-  /// Out-of-place forward/inverse into a caller-provided buffer (resized to
-  /// size()); reusing `out` across calls amortizes the allocation away.
-  void forward_into(cvec& out, std::span<const cplx> input) const;
+  /// Out-of-place inverse into a caller-provided buffer (resized to size());
+  /// reusing `out` across calls amortizes the allocation away.
   void inverse_into(cvec& out, std::span<const cplx> input) const;
 
  private:
@@ -52,16 +53,6 @@ class FftPlan {
   std::vector<std::size_t> bit_reverse_;
   cvec twiddles_;  // exp(-j 2 pi k / N) for k in [0, N/2)
 };
-
-/// Process-wide immutable plan cache: returns a reference to the shared
-/// FftPlan for `size` (power of two, >= 2), building it on first request.
-/// Thread-safe; returned references stay valid for the process lifetime.
-/// Hot-path users (FFT convolution, the emulator's 64-point transforms)
-/// go through here so repeated transforms never rebuild twiddle tables.
-const FftPlan& shared_fft_plan(std::size_t size);
-
-/// Smallest power of two >= n (n must be representable; n == 0 -> 1).
-std::size_t next_power_of_two(std::size_t n);
 
 /// O(n^2) reference DFT with the same convention as FftPlan::forward.
 cvec dft(std::span<const cplx> input);

@@ -104,14 +104,10 @@ struct KernelTable {
                    double step);
 
   // -- elementwise complex ops (bitwise) -----------------------------------
-  /// x[i] += y[i].
-  void (*cadd)(cplx* x, const cplx* y, std::size_t n);
   /// x[i] *= s (complex scalar; same rounding as std::complex operator*).
   void (*cscale)(cplx* x, std::size_t n, cplx s);
   /// x[i] *= s (real scalar).
   void (*rscale)(cplx* x, std::size_t n, double s);
-  /// x[i] *= y[i] (complex elementwise; FFT spectrum product).
-  void (*cmul)(cplx* x, const cplx* y, std::size_t n);
   /// out[i] = in[i] * w[i] (real window).
   void (*apply_window)(const cplx* in, const double* w, std::size_t n,
                        cplx* out);

@@ -174,18 +174,6 @@ double rotate(const cplx* in, std::size_t n, cplx* out, double phase,
 // would fork the tails from the scalar level by 1 ulp.
 // ---------------------------------------------------------------------------
 
-void cadd(cplx* x, const cplx* y, std::size_t n) {
-  double* xd = as_doubles(x);
-  const double* yd = as_doubles(y);
-  const std::size_t m = 2 * n;
-  std::size_t k = 0;
-  for (; k + 4 <= m; k += 4) {
-    _mm256_storeu_pd(
-        xd + k, _mm256_add_pd(_mm256_loadu_pd(xd + k), _mm256_loadu_pd(yd + k)));
-  }
-  scalar_table().cadd(x + k / 2, y + k / 2, n - k / 2);
-}
-
 void cscale(cplx* x, std::size_t n, cplx s) {
   const __m256d sr = _mm256_set1_pd(s.real());
   const __m256d si = _mm256_set1_pd(s.imag());
@@ -209,18 +197,6 @@ void rscale(cplx* x, std::size_t n, double s) {
     _mm256_storeu_pd(xd + k, _mm256_mul_pd(_mm256_loadu_pd(xd + k), vs));
   }
   scalar_table().rscale(x + k / 2, n - k / 2, s);
-}
-
-void cmul(cplx* x, const cplx* y, std::size_t n) {
-  double* xd = as_doubles(x);
-  const double* yd = as_doubles(y);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m256d v = _mm256_loadu_pd(xd + 2 * i);
-    const __m256d w = _mm256_loadu_pd(yd + 2 * i);
-    _mm256_storeu_pd(xd + 2 * i, cmul_packed(v, w));
-  }
-  scalar_table().cmul(x + i, y + i, n - i);
 }
 
 void apply_window(const cplx* in, const double* w, std::size_t n, cplx* out) {
@@ -971,10 +947,8 @@ const KernelTable& avx2_table() {
   static constexpr KernelTable table = {
       .fir_mac = fir_mac,
       .rotate = rotate,
-      .cadd = cadd,
       .cscale = cscale,
       .rscale = rscale,
-      .cmul = cmul,
       .apply_window = apply_window,
       .accumulate_mag2 = accumulate_mag2,
       .two_tap = two_tap,

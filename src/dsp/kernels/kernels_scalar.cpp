@@ -12,10 +12,8 @@ const KernelTable& scalar_table() {
   static constexpr KernelTable table = {
       .fir_mac = scalar_impl::fir_mac,
       .rotate = scalar_impl::rotate,
-      .cadd = scalar_impl::cadd,
       .cscale = scalar_impl::cscale,
       .rscale = scalar_impl::rscale,
-      .cmul = scalar_impl::cmul,
       .apply_window = scalar_impl::apply_window,
       .accumulate_mag2 = scalar_impl::accumulate_mag2,
       .two_tap = scalar_impl::two_tap,

@@ -52,10 +52,6 @@ inline double rotate(const cplx* in, std::size_t n, cplx* out, double phase,
   return phase;
 }
 
-inline void cadd(cplx* x, const cplx* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] += y[i];
-}
-
 // Mirrors libstdc++ complex*=: re' = fl(fl(re*sr) - fl(im*si)),
 // im' = fl(fl(re*si) + fl(im*sr)) — the addsub lane structure on AVX2.
 inline void cscale(cplx* x, std::size_t n, cplx s) {
@@ -71,16 +67,6 @@ inline void cscale(cplx* x, std::size_t n, cplx s) {
 inline void rscale(cplx* x, std::size_t n, double s) {
   for (std::size_t i = 0; i < n; ++i) {
     x[i] = cplx{x[i].real() * s, x[i].imag() * s};
-  }
-}
-
-inline void cmul(cplx* x, const cplx* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double re = x[i].real();
-    const double im = x[i].imag();
-    const double yr = y[i].real();
-    const double yi = y[i].imag();
-    x[i] = cplx{(re * yr) - (im * yi), (im * yr) + (re * yi)};
   }
 }
 

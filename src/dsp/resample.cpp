@@ -8,39 +8,39 @@
 
 namespace ctc::dsp {
 
-cvec upsample(std::span<const cplx> input, std::size_t factor,
-              std::size_t taps_per_phase) {
+namespace {
+
+constexpr std::size_t kTapsPerPhase = 12;
+
+// The anti-imaging / anti-alias lowpass shared by upsample() and decimate():
+// cutoff 0.5/factor, factor * kTapsPerPhase + 1 taps, odd for an integer
+// group delay.
+rvec resampling_lowpass(std::size_t factor) {
+  std::size_t num_taps = factor * kTapsPerPhase + 1;
+  if (num_taps % 2 == 0) ++num_taps;
+  return design_lowpass(0.5 / static_cast<double>(factor), num_taps);
+}
+
+}  // namespace
+
+cvec upsample(std::span<const cplx> input, std::size_t factor) {
   CTC_REQUIRE(factor >= 1);
   if (factor == 1) return cvec(input.begin(), input.end());
   if (input.empty()) return {};
   // Zero-stuff.
   cvec stuffed(input.size() * factor, cplx{0.0, 0.0});
   for (std::size_t i = 0; i < input.size(); ++i) stuffed[i * factor] = input[i];
-  // Anti-imaging lowpass. Odd length for integer group delay.
-  std::size_t num_taps = factor * taps_per_phase + 1;
-  if (num_taps % 2 == 0) ++num_taps;
-  const rvec taps = design_lowpass(0.5 / static_cast<double>(factor), num_taps);
-  // Pinned direct: the emulator's slot LUT keys on the exact upsampled
-  // samples, which relies on the direct form's bitwise time-invariance
-  // (identical input slots -> identical output slots). The FFT path is only
-  // ULP-equivalent and position-dependent, which would kill every LUT hit.
-  cvec out = filter_same(stuffed, taps, ConvolvePolicy::direct);
+  cvec out = filter_same(stuffed, resampling_lowpass(factor));
   // Restore amplitude lost to zero-stuffing.
   kernels::active().rscale(out.data(), out.size(), static_cast<double>(factor));
   return out;
 }
 
-cvec decimate(std::span<const cplx> input, std::size_t factor,
-              std::size_t taps_per_phase) {
+cvec decimate(std::span<const cplx> input, std::size_t factor) {
   CTC_REQUIRE(factor >= 1);
   if (factor == 1) return cvec(input.begin(), input.end());
   if (input.empty()) return {};
-  std::size_t num_taps = factor * taps_per_phase + 1;
-  if (num_taps % 2 == 0) ++num_taps;
-  const rvec taps = design_lowpass(0.5 / static_cast<double>(factor), num_taps);
-  // Pinned direct for the same time-invariance reason as upsample(): the
-  // decimated waveform flows into slot-keyed caches downstream.
-  const cvec filtered = filter_same(input, taps, ConvolvePolicy::direct);
+  const cvec filtered = filter_same(input, resampling_lowpass(factor));
   cvec out;
   out.reserve((input.size() + factor - 1) / factor);
   for (std::size_t i = 0; i < filtered.size(); i += factor) out.push_back(filtered[i]);

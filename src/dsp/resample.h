@@ -17,16 +17,14 @@
 namespace ctc::dsp {
 
 /// Integer upsampling by `factor`: zero-stuffing followed by an anti-imaging
-/// lowpass (cutoff 0.5/factor of the output rate) with gain `factor`, with
-/// filter group delay removed so output[i*factor] aligns with input[i].
-/// `taps_per_phase` controls filter length (total taps ≈ factor*taps_per_phase).
-cvec upsample(std::span<const cplx> input, std::size_t factor,
-              std::size_t taps_per_phase = 12);
+/// lowpass (cutoff 0.5/factor of the output rate, 12 taps per phase — 61
+/// taps at the paper's factor 5) with gain `factor`, with filter group delay
+/// removed so output[i*factor] aligns with input[i].
+cvec upsample(std::span<const cplx> input, std::size_t factor);
 
-/// Integer decimation by `factor`: anti-alias lowpass (cutoff 0.5/factor)
-/// then keep every factor-th sample, delay-compensated.
-cvec decimate(std::span<const cplx> input, std::size_t factor,
-              std::size_t taps_per_phase = 12);
+/// Integer decimation by `factor`: the same anti-alias lowpass as
+/// upsample(), then keep every factor-th sample, delay-compensated.
+cvec decimate(std::span<const cplx> input, std::size_t factor);
 
 /// Continuous-phase digital mixer: multiplies by exp(j*2*pi*freq_hz/fs * n).
 /// Phase persists across process() calls so long captures stay coherent.

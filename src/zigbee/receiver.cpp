@@ -122,32 +122,27 @@ ReceiveResult Receiver::receive(std::span<const cplx> waveform) const {
   equalized.assign(waveform.begin(),
                    waveform.begin() +
                        static_cast<std::ptrdiff_t>(header_samples));
-  bool equalizer_applied = false;
-  cplx equalizer_h{1.0, 0.0};
-  if (config_.equalize) {
-    const std::size_t window = shr_chips * spc;
-    const cplx correlation =
-        kt.dot_conj(waveform.data(), shr_reference_.data(), window);
-    const double reference_energy = kt.energy(shr_reference_.data(), window);
-    const cplx h = correlation / reference_energy;
-    if (std::abs(h) > 1e-9) {
-      result.channel_estimate = h;
-      kt.cdiv(equalized.data(), equalized.size(), h);
-      equalizer_applied = true;
-      equalizer_h = h;
-    }
-    // Noise estimate from the residual r - h*ref over the SHR window.
-    double residual_energy = 0.0;
-    double signal_energy = 0.0;
-    for (std::size_t i = 0; i < window; ++i) {
-      residual_energy += std::norm(waveform[i] - h * shr_reference_[i]);
-      signal_energy += std::norm(h * shr_reference_[i]);
-    }
-    result.noise_variance_estimate = residual_energy / static_cast<double>(window);
-    if (result.noise_variance_estimate > 0.0 && signal_energy > 0.0) {
-      result.snr_estimate_db =
-          10.0 * std::log10(signal_energy / residual_energy);
-    }
+  const std::size_t window = shr_chips * spc;
+  const cplx correlation =
+      kt.dot_conj(waveform.data(), shr_reference_.data(), window);
+  const double reference_energy = kt.energy(shr_reference_.data(), window);
+  const cplx h = correlation / reference_energy;
+  const bool equalizer_applied = std::abs(h) > 1e-9;
+  if (equalizer_applied) {
+    result.channel_estimate = h;
+    kt.cdiv(equalized.data(), equalized.size(), h);
+  }
+  // Noise estimate from the residual r - h*ref over the SHR window.
+  double residual_energy = 0.0;
+  double signal_energy = 0.0;
+  for (std::size_t i = 0; i < window; ++i) {
+    residual_energy += std::norm(waveform[i] - h * shr_reference_[i]);
+    signal_energy += std::norm(h * shr_reference_[i]);
+  }
+  result.noise_variance_estimate = residual_energy / static_cast<double>(window);
+  if (result.noise_variance_estimate > 0.0 && signal_energy > 0.0) {
+    result.snr_estimate_db =
+        10.0 * std::log10(signal_energy / residual_energy);
   }
 
   const bool differential = config_.profile.demod == DemodKind::differential;
@@ -225,7 +220,7 @@ ReceiveResult Receiver::receive(std::span<const cplx> waveform) const {
                        static_cast<std::ptrdiff_t>(frame_samples));
   if (equalizer_applied) {
     kt.cdiv(equalized.data() + header_samples,
-            frame_samples - header_samples, equalizer_h);
+            frame_samples - header_samples, h);
   }
 
   // Pass 2: the whole frame, so differential chip boundaries carry across

@@ -84,9 +84,6 @@ struct ReceiveResult {
 struct ReceiverConfig {
   std::size_t samples_per_chip = 2;
   ReceiverProfile profile;
-  /// When false the soft chips are taken without phase equalization
-  /// (diagnostics of raw front-end output).
-  bool equalize = true;
   /// Data-aided clock recovery (the "Clock Recovery" block of the paper's
   /// Fig. 1): estimate the fractional-sample timing offset against the SHR
   /// reference on a sub-sample grid and correct it before demodulation.

@@ -58,6 +58,14 @@ TEST(CampaignJsonTest, RejectsTrailingGarbageAndMalformedInput) {
   EXPECT_THROW(Json::parse("'single'"), JsonError);
   EXPECT_THROW(Json::parse(""), JsonError);
   EXPECT_THROW(Json::parse("{"), JsonError);
+  // Pathologically deep nesting is an error, not a stack overflow.
+  EXPECT_THROW(Json::parse(std::string(100000, '[')), JsonError);
+  std::string deep_objects;
+  for (int i = 0; i < 100000; ++i) deep_objects += "{\"a\":";
+  EXPECT_THROW(Json::parse(deep_objects), JsonError);
+  // One level past the 256-deep bound, even when well formed.
+  EXPECT_THROW(Json::parse(std::string(257, '[') + std::string(257, ']')),
+               JsonError);
 }
 
 TEST(CampaignJsonTest, ParsesStringEscapes) {
@@ -87,6 +95,10 @@ TEST(CampaignJsonTest, NestedDocumentRoundTrips) {
   const std::string text =
       R"({"name":"x","grid":[{"axis":"snr_db","list":[7,9.5,-1]}],"ok":true,"none":null})";
   EXPECT_EQ(Json::parse(text).dump(), text);
+  // Exactly at the 256-deep nesting bound.
+  const std::string deepest = std::string(255, '[') + R"({"a":1})" +
+                              std::string(255, ']');
+  EXPECT_EQ(Json::parse(deepest).dump(), deepest);
 }
 
 TEST(CampaignJsonTest, Uint64AboveInt64MaxWidensToDouble) {

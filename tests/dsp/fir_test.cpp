@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "dsp/require.h"
 #include "dsp/rng.h"
 #include "dsp/stats.h"
@@ -55,7 +58,7 @@ TEST(ConvolveTest, IdentityKernel) {
   cvec x(50);
   for (auto& v : x) v = rng.complex_gaussian(1.0);
   const rvec delta = {1.0};
-  const cvec y = convolve(x, delta);
+  const cvec y = convolve_direct(x, delta);
   ASSERT_EQ(y.size(), x.size());
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(std::abs(y[i] - x[i]), 0.0, 1e-12);
 }
@@ -63,7 +66,7 @@ TEST(ConvolveTest, IdentityKernel) {
 TEST(ConvolveTest, LengthAndKnownValues) {
   const cvec x = {{1, 0}, {2, 0}, {3, 0}};
   const rvec h = {1.0, 1.0};
-  const cvec y = convolve(x, h);
+  const cvec y = convolve_direct(x, h);
   ASSERT_EQ(y.size(), 4u);
   EXPECT_DOUBLE_EQ(y[0].real(), 1.0);
   EXPECT_DOUBLE_EQ(y[1].real(), 3.0);
@@ -73,8 +76,8 @@ TEST(ConvolveTest, LengthAndKnownValues) {
 
 TEST(ConvolveTest, EmptySignalGivesEmptyOutput) {
   const rvec h = {1.0, 2.0};
-  EXPECT_TRUE(convolve(cvec{}, h).empty());
-  EXPECT_THROW(convolve(cvec{{1, 0}}, rvec{}), ContractError);
+  EXPECT_TRUE(convolve_direct(cvec{}, h).empty());
+  EXPECT_THROW(convolve_direct(cvec{{1, 0}}, rvec{}), ContractError);
 }
 
 TEST(FilterSameTest, AlignsWithInput) {
@@ -94,42 +97,29 @@ TEST(FilterSameTest, RequiresOddTaps) {
   EXPECT_THROW(filter_same(x, rvec{0.5, 0.5}), ContractError);
 }
 
-TEST(FirFilterTest, StreamingMatchesBatchConvolution) {
-  Rng rng(23);
-  cvec x(97);
+TEST(FilterSameTest, IdenticalSegmentsFilterToIdenticalBits) {
+  // Time invariance down to the bit: the same input window filters to the
+  // same output bytes wherever it sits in the signal. The byte-keyed
+  // emulator slot cache and link waveform cache depend on it.
+  const rvec taps = design_lowpass(0.1, 61);  // the x5 resampling lowpass
+  const std::size_t half = (taps.size() - 1) / 2;
+  Rng rng(24);
+  cvec segment(200);
+  for (auto& v : segment) v = rng.complex_gaussian(1.0);
+  // Two copies of the segment in a random signal, an odd distance apart so
+  // they sit at different SIMD lane alignments.
+  const std::size_t first = 37;
+  const std::size_t second = 350;
+  cvec x(second + segment.size() + 41);
   for (auto& v : x) v = rng.complex_gaussian(1.0);
-  const rvec taps = design_lowpass(0.2, 15);
-
-  const cvec batch = convolve(x, taps);  // causal part = batch[0..x.size())
-  FirFilter filter(taps);
-  cvec streamed;
-  std::size_t cursor = 0;
-  for (std::size_t block : {7u, 13u, 1u, 30u, 46u}) {
-    const std::size_t take = std::min(block, x.size() - cursor);
-    const cvec out = filter.process(std::span<const cplx>(x).subspan(cursor, take));
-    streamed.insert(streamed.end(), out.begin(), out.end());
-    cursor += take;
-  }
-  ASSERT_EQ(cursor, x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(std::abs(streamed[i] - batch[i]), 0.0, 1e-12) << "i=" << i;
-  }
-}
-
-TEST(FirFilterTest, ResetClearsHistory) {
-  const rvec taps = {0.5, 0.5};
-  FirFilter filter(taps);
-  const cvec first = filter.process(cvec{{2.0, 0.0}});
-  filter.reset();
-  const cvec second = filter.process(cvec{{2.0, 0.0}});
-  EXPECT_EQ(first[0], second[0]);
-}
-
-TEST(FirFilterTest, SingleTapIsPureGain) {
-  FirFilter filter(rvec{2.0});
-  const cvec out = filter.process(cvec{{1.0, 1.0}, {0.5, 0.0}});
-  EXPECT_NEAR(std::abs(out[0] - cplx(2.0, 2.0)), 0.0, 1e-12);
-  EXPECT_NEAR(std::abs(out[1] - cplx(1.0, 0.0)), 0.0, 1e-12);
+  std::copy(segment.begin(), segment.end(), x.begin() + first);
+  std::copy(segment.begin(), segment.end(), x.begin() + second);
+  const cvec y = filter_same(x, taps);
+  // Outputs whose full tap window lies inside one copy.
+  const std::size_t interior = segment.size() - 2 * half;
+  EXPECT_EQ(std::memcmp(y.data() + first + half, y.data() + second + half,
+                        interior * sizeof(cplx)),
+            0);
 }
 
 }  // namespace

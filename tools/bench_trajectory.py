@@ -36,7 +36,7 @@ check    Gate: compute perf_engine throughput (trials / wall_ms_wide) for
          ``--require BENCH:FIELD>=VALUE`` asserts a numeric field of the
          latest BENCH report (repeatable; ops ``>= <= > < ==``)::
 
-             ... check --trajectory t.json --require 'perf_hotpath:convolve_speedup>=1.5'
+             ... check --trajectory t.json --require 'perf_hotpath:noise_speedup>=2'
 
          ``--require-speedup BENCH>=FACTOR`` asserts that the latest BENCH
          run improved single-thread throughput by at least FACTOR over the

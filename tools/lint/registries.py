@@ -10,7 +10,8 @@ and verified against the documentation that promises them.
                     by tests/dsp/kernels_equivalence_test.cpp, carry an
                     equivalence-class annotation in its kernels.h section
                     header, and appear with the SAME class in the
-                    docs/PERFORMANCE.md kernel table.
+                    docs/PERFORMANCE.md kernel table; every row of that
+                    table must name a KernelTable member.
 
   schema-docs       Every `*_schema` version string emitted from src/ must
                     be documented: some docs/*.md file names the schema,
@@ -85,6 +86,7 @@ SCHEMA_NAME_RE = re.compile(r'\\?"([a-z][a-z0-9_]*_schema)\\?"')
 ESCAPED_KEY_RE = re.compile(r'\\"([A-Za-z_][A-Za-z0-9_]*)\\"\s*:')
 SET_KEY_RE = re.compile(r'\.\s*(?:set|at)\s*\(\s*"([A-Za-z_][A-Za-z0-9_]*)"')
 DOC_TOKEN_RE = re.compile(r'[`"]([A-Za-z_][A-Za-z0-9_]*)[`"]')
+DOC_KERNEL_ROW_RE = re.compile(r"^\|\s*`(\w+)`\s*\|\s*(bitwise|tolerance)\b")
 DOC_FAMILY_ROW_RE = re.compile(
     r"^\|\s*`([a-z][a-z0-9_]*/[a-z][a-z0-9_]*)`\s*\|\s*"
     r"(?:counter|gauge|histo|timer)\s*\|")
@@ -134,15 +136,15 @@ def parse_kernel_table(header_source) -> list:
     return members
 
 
-def parse_doc_kernel_classes(doc_text: str) -> dict:
-    """kernel name -> class from the docs/PERFORMANCE.md registry table
-    (rows shaped `| `name` | bitwise | ...`)."""
-    classes = {}
-    row_re = re.compile(r"^\|\s*`(\w+)`\s*\|\s*(bitwise|tolerance)\b",
-                        re.MULTILINE)
-    for match in row_re.finditer(doc_text):
-        classes[match.group(1)] = match.group(2)
-    return classes
+def documented_kernels(doc_text: str) -> list:
+    """(line, name, class) for every docs/PERFORMANCE.md class-table row
+    (`| `name` | bitwise | ...`)."""
+    rows = []
+    for line_no, line in enumerate(doc_text.splitlines(), 1):
+        match = DOC_KERNEL_ROW_RE.match(line)
+        if match:
+            rows.append((line_no, match.group(1), match.group(2)))
+    return rows
 
 
 def check_kernel_registry(tree, root: Path) -> list:
@@ -164,7 +166,8 @@ def check_kernel_registry(tree, root: Path) -> list:
     impl_sources = {rel: sources.get(rel) for rel in KERNEL_TABLES}
     test_source = sources.get(KERNEL_TEST)
     doc_text = _read_doc(root, KERNEL_DOC)
-    doc_classes = parse_doc_kernel_classes(doc_text) if doc_text else {}
+    doc_rows = documented_kernels(doc_text) if doc_text else []
+    doc_classes = {name: cls for _, name, cls in doc_rows}
 
     for name, line, equivalence_class in members:
         if header.waived(line, "kernel-registry"):
@@ -209,6 +212,14 @@ def check_kernel_registry(tree, root: Path) -> list:
                 f"kernel '{name}' is ({equivalence_class}) in kernels.h "
                 f"but ({doc_classes[name]}) in {KERNEL_DOC} — the two "
                 "registries must agree"))
+    member_names = {name for name, _, _ in members}
+    for line_no, name, _ in doc_rows:
+        if name not in member_names:
+            findings.append(framework.Finding(
+                KERNEL_DOC, line_no, "kernel-registry",
+                f"documented kernel `{name}` is no KernelTable member — "
+                "drop the row (or restore the kernel) so the class table "
+                "lists only dispatched kernels"))
     return findings
 
 

@@ -164,18 +164,18 @@ class TrajectoryTestCase(unittest.TestCase):
 
     # -- --require ------------------------------------------------------------
 
-    def hotpath_report(self, convolve: float, despread: float) -> dict:
-        return {"bench": "perf_hotpath", "convolve_speedup": convolve,
+    def hotpath_report(self, noise: float, despread: float) -> dict:
+        return {"bench": "perf_hotpath", "noise_speedup": noise,
                 "despread_speedup": despread}
 
     def test_require_asserts_on_latest_report_of_bench(self) -> None:
         self.append(self.hotpath_report(0.5, 0.5), "old")
         self.append(self.hotpath_report(7.0, 1.3), "new")
         self.assertEqual(
-            self.check(require=["perf_hotpath:convolve_speedup>=1.5",
+            self.check(require=["perf_hotpath:noise_speedup>=1.5",
                                 "perf_hotpath:despread_speedup>=1.0"]), 0)
         self.assertEqual(
-            self.check(require=["perf_hotpath:convolve_speedup>=10"]), 1)
+            self.check(require=["perf_hotpath:noise_speedup>=10"]), 1)
 
     def test_require_fails_on_missing_bench_or_field(self) -> None:
         self.assertEqual(self.check(require=["perf_hotpath:x>=1"]), 1)

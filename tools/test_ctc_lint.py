@@ -218,6 +218,14 @@ class KernelRegistryTest(unittest.TestCase):
         findings = self.findings(doc="prose, no table\n")
         self.assertEqual(rules_of(findings), ["kernel-registry"])
 
+    def test_doc_row_naming_no_member_fires(self):
+        doc = KERNELS_DOC + "| `old_kernel` | bitwise | retired |\n"
+        findings = self.findings(doc=doc)
+        self.assertEqual(rules_of(findings), ["kernel-registry"])
+        self.assertEqual((findings[0].path, findings[0].line),
+                         ("docs/PERFORMANCE.md", 3))
+        self.assertIn("old_kernel", findings[0].message)
+
     def test_real_kernels_header_parses_fully(self):
         header = framework.SourceFile.load(
             REPO_ROOT / registries.KERNELS_HEADER, registries.KERNELS_HEADER)
