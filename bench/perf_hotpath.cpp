@@ -4,7 +4,8 @@
 // the synthesis chain, the QAM scale search's per-candidate allocating cost
 // vs the qam_cost kernel (plus one whole emulation), per-sample libm channel
 // noise vs the add_gauss kernel, the per-step libm FM discriminator vs the
-// fm_discriminate kernel, and the scalar vs SIMD table on selected kernels.
+// fm_discriminate kernel, and the scalar vs SIMD table on selected kernels
+// (among them cdiv, the equalizer's division of one received frame).
 //
 //   $ ./perf_hotpath --json | tail -n1 > BENCH_perf_hotpath.json
 //
@@ -517,6 +518,27 @@ int main(int argc, char** argv) {
                 [&](const dsp::kernels::KernelTable& kt) {
                   kt.fm_discriminate(wave.data(), num_chips, spc, freq.data());
                   g_sink = g_sink + freq.back();
+                });
+  }
+
+  // cdiv: the equalizer's division of one received 12 dB text frame by a
+  // receiver-like channel estimate, 64 times per run. Every run restarts
+  // from the received frame, so both levels divide the same values.
+  {
+    const std::size_t passes = 64;
+    const cvec& received = disc_frames.front();
+    const cplx h{0.99, 0.003};
+    cvec buf(received.size());
+    time_kernel("cdiv_kernel",
+                "kernel cdiv (" + std::to_string(received.size()) +
+                    "-sample frame x64)",
+                passes * received.size(),
+                [&](const dsp::kernels::KernelTable& kt) {
+                  std::copy(received.begin(), received.end(), buf.begin());
+                  for (std::size_t p = 0; p < passes; ++p) {
+                    kt.cdiv(buf.data(), buf.size(), h);
+                  }
+                  g_sink = g_sink + buf.back().real();
                 });
   }
 

@@ -1,9 +1,10 @@
 // Runtime-dispatched SIMD kernel layer for the complex hot loops.
 //
 // Every dense inner loop in the repo — FIR MAC, mixer rotation, matched
-// filtering, FM discrimination, cumulant accumulation, energy reduction,
-// packed-chip correlation, Gaussian noise, the attack's QAM scale search —
-// funnels through the function-pointer table in this header.
+// filtering, FM discrimination, the equalizer's complex division, cumulant
+// accumulation, energy reduction, packed-chip correlation, Gaussian noise,
+// the attack's QAM scale search — funnels through the function-pointer
+// table in this header.
 // The implementation level is chosen ONCE per process (first use) from
 // CPUID, and can be forced with the CTC_SIMD environment variable:
 //
@@ -119,10 +120,20 @@ struct KernelTable {
   void (*two_tap)(cplx* x, std::size_t n, double a, double b);
 
   // -- complex division (bitwise) ------------------------------------------
-  /// x[i] /= h, exactly as std::complex operator/= rounds it (the libgcc
-  /// __divdc3 call, Smith-scaled) — the legacy equalizer numerics. Every
-  /// level runs the same scalar routine: the division is branchy and not
-  /// worth forking numerics to vectorize.
+  /// x[i] /= h with the bits of std::complex operator/=, which GCC lowers
+  /// to libgcc's __divdc3 — the equalizer's numerics. For h = c + id,
+  /// Smith's ratio r is c/d when |c| < |d|, else d/c, and the denominator
+  /// den is fl(c*r) + d, else fl(d*r) + c. A sample a + ib then rounds as
+  ///   |c| < |d|:  x = fl(fl(a*r) + b) / den,  y = fl(fl(b*r) - a) / den
+  ///   otherwise:  x = fl(fl(b*r) + a) / den,  y = fl(b - fl(a*r)) / den.
+  /// Scalar calls operator/= per sample. AVX2 computes r and den once and
+  /// the four unfused numerators of two samples per divide, when the call
+  /// passes libgcc's common-path gate: max(|c|, |d|) in
+  /// [DBL_EPSILON, DBL_MAX/2) and |r| > DBL_MIN (so not an exactly real or
+  /// imaginary h). Any other h runs the scalar table for the whole call.
+  /// Inside the gate, a sample with a component below DBL_MIN in magnitude
+  /// (zero or subnormal) or a NaN quotient is redone by the scalar table,
+  /// as is the odd tail.
   void (*cdiv)(cplx* x, std::size_t n, cplx h);
 
   // -- reductions (bitwise, lane-structured) -------------------------------

@@ -245,11 +245,74 @@ void two_tap(cplx* x, std::size_t n, double a, double b) {
   scalar_table().two_tap(x, i, a, b);
 }
 
+// ---------------------------------------------------------------------------
+// cdiv (bitwise): libgcc's __divdc3 common path (operation order in
+// kernels.h) with Smith's ratio and denominator computed once per call and
+// two samples per register, so one divide serves four numerators. What
+// libgcc does differently runs the scalar table: the whole call when it
+// would halve (major >= DBL_MAX/2), scale up (major < DBL_EPSILON) or use
+// its subnormal-ratio order (|r| <= DBL_MIN, e.g. an exactly real or
+// imaginary h); one sample when a component is below DBL_MIN in magnitude
+// (its operand scaling) or a quotient is NaN (its recovery branch, NaN
+// payloads). The numerators must stay unfused: a build with contraction
+// differs from libgcc by 1 ulp on some samples.
+// ---------------------------------------------------------------------------
+
+template <bool kImagMajor>
+void cdiv_smith(cplx* x, std::size_t n, cplx h, double ratio, double denom) {
+  const __m256d r = _mm256_set1_pd(ratio);
+  const __m256d den = _mm256_set1_pd(denom);
+  const __m256d neg_odd = negate_odd_mask();
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d tiny = _mm256_set1_pd(std::numeric_limits<double>::min());
+  double* xd = as_doubles(x);
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const __m256d v = _mm256_loadu_pd(xd + 2 * i);  // [a0, b0, a1, b1]
+    // [a r + b, b r + (-a)] or [a + b r, b + (-(a r))]: x - y is x + (-y).
+    const __m256d num =
+        kImagMajor ? _mm256_add_pd(_mm256_mul_pd(v, r),
+                                   _mm256_xor_pd(swap_pairs(v), neg_odd))
+                   : _mm256_add_pd(v, _mm256_xor_pd(
+                                          _mm256_mul_pd(swap_pairs(v), r),
+                                          neg_odd));
+    const __m256d q = _mm256_div_pd(num, den);
+    const int redo = _mm256_movemask_pd(_mm256_or_pd(
+        _mm256_cmp_pd(_mm256_andnot_pd(sign, v), tiny, _CMP_LT_OQ),
+        _mm256_cmp_pd(q, q, _CMP_UNORD_Q)));
+    _mm256_storeu_pd(xd + 2 * i, q);
+    if (redo != 0) {
+      alignas(32) double in[4];
+      _mm256_store_pd(in, v);
+      for (std::size_t k = 0; k < 2; ++k) {
+        if ((redo >> (2 * k)) & 3) {
+          x[i + k] = cplx{in[2 * k], in[2 * k + 1]};
+          scalar_table().cdiv(x + i + k, 1, h);
+        }
+      }
+    }
+  }
+  scalar_table().cdiv(x + i, n - i, h);
+}
+
 void cdiv(cplx* x, std::size_t n, cplx h) {
-  // operator/= lowers to the branchy, Smith-scaled __divdc3 — vectorizing
-  // it bitwise-identically is not worth it, so this level runs the scalar
-  // TU's exact code.
-  scalar_table().cdiv(x, n, h);
+  const double c = h.real();
+  const double d = h.imag();
+  const bool imag_major = std::abs(c) < std::abs(d);
+  const double major = imag_major ? std::abs(d) : std::abs(c);
+  const double ratio = imag_major ? c / d : d / c;
+  const double denom = imag_major ? (c * ratio) + d : (d * ratio) + c;
+  // Written so that a NaN major or ratio fails it.
+  const bool common = major < std::numeric_limits<double>::max() / 2 &&
+                      major >= std::numeric_limits<double>::epsilon() &&
+                      std::abs(ratio) > std::numeric_limits<double>::min();
+  if (!common) {
+    scalar_table().cdiv(x, n, h);
+  } else if (imag_major) {
+    cdiv_smith<true>(x, n, h, ratio, denom);
+  } else {
+    cdiv_smith<false>(x, n, h, ratio, denom);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -96,13 +96,14 @@ inline void two_tap(cplx* x, std::size_t n, double a, double b) {
   }
 }
 
-// Mirrors libstdc++ complex/=: numerators fl(fl(re*hr) + fl(im*hi)) and
-// fl(fl(im*hr) - fl(re*hi)), each divided by fl(fl(hr*hr) + fl(hi*hi)).
+// std::complex operator/=, which GCC lowers to a call of libgcc's
+// __divdc3 — what the pre-kernel equalizer compiled to. That is Smith's
+// method, not the textbook formula: a ratio and denominator from h alone
+// (see kernels.h for the operation order), GCC 12's scaling of huge, tiny
+// and subnormal operands, an alternate formula for a ratio at or below
+// DBL_MIN, and recovery of infinities and zeros that computed as NaN. The
+// AVX2 kernel runs the common path and hands every other case back here.
 inline void cdiv(cplx* x, std::size_t n, cplx h) {
-  // Deliberately operator/= (the libgcc __divdc3 call, Smith-scaled): this
-  // is exactly what the pre-kernel call sites compiled to, so the equalizer
-  // keeps its legacy rounding. Division is branchy enough that no level
-  // forks numerics to vectorize it — see the AVX2 table entry.
   for (std::size_t i = 0; i < n; ++i) x[i] /= h;
 }
 

@@ -117,20 +117,28 @@ ReceiveResult Receiver::receive(std::span<const cplx> waveform) const {
   // equalizing the whole span would process ~3.6x the samples a typical
   // frame occupies. cdiv is elementwise, so the staged division rounds
   // every sample exactly as the one-shot division did.
+  //
+  // The zigbee_rx/{equalize,demod,despread} timers split receive() without
+  // overlapping; each of the two staged passes adds one span to each.
   thread_local cvec equalized;
   const std::size_t header_samples = (header_chips + 1) * spc;
-  equalized.assign(waveform.begin(),
-                   waveform.begin() +
-                       static_cast<std::ptrdiff_t>(header_samples));
   const std::size_t window = shr_chips * spc;
-  const cplx correlation =
-      kt.dot_conj(waveform.data(), shr_reference_.data(), window);
-  const double reference_energy = kt.energy(shr_reference_.data(), window);
-  const cplx h = correlation / reference_energy;
-  const bool equalizer_applied = std::abs(h) > 1e-9;
-  if (equalizer_applied) {
-    result.channel_estimate = h;
-    kt.cdiv(equalized.data(), equalized.size(), h);
+  cplx h;
+  bool equalizer_applied = false;
+  {
+    CTC_TELEM_TIMER("zigbee_rx", "equalize");
+    equalized.assign(waveform.begin(),
+                     waveform.begin() +
+                         static_cast<std::ptrdiff_t>(header_samples));
+    const cplx correlation =
+        kt.dot_conj(waveform.data(), shr_reference_.data(), window);
+    const double reference_energy = kt.energy(shr_reference_.data(), window);
+    h = correlation / reference_energy;
+    equalizer_applied = std::abs(h) > 1e-9;
+    if (equalizer_applied) {
+      result.channel_estimate = h;
+      kt.cdiv(equalized.data(), equalized.size(), h);
+    }
   }
   // Noise estimate from the residual r - h*ref over the SHR window.
   double residual_energy = 0.0;
@@ -157,28 +165,29 @@ ReceiveResult Receiver::receive(std::span<const cplx> waveform) const {
   thread_local rvec soft_cache;
   freq_cache.clear();
   soft_cache.clear();
-  const auto freq_upto = [&](std::size_t num_chips) -> const rvec& {
-    demodulator_.extend_frequency_chips(equalized, num_chips, freq_cache);
-    return freq_cache;
-  };
-  const auto soft_upto = [&](std::size_t num_chips) -> const rvec& {
-    demodulator_.extend_soft_chips(equalized, num_chips, soft_cache);
-    return soft_cache;
-  };
-  auto despread_stream = [&](std::size_t num_chips) {
+  // Despreads the first num_chips chips of the profile's cache, which the
+  // pass has already extended that far.
+  auto despread_cached = [&](std::size_t num_chips) {
+    CTC_TELEM_TIMER("zigbee_rx", "despread");
     if (differential) {
-      const rvec& chips = freq_upto(num_chips);
       return despread_differential(
-          std::span<const double>(chips.data(), num_chips), threshold);
+          std::span<const double>(freq_cache.data(), num_chips), threshold);
     }
-    const rvec& soft = soft_upto(num_chips);
     const auto hard = OqpskDemodulator::hard_decision(
-        std::span<const double>(soft.data(), num_chips));
+        std::span<const double>(soft_cache.data(), num_chips));
     return despread(hard, threshold);
   };
 
   // Pass 1: header only, to learn the frame length.
-  const auto header_symbols = despread_stream(header_chips);
+  {
+    CTC_TELEM_TIMER("zigbee_rx", "demod");
+    if (differential) {
+      demodulator_.extend_frequency_chips(equalized, header_chips, freq_cache);
+    } else {
+      demodulator_.extend_soft_chips(equalized, header_chips, soft_cache);
+    }
+  }
+  const auto header_symbols = despread_cached(header_chips);
 
   // Preamble: eight 0 symbols; SFD 0xA7 -> symbols {7, 10} (low nibble first).
   bool shr_ok = true;
@@ -213,26 +222,32 @@ ReceiveResult Receiver::receive(std::span<const cplx> waveform) const {
   // staged cdiv, same per-sample rounding) from the header to exactly the
   // frame's samples.
   const std::size_t frame_samples = (total_chips + 1) * spc;
-  equalized.insert(equalized.end(),
-                   waveform.begin() +
-                       static_cast<std::ptrdiff_t>(equalized.size()),
-                   waveform.begin() +
-                       static_cast<std::ptrdiff_t>(frame_samples));
-  if (equalizer_applied) {
-    kt.cdiv(equalized.data() + header_samples,
-            frame_samples - header_samples, h);
+  {
+    CTC_TELEM_TIMER("zigbee_rx", "equalize");
+    equalized.insert(equalized.end(),
+                     waveform.begin() +
+                         static_cast<std::ptrdiff_t>(equalized.size()),
+                     waveform.begin() +
+                         static_cast<std::ptrdiff_t>(frame_samples));
+    if (equalizer_applied) {
+      kt.cdiv(equalized.data() + header_samples,
+              frame_samples - header_samples, h);
+    }
   }
 
   // Pass 2: the whole frame, so differential chip boundaries carry across
-  // the PHR/PSDU seam. The caches already hold the header's chips; only the
-  // PSDU chips are demodulated here.
-  const rvec& all_soft = soft_upto(total_chips);
-  result.soft_chips.assign(all_soft.begin() + header_chips, all_soft.end());
-  const rvec& all_freq = freq_upto(total_chips);
-  result.freq_chips.assign(all_freq.begin() + header_chips, all_freq.end());
+  // the PHR/PSDU seam. The profile's cache already holds the header's
+  // chips, so only its PSDU chips are demodulated here.
+  {
+    CTC_TELEM_TIMER("zigbee_rx", "demod");
+    demodulator_.extend_soft_chips(equalized, total_chips, soft_cache);
+    demodulator_.extend_frequency_chips(equalized, total_chips, freq_cache);
+  }
+  result.soft_chips.assign(soft_cache.begin() + header_chips, soft_cache.end());
+  result.freq_chips.assign(freq_cache.begin() + header_chips, freq_cache.end());
   result.hard_chips = OqpskDemodulator::hard_decision(result.soft_chips);
 
-  const auto all_symbols = despread_stream(total_chips);
+  const auto all_symbols = despread_cached(total_chips);
   result.psdu_complete = true;
   std::vector<std::uint8_t> symbol_values;
   symbol_values.reserve(all_symbols.size() - kHeaderSymbols);

@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <cstring>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "dsp/rng.h"
@@ -112,25 +115,98 @@ TEST(KernelsEquivalence, RscaleBitwise) {
   });
 }
 
+std::string hex(cplx v) {
+  std::ostringstream out;
+  out << std::hexfloat << '(' << v.real() << ',' << v.imag() << ')';
+  return out.str();
+}
+
+/// Divides x[offset, offset + n) by h at both levels and compares every
+/// byte of each result with std::complex operator/=, i.e. libgcc's
+/// __divdc3 — what the equalizer compiled to before the kernel existed.
+testing::AssertionResult cdiv_matches_operator(const cvec& x,
+                                               std::size_t offset,
+                                               std::size_t n, cplx h) {
+  cvec expected = x;
+  for (std::size_t i = offset; i < offset + n; ++i) expected[i] /= h;
+  for (const SimdLevel level : {SimdLevel::scalar, best_supported_level()}) {
+    cvec got = x;
+    table(level).cdiv(got.data() + offset, n, h);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (std::memcmp(&got[i], &expected[i], sizeof(cplx)) != 0) {
+        return testing::AssertionFailure()
+               << level_name(level) << " cdiv differs from operator/= at i="
+               << i << " (n=" << n << ", offset=" << offset << "): "
+               << hex(x[i]) << " / " << hex(h) << " gave " << hex(got[i])
+               << ", expected " << hex(expected[i]);
+      }
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+// cdiv must reproduce every branch of libgcc's __divdc3, either in the
+// vector kernel or by handing the call or the sample to the scalar table:
+// both Smith branches, the whole-call halving and scaling, the zero- or
+// subnormal-ratio formula, per-sample operand scaling and NaN recovery.
 TEST(KernelsEquivalence, CdivBitwise) {
   Rng rng = Rng::for_stream(1, 5);
-  for_each_case([&](std::size_t n, std::size_t offset) {
-    const cvec x = random_cvec(rng, n + offset);
-    // Near-unit-magnitude divisor, like the channel estimates this serves.
-    const cplx h = rng.complex_gaussian(1.0) + cplx{2.0, 0.0};
-    cvec a = x, b = x;
-    scalar_table().cdiv(a.data() + offset, n, h);
-    best_table().cdiv(b.data() + offset, n, h);
-    expect_bitwise(a, b, "cdiv", n, offset);
-    // And the scalar expression must match std::complex operator/= exactly
-    // (that is what the legacy call sites compiled to).
-    for (std::size_t i = 0; i < n; ++i) {
-      cplx expected = x[offset + i];
-      expected /= h;
-      EXPECT_EQ(std::memcmp(&expected, &a[offset + i], sizeof(cplx)), 0)
-          << "cdiv differs from operator/= at i=" << i;
+  const double max = std::numeric_limits<double>::max();
+  const double min = std::numeric_limits<double>::min();
+  const double eps = std::numeric_limits<double>::epsilon();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double subnormal = min / 3;
+  std::vector<cplx> divisors = {
+      // |Re h| > |Im h| (libgcc's d/c branch), receiver-like first.
+      {0.99, 0.003}, {-1.7, 0.6}, {2.0, -1.9},
+      // |Re h| < |Im h| (the c/d branch), and |Re h| == |Im h| (d/c).
+      {0.003, -0.99}, {-0.4, 2.5}, {0.7, 0.7}, {-0.7, 0.7},
+      // Exactly real or imaginary: a zero ratio, the alternate formula.
+      {1.5, 0.0}, {-1.5, -0.0}, {0.0, 0.8}, {-0.0, -0.8},
+      // A ratio of DBL_MIN (alternate formula) and of 2 DBL_MIN (not).
+      {1.0, min}, {-1.0, 2.0 * min}, {min, 1.0},
+      // |h| >= DBL_MAX / 2: every operand is halved. Then just below it.
+      {max / 2, 1.0}, {0.3, -0.75 * max}, {std::nextafter(max / 2, 0.0), 3.0},
+      // |h| < DBL_EPSILON: every operand is scaled up. Then at DBL_EPSILON.
+      {eps / 2, eps / 8}, {1e-300, -3e-300}, {eps, -eps / 4}, {0.0, 0.0},
+      // A subnormal component.
+      {2.0, subnormal}, {subnormal, -2.0}, {subnormal, subnormal},
+      // Non-finite.
+      {inf, 1.0}, {1.0, -inf}, {nan, 0.5}, {1.0, nan}};
+  // Random divisors from 1e-12 to 1e12 in magnitude, at every angle.
+  for (int k = 0; k < 40; ++k) {
+    divisors.push_back(std::polar(std::pow(10.0, rng.uniform(-12.0, 12.0)),
+                                  rng.uniform(-kPi, kPi)));
+  }
+  // Sample components around libgcc's per-sample thresholds and the
+  // overflow and NaN edges.
+  const std::vector<double> specials = {
+      0.0, -0.0, min, -min, std::nextafter(min, 0.0), std::nextafter(min, 1.0),
+      subnormal, -0x1p-1074, 1e300, -1e-300, max, -max, inf, -inf, nan};
+  for (const cplx h : divisors) {
+    // Ordinary samples over the length x offset grid.
+    for_each_case([&](std::size_t n, std::size_t offset) {
+      ASSERT_TRUE(cdiv_matches_operator(random_cvec(rng, n + offset), offset,
+                                        n, h));
+    });
+    // Every pair of special components in lane 0 (index 2), lane 1
+    // (index 3) and the odd tail (index 4) of a five-sample call; index
+    // specials.size() leaves that component ordinary, as are the other
+    // samples.
+    for (std::size_t slot = 2; slot < 5; ++slot) {
+      for (std::size_t r = 0; r <= specials.size(); ++r) {
+        for (std::size_t m = 0; m <= specials.size(); ++m) {
+          const std::size_t offset = (r + m) % 2;
+          cvec x = random_cvec(rng, 5 + offset);
+          cplx& sample = x[offset + slot];
+          if (r < specials.size()) sample.real(specials[r]);
+          if (m < specials.size()) sample.imag(specials[m]);
+          ASSERT_TRUE(cdiv_matches_operator(x, offset, 5, h));
+        }
+      }
     }
-  });
+  }
 }
 
 TEST(KernelsEquivalence, ApplyWindowBitwise) {
