@@ -4,8 +4,10 @@
 // the synthesis chain, the QAM scale search's per-candidate allocating cost
 // vs the qam_cost kernel (plus one whole emulation), per-sample libm channel
 // noise vs the add_gauss kernel, the per-step libm FM discriminator vs the
-// fm_discriminate kernel, and the scalar vs SIMD table on selected kernels
-// (among them cdiv, the equalizer's division of one received frame).
+// fm_discriminate kernel, per-offset dot_conj vs the chip_strip kernel on
+// one frame-sync scan round's screen strip, and the scalar vs SIMD table on
+// selected kernels (among them cdiv, the equalizer's division of one
+// received frame, and chip_strip).
 //
 //   $ ./perf_hotpath --json | tail -n1 > BENCH_perf_hotpath.json
 //
@@ -193,7 +195,7 @@ int main(int argc, char** argv) {
   const bench::Options options = bench::parse_options(argc, argv);
   bench::print_banner(options, "Perf: hot-path kernels (despread / timing "
                                "grid / waveform cache / scale search / "
-                               "noise / discriminator)");
+                               "noise / discriminator / screen strip)");
   const std::size_t reps = options.trials_or(5);
   dsp::Rng rng = dsp::Rng::for_stream(options.seed, 0);
 
@@ -542,6 +544,49 @@ int main(int argc, char** argv) {
                 });
   }
 
+  // chip_strip: one scan round's frame-sync screen strip, 2449 offsets at
+  // spc = 2 against the repeated preamble segment, 64 times per run. The
+  // reference is the arithmetic the strip replaced: one 64-sample dot_conj
+  // per offset on the best table.
+  double strip_reference_ms = 0.0;
+  {
+    const std::size_t passes = 64, offsets = 2449, spc = 2;
+    const std::size_t seg = zigbee::kChipsPerSymbol * spc;
+    const cvec shr = zigbee::Transmitter({.samples_per_chip = spc,
+                                          .normalize_power = true})
+                         .shr_reference();
+    const cvec segment(shr.begin() + seg, shr.begin() + 2 * seg);
+    const rvec pulse = dsp::half_sine_pulse(spc);
+    cvec stream(offsets + seg - 1);
+    for (auto& x : stream) x = rng.complex_gaussian(1.0);
+    cvec strip(offsets);
+    rvec work(dsp::kernels::chip_strip_work(offsets, spc));
+    strip_reference_ms = time_ms(reps, [&] {
+      for (std::size_t p = 0; p < passes; ++p) {
+        for (std::size_t s = 0; s < offsets; ++s) {
+          strip[s] = best_kt.dot_conj(stream.data() + s, segment.data(), seg);
+        }
+      }
+      g_sink = g_sink + strip.back().real();
+    });
+    time_kernel("screen_strip_kernel",
+                "kernel chip_strip (2449 offsets x64, spc=2)",
+                passes * offsets, [&](const dsp::kernels::KernelTable& kt) {
+                  for (std::size_t p = 0; p < passes; ++p) {
+                    kt.chip_strip(stream.data(), offsets, spc, pulse.data(),
+                                  zigbee::packed_chip_table()[0], work.data(),
+                                  strip.data());
+                  }
+                  g_sink = g_sink + strip.back().real();
+                });
+  }
+  const KernelTiming& strip_timing = kernel_timings.back();
+  table.add_row({"screen strip (2449 offsets x64)",
+                 sim::Table::num(strip_reference_ms, 3) + " ms",
+                 sim::Table::num(strip_timing.simd_ms, 3) + " ms",
+                 sim::Table::num(strip_reference_ms / strip_timing.simd_ms, 2) +
+                     "x"});
+
   for (const KernelTiming& timing : kernel_timings) {
     table.add_row({timing.label, sim::Table::num(timing.scalar_ms, 3) + " ms",
                    sim::Table::num(timing.simd_ms, 3) + " ms",
@@ -581,6 +626,10 @@ int main(int argc, char** argv) {
              disc_reference_ms * ns_per_sample_per_ms);
   report.set("discriminator_fast_ns_per_sample",
              disc_fast_ms * ns_per_sample_per_ms);
+  report.set("screen_strip_reference_ms", strip_reference_ms);
+  report.set("screen_strip_reference_ns_per_sample",
+             strip_reference_ms * 1e6 / static_cast<double>(strip_timing.samples));
+  report.set("screen_strip_speedup", strip_reference_ms / strip_timing.simd_ms);
   for (const KernelTiming& timing : kernel_timings) {
     const double per_sample = 1e6 / static_cast<double>(timing.samples);
     report.set(timing.key + "_scalar_ms", timing.scalar_ms);

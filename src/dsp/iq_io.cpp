@@ -11,6 +11,10 @@ namespace ctc::dsp {
 void write_cf32(const std::filesystem::path& path, std::span<const cplx> samples) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   CTC_REQUIRE_MSG(out.good(), "cannot open file for writing: " + path.string());
+  write_cf32(out, samples);
+}
+
+void write_cf32(std::ostream& out, std::span<const cplx> samples) {
   std::vector<float> buffer;
   buffer.reserve(samples.size() * 2);
   for (const cplx& s : samples) {
@@ -19,7 +23,8 @@ void write_cf32(const std::filesystem::path& path, std::span<const cplx> samples
   }
   out.write(reinterpret_cast<const char*>(buffer.data()),
             static_cast<std::streamsize>(buffer.size() * sizeof(float)));
-  CTC_REQUIRE_MSG(out.good(), "write failed: " + path.string());
+  out.flush();
+  CTC_REQUIRE_MSG(out.good(), "cf32 write failed");
 }
 
 cvec read_cf32(const std::filesystem::path& path) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <filesystem>
+#include <iosfwd>
 #include <span>
 
 #include "dsp/types.h"
@@ -18,6 +19,11 @@ namespace ctc::dsp {
 /// Writes raw interleaved float32 I/Q. Throws ctc::ContractError on I/O
 /// failure.
 void write_cf32(const std::filesystem::path& path, std::span<const cplx> samples);
+
+/// Writes raw interleaved float32 I/Q to an open binary stream, so a caller
+/// can open its output before it has the samples. Throws
+/// ctc::ContractError when the stream fails.
+void write_cf32(std::ostream& out, std::span<const cplx> samples);
 
 /// Reads a whole cf32 file. Throws on I/O failure or odd float counts.
 cvec read_cf32(const std::filesystem::path& path);

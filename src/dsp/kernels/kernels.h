@@ -2,9 +2,9 @@
 //
 // Every dense inner loop in the repo — FIR MAC, mixer rotation, matched
 // filtering, FM discrimination, the equalizer's complex division, cumulant
-// accumulation, energy reduction, packed-chip correlation, Gaussian noise,
-// the attack's QAM scale search — funnels through the function-pointer
-// table in this header.
+// accumulation, energy reduction, the frame scanner's chip-domain preamble
+// strip, packed-chip correlation, Gaussian noise, the attack's QAM scale
+// search — funnels through the function-pointer table in this header.
 // The implementation level is chosen ONCE per process (first use) from
 // CPUID, and can be forced with the CTC_SIMD environment variable:
 //
@@ -142,18 +142,30 @@ struct KernelTable {
   double (*energy)(const cplx* x, std::size_t n);
   /// sum a[i] * conj(b[i]) with a 4-complex-lane structure.
   cplx (*dot_conj)(const cplx* a, const cplx* b, std::size_t n);
-  /// Sliding strip of conjugate dots: out[s] = dot_conj(a + s, b, n) for
-  /// every s in [0, m), bit for bit — the per-offset summation order and
-  /// lane fold are exactly dot_conj's. `out` must not alias `a` or `b`.
-  /// The AVX2 form keeps four offsets in flight per pass, sharing each
-  /// reference broadcast across the strip, which is what turns the frame
-  /// scanner's per-offset sweep into a cache-resident blocked one.
-  void (*corr_many)(const cplx* a, const cplx* b, std::size_t n,
-                    std::size_t m, cplx* out);
   /// Accumulates samples into `lanes` continuing at global sample index
   /// `start_index` (lane = (start_index + i) mod 4).
   void (*cumulant_acc)(const cplx* x, std::size_t n, std::size_t start_index,
                        CumulantLanes* lanes);
+
+  // -- chip-domain correlation strip (bitwise) -----------------------------
+  /// out[s] for s in [0, m) is, in real arithmetic, dot_conj(x + s, r,
+  /// 32*spc), where r is one period of the periodic half-sine O-QPSK
+  /// waveform of the 32 chips in `chips` (bit j set = chip +1, clear = -1;
+  /// chip j's pulse, pulse[0..2*spc), starts at sample j*spc on I for even
+  /// j and on Q for odd j, and chip 31's pulse wraps past the period end to
+  /// sample 0). The sum is regrouped by chips. The filtered sample of chip
+  /// j at offset s is
+  ///   z_j(s) = sum over n of pulse[n] * x[s + (j*spc + n) mod 32*spc],
+  /// one fl(pulse[n] * x) per component added from n = 0 up, starting from
+  /// the n = 0 product. Then out[s] is z_0(s)'s term plus the other 31
+  /// terms in chip order, where an I chip's term is +-z_j(s) and a Q
+  /// chip's is +-(-i)z_j(s): one signed add per component and chip, no
+  /// multiply. Reads x[0, m + 32*spc - 1). `work` holds
+  /// chip_strip_work(m, spc) doubles of scratch; `out` must not alias `x`
+  /// or `work`.
+  void (*chip_strip)(const cplx* x, std::size_t m, std::size_t spc,
+                     const double* pulse, std::uint32_t chips, double* work,
+                     cplx* out);
 
   // -- Gaussian noise (bitwise) --------------------------------------------
   /// x[i] += sigma * r_i * (cos t_i, sin t_i): Box–Muller on polynomial
@@ -212,6 +224,12 @@ struct KernelTable {
                   std::uint32_t mask, std::uint8_t* symbol,
                   std::uint8_t* distance);
 };
+
+/// Scratch doubles chip_strip needs for an m-offset strip: the filtered
+/// stream (m + 30*spc complex values) and chip 31's wrapped filter (m).
+constexpr std::size_t chip_strip_work(std::size_t m, std::size_t spc) {
+  return 4 * m + 60 * spc;
+}
 
 /// The kernel table for an explicit level. `scalar` always works; asking
 /// for `avx2` on a CPU without AVX2+FMA trips a contract failure. Tests use

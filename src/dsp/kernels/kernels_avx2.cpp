@@ -371,71 +371,129 @@ cplx dot_conj(const cplx* a, const cplx* b, std::size_t n) {
   return scalar_impl::dot_conj_fold(lr, li);
 }
 
-// corr_many (bitwise): four sliding offsets in flight per pass. Instead of
-// dot_conj's one-offset register layout, each accumulator register holds one
-// LANE (ref index mod 4) for two adjacent offsets, interleaved as
-// [lr_j(s), li_j(s), lr_j(s+1), li_j(s+1)]; ref index i rotates through the
-// four lane registers, so every n divides cleanly with no scalar tail. The
-// two signal loads per ref index cover all four offsets (adjacent offsets
-// read adjacent complexes), and the reference broadcast is shared — that
-// sharing is the whole speedup. Per contribution the rounding is exactly
-// dot_conj's: addsub of fl(a*br) and fl(swap(a)*(-bi)) gives
-// fl(fl(ar*br) + fl(ai*bi)) / fl(fl(ai*br) - fl(ar*bi)) per component,
-// and each lane takes one rounded add per ref index.
-void corr_many(const cplx* a, const cplx* b, std::size_t n, std::size_t m,
-               cplx* out) {
-  const double* bd = as_doubles(b);
-  const __m256d sign = _mm256_set1_pd(-0.0);
+// chip_strip (bitwise): the three passes of scalar_impl::chip_strip, four
+// positions per register. The filter passes keep two positions per
+// register with x interleaved, multiply and add unfused in the scalar tap
+// order, then deinterleave into the SoA work arrays. The chip sum runs
+// sixteen offsets per pass (four registers per component, so the 31
+// dependent adds of each offset overlap), applying each chip's sign by an
+// XOR of the sign bit, which is exactly the scalar negation.
+
+/// [r0 i0 r1 i1], [r2 i2 r3 i3] -> [r0 r1 r2 r3] and [i0 i1 i2 i3] stored
+/// at re and im.
+inline void store_split(__m256d a, __m256d b, double* re, double* im) {
+  const __m256d lo = _mm256_permute2f128_pd(a, b, 0x20);
+  const __m256d hi = _mm256_permute2f128_pd(a, b, 0x31);
+  _mm256_storeu_pd(re, _mm256_unpacklo_pd(lo, hi));
+  _mm256_storeu_pd(im, _mm256_unpackhi_pd(lo, hi));
+}
+
+void chip_filter(const cplx* x, std::size_t t1, std::size_t spc,
+                 const double* pulse, double* zr, double* zi) {
+  const std::size_t taps = 2 * spc;
+  std::size_t t = 0;
+  for (; t + 4 <= t1; t += 4) {
+    const double* xt = as_doubles(x + t);
+    const __m256d p0 = _mm256_broadcast_sd(pulse);
+    __m256d a = _mm256_mul_pd(_mm256_loadu_pd(xt), p0);
+    __m256d b = _mm256_mul_pd(_mm256_loadu_pd(xt + 4), p0);
+    for (std::size_t n = 1; n < taps; ++n) {
+      const __m256d pn = _mm256_broadcast_sd(pulse + n);
+      a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_loadu_pd(xt + 2 * n), pn));
+      b = _mm256_add_pd(b, _mm256_mul_pd(_mm256_loadu_pd(xt + 2 * n + 4), pn));
+    }
+    store_split(a, b, zr + t, zi + t);
+  }
+  chip_filter_scalar(x, t, t1, spc, pulse, zr, zi);
+}
+
+void chip_edge(const cplx* x, std::size_t m, std::size_t spc,
+               const double* pulse, double* er, double* ei) {
+  const std::size_t head = (scalar_impl::kStripChips - 1) * spc;
   std::size_t s = 0;
   for (; s + 4 <= m; s += 4) {
-    const double* a01 = as_doubles(a + s);
-    const double* a23 = as_doubles(a + s + 2);
-    __m256d acc01[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
-                        _mm256_setzero_pd(), _mm256_setzero_pd()};
-    __m256d acc23[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
-                        _mm256_setzero_pd(), _mm256_setzero_pd()};
-    const auto step = [&](std::size_t i, std::size_t lane) {
-      const __m256d br = _mm256_broadcast_sd(bd + 2 * i);
-      const __m256d nbi =
-          _mm256_xor_pd(_mm256_broadcast_sd(bd + 2 * i + 1), sign);
-      const __m256d v01 = _mm256_loadu_pd(a01 + 2 * i);
-      const __m256d v23 = _mm256_loadu_pd(a23 + 2 * i);
-      acc01[lane] = _mm256_add_pd(
-          acc01[lane], _mm256_addsub_pd(_mm256_mul_pd(v01, br),
-                                        _mm256_mul_pd(swap_pairs(v01), nbi)));
-      acc23[lane] = _mm256_add_pd(
-          acc23[lane], _mm256_addsub_pd(_mm256_mul_pd(v23, br),
-                                        _mm256_mul_pd(swap_pairs(v23), nbi)));
-    };
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      step(i, 0);
-      step(i + 1, 1);
-      step(i + 2, 2);
-      step(i + 3, 3);
+    const double* xl = as_doubles(x + s + head);
+    const double* xs = as_doubles(x + s);
+    const __m256d p0 = _mm256_broadcast_sd(pulse);
+    __m256d a = _mm256_mul_pd(_mm256_loadu_pd(xl), p0);
+    __m256d b = _mm256_mul_pd(_mm256_loadu_pd(xl + 4), p0);
+    for (std::size_t n = 1; n < spc; ++n) {
+      const __m256d pn = _mm256_broadcast_sd(pulse + n);
+      a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_loadu_pd(xl + 2 * n), pn));
+      b = _mm256_add_pd(b, _mm256_mul_pd(_mm256_loadu_pd(xl + 2 * n + 4), pn));
     }
-    for (; i < n; ++i) step(i, i & 3);
-    alignas(32) double sp01[4][4];
-    alignas(32) double sp23[4][4];
-    for (std::size_t j = 0; j < 4; ++j) {
-      _mm256_store_pd(sp01[j], acc01[j]);
-      _mm256_store_pd(sp23[j], acc23[j]);
+    for (std::size_t n = spc; n < 2 * spc; ++n) {
+      const __m256d pn = _mm256_broadcast_sd(pulse + n);
+      const double* xn = xs + 2 * (n - spc);
+      a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_loadu_pd(xn), pn));
+      b = _mm256_add_pd(b, _mm256_mul_pd(_mm256_loadu_pd(xn + 4), pn));
     }
-    for (std::size_t o = 0; o < 2; ++o) {
-      const double lr01[4] = {sp01[0][2 * o], sp01[1][2 * o], sp01[2][2 * o],
-                              sp01[3][2 * o]};
-      const double li01[4] = {sp01[0][2 * o + 1], sp01[1][2 * o + 1],
-                              sp01[2][2 * o + 1], sp01[3][2 * o + 1]};
-      out[s + o] = scalar_impl::dot_conj_fold(lr01, li01);
-      const double lr23[4] = {sp23[0][2 * o], sp23[1][2 * o], sp23[2][2 * o],
-                              sp23[3][2 * o]};
-      const double li23[4] = {sp23[0][2 * o + 1], sp23[1][2 * o + 1],
-                              sp23[2][2 * o + 1], sp23[3][2 * o + 1]};
-      out[s + 2 + o] = scalar_impl::dot_conj_fold(lr23, li23);
+    store_split(a, b, er + s, ei + s);
+  }
+  chip_edge_scalar(x, s, m, spc, pulse, er, ei);
+}
+
+/// Offsets [s, s + 4G) of the chip sum, G registers per component.
+template <std::size_t G>
+inline void chip_sum_block(const scalar_impl::ChipTerms& terms,
+                           const double* flip_re, const double* flip_im,
+                           std::size_t s, cplx* out) {
+  __m256d re[G];
+  __m256d im[G];
+  {
+    const __m256d fr = _mm256_broadcast_sd(flip_re);
+    const __m256d fi = _mm256_broadcast_sd(flip_im);
+#pragma GCC unroll 4
+    for (std::size_t g = 0; g < G; ++g) {
+      re[g] = _mm256_xor_pd(_mm256_loadu_pd(terms.re[0] + s + 4 * g), fr);
+      im[g] = _mm256_xor_pd(_mm256_loadu_pd(terms.im[0] + s + 4 * g), fi);
     }
   }
-  // Leftover offsets run the one-offset AVX2 dot (bitwise-equal to scalar).
-  for (; s < m; ++s) out[s] = dot_conj(a + s, b, n);
+  for (std::size_t j = 1; j < scalar_impl::kStripChips; ++j) {
+    const __m256d fr = _mm256_broadcast_sd(flip_re + j);
+    const __m256d fi = _mm256_broadcast_sd(flip_im + j);
+    const double* pr = terms.re[j] + s;
+    const double* pi = terms.im[j] + s;
+#pragma GCC unroll 4
+    for (std::size_t g = 0; g < G; ++g) {
+      re[g] = _mm256_add_pd(re[g],
+                            _mm256_xor_pd(_mm256_loadu_pd(pr + 4 * g), fr));
+      im[g] = _mm256_add_pd(im[g],
+                            _mm256_xor_pd(_mm256_loadu_pd(pi + 4 * g), fi));
+    }
+  }
+#pragma GCC unroll 4
+  for (std::size_t g = 0; g < G; ++g) {
+    // [r0 r1 r2 r3], [i0 i1 i2 i3] -> [r0 i0 r1 i1], [r2 i2 r3 i3].
+    const __m256d lo = _mm256_unpacklo_pd(re[g], im[g]);
+    const __m256d hi = _mm256_unpackhi_pd(re[g], im[g]);
+    double* o = as_doubles(out + s + 4 * g);
+    _mm256_storeu_pd(o, _mm256_permute2f128_pd(lo, hi, 0x20));
+    _mm256_storeu_pd(o + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
+  }
+}
+
+void chip_strip(const cplx* x, std::size_t m, std::size_t spc,
+                const double* pulse, std::uint32_t chips, double* work,
+                cplx* out) {
+  if (m == 0) return;
+  const std::size_t zn = m + (scalar_impl::kStripChips - 2) * spc;
+  chip_filter(x, zn, spc, pulse, work, work + zn);
+  chip_edge(x, m, spc, pulse, work + 2 * zn, work + 2 * zn + m);
+  const scalar_impl::ChipTerms terms =
+      scalar_impl::chip_terms(work, m, spc, chips);
+  double flip_re[scalar_impl::kStripChips];
+  double flip_im[scalar_impl::kStripChips];
+  for (std::size_t j = 0; j < scalar_impl::kStripChips; ++j) {
+    flip_re[j] = terms.neg_re[j] ? -0.0 : 0.0;
+    flip_im[j] = terms.neg_im[j] ? -0.0 : 0.0;
+  }
+  std::size_t s = 0;
+  for (; s + 16 <= m; s += 16) {
+    chip_sum_block<4>(terms, flip_re, flip_im, s, out);
+  }
+  for (; s + 4 <= m; s += 4) chip_sum_block<1>(terms, flip_re, flip_im, s, out);
+  scalar_impl::chip_sum(terms, s, m, out);
 }
 
 void cumulant_acc(const cplx* x, std::size_t n, std::size_t start_index,
@@ -1018,8 +1076,8 @@ const KernelTable& avx2_table() {
       .cdiv = cdiv,
       .energy = energy,
       .dot_conj = dot_conj,
-      .corr_many = corr_many,
       .cumulant_acc = cumulant_acc,
+      .chip_strip = chip_strip,
       .add_gauss = add_gauss,
       .fm_discriminate = fm_discriminate,
       .qam_cost = qam_cost,

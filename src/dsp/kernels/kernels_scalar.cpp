@@ -20,8 +20,8 @@ const KernelTable& scalar_table() {
       .cdiv = scalar_impl::cdiv,
       .energy = scalar_impl::energy,
       .dot_conj = scalar_impl::dot_conj,
-      .corr_many = scalar_impl::corr_many,
       .cumulant_acc = scalar_impl::cumulant_acc,
+      .chip_strip = scalar_impl::chip_strip,
       .add_gauss = scalar_impl::add_gauss,
       .fm_discriminate = scalar_impl::fm_discriminate,
       .qam_cost = scalar_impl::qam_cost,
@@ -32,6 +32,18 @@ const KernelTable& scalar_table() {
       .match16 = scalar_impl::match16,
   };
   return table;
+}
+
+void chip_filter_scalar(const cplx* x, std::size_t t0, std::size_t t1,
+                        std::size_t spc, const double* pulse, double* zr,
+                        double* zi) {
+  scalar_impl::chip_filter(x, t0, t1, spc, pulse, zr, zi);
+}
+
+void chip_edge_scalar(const cplx* x, std::size_t s0, std::size_t s1,
+                      std::size_t spc, const double* pulse, double* er,
+                      double* ei) {
+  scalar_impl::chip_edge(x, s0, s1, spc, pulse, er, ei);
 }
 
 }  // namespace ctc::dsp::kernels::detail

@@ -163,12 +163,106 @@ inline cplx dot_conj(const cplx* a, const cplx* b, std::size_t n) {
   return dot_conj_fold(lr, li);
 }
 
-// Reference strip correlation: one independent dot_conj per offset. The
-// AVX2 form restructures the register layout but keeps every offset's lane
-// sums and fold identical, so the two agree bit for bit.
-inline void corr_many(const cplx* a, const cplx* b, std::size_t n,
-                      std::size_t m, cplx* out) {
-  for (std::size_t s = 0; s < m; ++s) out[s] = dot_conj(a + s, b, n);
+// Chip-domain correlation strip (see kernels.h), in three passes over the
+// caller's work buffer: zr, zi hold the pulse-filtered stream
+// z(t) = sum_n pulse[n] x[t + n] for t in [0, m + 30*spc), which gives
+// chips 0..30 as z_j(s) = z(s + j*spc); er, ei hold chip 31's wrapped
+// filter for s in [0, m). The AVX2 form vectorizes each pass and runs these
+// loops on its tails, so both levels compute every value the same way.
+inline constexpr std::size_t kStripChips = 32;
+
+// z(t) for t in [t0, t1).
+inline void chip_filter(const cplx* x, std::size_t t0, std::size_t t1,
+                        std::size_t spc, const double* pulse, double* zr,
+                        double* zi) {
+  for (std::size_t t = t0; t < t1; ++t) {
+    double re = pulse[0] * x[t].real();
+    double im = pulse[0] * x[t].imag();
+    for (std::size_t n = 1; n < 2 * spc; ++n) {
+      re += pulse[n] * x[t + n].real();
+      im += pulse[n] * x[t + n].imag();
+    }
+    zr[t] = re;
+    zi[t] = im;
+  }
+}
+
+// z_31(s) for s in [s0, s1): the pulse's first spc taps read the period's
+// last chip slot, the rest wrap to its start.
+inline void chip_edge(const cplx* x, std::size_t s0, std::size_t s1,
+                      std::size_t spc, const double* pulse, double* er,
+                      double* ei) {
+  const cplx* last = x + (kStripChips - 1) * spc;
+  for (std::size_t s = s0; s < s1; ++s) {
+    double re = pulse[0] * last[s].real();
+    double im = pulse[0] * last[s].imag();
+    for (std::size_t n = 1; n < spc; ++n) {
+      re += pulse[n] * last[s + n].real();
+      im += pulse[n] * last[s + n].imag();
+    }
+    for (std::size_t n = spc; n < 2 * spc; ++n) {
+      re += pulse[n] * x[s + n - spc].real();
+      im += pulse[n] * x[s + n - spc].imag();
+    }
+    er[s] = re;
+    ei[s] = im;
+  }
+}
+
+// Where each chip's term reads its two components and whether it negates
+// them. The reference's conjugate is +-1 on an I chip and -+i on a Q chip,
+// so an I chip adds +-(zr, zi) and a Q chip +-(zi, -zr).
+struct ChipTerms {
+  const double* re[kStripChips];
+  const double* im[kStripChips];
+  bool neg_re[kStripChips];
+  bool neg_im[kStripChips];
+};
+
+inline ChipTerms chip_terms(const double* work, std::size_t m, std::size_t spc,
+                            std::uint32_t chips) {
+  const std::size_t zn = m + (kStripChips - 2) * spc;
+  const double* zr = work;
+  const double* zi = zr + zn;
+  const double* er = zi + zn;
+  const double* ei = er + m;
+  ChipTerms terms;
+  for (std::size_t j = 0; j < kStripChips; ++j) {
+    const bool last = j == kStripChips - 1;
+    const double* cr = last ? er : zr + j * spc;
+    const double* ci = last ? ei : zi + j * spc;
+    const bool negative = ((chips >> j) & 1U) == 0;
+    const bool in_phase = j % 2 == 0;
+    terms.re[j] = in_phase ? cr : ci;
+    terms.im[j] = in_phase ? ci : cr;
+    terms.neg_re[j] = negative;
+    terms.neg_im[j] = in_phase ? negative : !negative;
+  }
+  return terms;
+}
+
+// out[s] for s in [s0, s1): chip 0's term, then chips 1..31 added in order.
+inline void chip_sum(const ChipTerms& terms, std::size_t s0, std::size_t s1,
+                     cplx* out) {
+  for (std::size_t s = s0; s < s1; ++s) {
+    double re = terms.neg_re[0] ? -terms.re[0][s] : terms.re[0][s];
+    double im = terms.neg_im[0] ? -terms.im[0][s] : terms.im[0][s];
+    for (std::size_t j = 1; j < kStripChips; ++j) {
+      re += terms.neg_re[j] ? -terms.re[j][s] : terms.re[j][s];
+      im += terms.neg_im[j] ? -terms.im[j][s] : terms.im[j][s];
+    }
+    out[s] = cplx{re, im};
+  }
+}
+
+inline void chip_strip(const cplx* x, std::size_t m, std::size_t spc,
+                       const double* pulse, std::uint32_t chips, double* work,
+                       cplx* out) {
+  if (m == 0) return;
+  const std::size_t zn = m + (kStripChips - 2) * spc;
+  chip_filter(x, 0, zn, spc, pulse, work, work + zn);
+  chip_edge(x, 0, m, spc, pulse, work + 2 * zn, work + 2 * zn + m);
+  chip_sum(chip_terms(work, m, spc, chips), 0, m, out);
 }
 
 // One sample's contribution to the cumulant sums, with the exact rounding

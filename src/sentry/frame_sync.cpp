@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "dsp/kernels/kernels.h"
+#include "dsp/pulse.h"
 #include "dsp/require.h"
 #include "sim/telemetry.h"
 #include "zigbee/chip_sequences.h"
@@ -39,25 +41,51 @@ StreamScanner::StreamScanner(ScannerConfig config, std::size_t channel,
 
   // Preamble-structure screen setup. The SHR is eight identical preamble
   // symbols followed by the SFD: with the O-QPSK half-sine pulse confined to
-  // one chip period, every preamble symbol after the first reproduces the
+  // two chip periods, every preamble symbol after the first reproduces the
   // same sample block exactly (the first differs only in its leading chip,
-  // which has no predecessor). Verify that bitwise rather than assume it —
-  // if a future waveform profile breaks the structure the scanner falls
-  // back to the exact full sweep and stays correct.
-  seg_len_ = zigbee::kChipsPerSymbol * config_.receiver.samples_per_chip;
+  // which has no predecessor), and that block is one period of the periodic
+  // waveform of symbol 0's chips, which is what the chip_strip kernel
+  // correlates against. Both facts hold at every samples_per_chip; verify
+  // them rather than assume them, since the screen's bound rests on them.
+  const std::size_t spc = config_.receiver.samples_per_chip;
+  seg_len_ = zigbee::kChipsPerSymbol * spc;
   preamble_len_ = 2 * zigbee::kPreambleBytes * seg_len_;
-  screen_ok_ = window_ > preamble_len_ && preamble_len_ == 8 * seg_len_;
-  for (std::size_t k = 2; screen_ok_ && k < 8; ++k) {
-    screen_ok_ = std::memcmp(shr_reference_.data() + seg_len_,
-                             shr_reference_.data() + k * seg_len_,
-                             seg_len_ * sizeof(cplx)) == 0;
+  CTC_REQUIRE_MSG(window_ > preamble_len_ && preamble_len_ == 8 * seg_len_,
+                  "SHR reference is not eight preamble symbols plus the SFD");
+  for (std::size_t k = 2; k < 8; ++k) {
+    CTC_REQUIRE_MSG(std::memcmp(shr_reference_.data() + seg_len_,
+                                shr_reference_.data() + k * seg_len_,
+                                seg_len_ * sizeof(cplx)) == 0,
+                    "SHR preamble symbols do not repeat");
   }
-  if (screen_ok_) {
-    const dsp::kernels::KernelTable& kt = dsp::kernels::active();
-    seg0_energy_ = kt.energy(shr_reference_.data(), seg_len_);
-    tail_energy_ = kt.energy(shr_reference_.data() + preamble_len_,
-                             window_ - preamble_len_);
+  // Rebuild the repeated segment from (pulse, chip signs) and compare value
+  // for value; == rather than memcmp, so the signed zeros of the
+  // pulse[0] = 0 tap do not matter. Sample m of the segment carries chip
+  // m / spc at tap m % spc and the chip before it (chip 31 for the first)
+  // at tap m % spc + spc, each on I for an even chip and on Q for an odd.
+  pulse_ = dsp::half_sine_pulse(spc);
+  preamble_chips_ = zigbee::packed_chip_table()[0];
+  const auto amplitude = [&](std::size_t chip) {
+    return ((preamble_chips_ >> chip) & 1U) != 0 ? 1.0 : -1.0;
+  };
+  for (std::size_t m = 0; m < seg_len_; ++m) {
+    const std::size_t chip = m / spc;
+    const std::size_t tap = m % spc;
+    const double lead = amplitude(chip) * pulse_[tap];
+    const double trail =
+        amplitude((chip + zigbee::kChipsPerSymbol - 1) %
+                  zigbee::kChipsPerSymbol) *
+        pulse_[tap + spc];
+    const cplx rebuilt = chip % 2 == 0 ? cplx{lead, trail} : cplx{trail, lead};
+    const cplx stored = shr_reference_[seg_len_ + m];
+    CTC_REQUIRE_MSG(rebuilt.real() == stored.real() &&
+                        rebuilt.imag() == stored.imag(),
+                    "SHR preamble segment does not rebuild from its chips");
   }
+  const dsp::kernels::KernelTable& kt = dsp::kernels::active();
+  seg0_energy_ = kt.energy(shr_reference_.data(), seg_len_);
+  tail_energy_ = kt.energy(shr_reference_.data() + preamble_len_,
+                           window_ - preamble_len_);
 }
 
 std::size_t StreamScanner::ppdu_samples(std::size_t psdu_bytes,
@@ -150,14 +178,16 @@ bool StreamScanner::scan_round(bool flushing) {
   const auto window_energy = [&](std::size_t offset) {
     return energy_prefix_[offset + window_] - energy_prefix_[offset];
   };
+  std::uint64_t exact = 0;  // full-window correlations this round
   const auto metric_at = [&](std::size_t offset) {
+    ++exact;
     const cplx correlation =
         kt.dot_conj(data() + offset, shr_reference_.data(), window_);
     return std::norm(correlation) /
            (window_energy(offset) * reference_energy_);
   };
 
-  // Preamble-structure screen. One corr_many pass correlates the stream
+  // Preamble-structure screen. One chip_strip pass correlates the stream
   // against the repeated preamble segment at every offset the round can
   // touch (including each offset's seven segment-aligned echoes). For a
   // candidate offset o, the full-window correlation splits exactly (in real
@@ -168,20 +198,27 @@ bool StreamScanner::scan_round(bool flushing) {
   //             + sqrt(E_sig(o, seg)        * E_seg0)      over segments,
   //             + sqrt(E_sig(o+8seg, tail)  * E_tail)      C-S on the rest)
   //
-  // The 1e-6 slack swamps every float-rounding discrepancy between this
-  // bound and the exact kernel's summation order (relative error there is
-  // O(window * eps) ~ 1e-13), so bound < threshold proves the exact metric
-  // cannot reach the threshold and the offset is skipped without changing
-  // any decision. Survivors — true peaks and segment-aligned partial
-  // overlaps — still run the exact dot in the original order.
-  const bool screened = screen_ok_;
-  if (screened) {
-    const std::size_t strip = search_end + 6 * seg_len_ + 1;
-    corr_strip_.resize(strip);
-    kt.corr_many(data() + seg_len_, shr_reference_.data() + seg_len_,
-                 seg_len_, strip, corr_strip_.data());
-  }
-  const auto bound_metric = [&](std::size_t offset, double we) {
+  // The strip sums the same reference values as dot_conj, grouped by chips
+  // instead of by samples, so the two differ only by rounding: O(window *
+  // eps) ~ 1e-13 of sum |x||r|, like the exact kernel's own summation
+  // error. The 1e-6 slack swamps both, so a bound below a value proves the
+  // exact metric is below it too. Offsets under the energy gate get a -inf
+  // bound; a NaN bound (NaN or Inf samples in the window) is never a
+  // reason to skip, so such offsets run the exact metric as they always
+  // have.
+  const std::size_t spc = config_.receiver.samples_per_chip;
+  const std::size_t strip = search_end + 6 * seg_len_ + 1;
+  corr_strip_.resize(strip);
+  strip_work_.resize(dsp::kernels::chip_strip_work(strip, spc));
+  kt.chip_strip(data() + seg_len_, strip, spc, pulse_.data(), preamble_chips_,
+                strip_work_.data(), corr_strip_.data());
+  bounds_.resize(search_end + 1);
+  for (std::size_t offset = 0; offset <= search_end; ++offset) {
+    const double we = window_energy(offset);
+    if (we <= config_.energy_gate) {
+      bounds_[offset] = -std::numeric_limits<double>::infinity();
+      continue;
+    }
     double seg_power = 0.0;
     for (std::size_t k = 0; k < 7; ++k) {
       seg_power += std::norm(corr_strip_[offset + k * seg_len_]);
@@ -193,27 +230,53 @@ bool StreamScanner::scan_round(bool flushing) {
     const double bound = std::sqrt(7.0 * seg_power) +
                          std::sqrt(head * seg0_energy_) +
                          std::sqrt(tail * tail_energy_);
-    return bound * bound * (1.0 + 1e-6) / (we * reference_energy_);
-  };
+    bounds_[offset] = bound * bound * (1.0 + 1e-6) / (we * reference_energy_);
+  }
 
+  // Best-first argmax. The answer is the first offset with the largest
+  // metric at or above the threshold. The exact metric runs first where the
+  // bound is largest, which is almost always the true peak, and then an
+  // index-order sweep runs it only where the bound can still beat the
+  // incumbent: left of it a tie wins on index, so bound >= best_metric;
+  // right of it only bound > best_metric. An offset replaces the incumbent
+  // on a greater metric, or on an equal one at a lower index, so the result
+  // is the index-order first maximum whatever order the metrics ran in.
+  const double threshold = config_.sync_threshold;
   std::size_t best = kNoPendingSync;
   double best_metric = 0.0;
-  for (std::size_t offset = 0; offset < limit; ++offset) {
-    const double we = window_energy(offset);
-    if (we <= config_.energy_gate) continue;
-    if (screened && bound_metric(offset, we) < config_.sync_threshold) {
-      continue;  // provably below threshold: skipping cannot change `best`
-    }
+  const auto consider = [&](std::size_t offset) {
     const double metric = metric_at(offset);
-    if (metric >= config_.sync_threshold && metric > best_metric) {
+    if (metric >= threshold &&
+        (metric > best_metric ||
+         (metric == best_metric && best != kNoPendingSync && offset < best))) {
       best = offset;
       best_metric = metric;
     }
+  };
+  std::size_t first = kNoPendingSync;
+  double top = -std::numeric_limits<double>::infinity();
+  for (std::size_t offset = 0; offset < limit; ++offset) {
+    if (bounds_[offset] > top) {
+      top = bounds_[offset];
+      first = offset;
+    }
+  }
+  if (first != kNoPendingSync && top >= threshold) consider(first);
+  for (std::size_t offset = 0; offset < limit; ++offset) {
+    const double bound = bounds_[offset];
+    if (offset == first || bound < threshold) continue;
+    if (best != kNoPendingSync &&
+        (offset < best ? bound < best_metric : bound <= best_metric)) {
+      continue;
+    }
+    consider(offset);
   }
 
   if (best == kNoPendingSync) {
     ++stats_.sync_misses;
+    stats_.sync_exact += exact;
     CTC_TELEM_COUNT("sentry", "sync_miss", 1);
+    CTC_TELEM_COUNT("sentry", "sync_exact", exact);
     consume(limit);
     return true;
   }
@@ -222,9 +285,7 @@ bool StreamScanner::scan_round(bool flushing) {
   // horizon extends another guard_ offsets (never beyond search_end).
   std::size_t horizon = std::min(best + guard_, search_end);
   for (std::size_t offset = best + 1; offset <= horizon; ++offset) {
-    const double we = window_energy(offset);
-    if (we <= config_.energy_gate) continue;
-    if (screened && bound_metric(offset, we) <= best_metric) {
+    if (bounds_[offset] <= best_metric) {
       continue;  // bound can't beat the incumbent, so neither can the metric
     }
     if (const double metric = metric_at(offset); metric > best_metric) {
@@ -235,7 +296,9 @@ bool StreamScanner::scan_round(bool flushing) {
   }
 
   ++stats_.frames_detected;
+  stats_.sync_exact += exact;
   CTC_TELEM_COUNT("sentry", "frame_detected", 1);
+  CTC_TELEM_COUNT("sentry", "sync_exact", exact);
   pending_sync_ = best;
   return true;
 }

@@ -7,9 +7,10 @@
 // StreamScanner closes that gap: it buffers pushed sample blocks, searches
 // fixed-size scan rounds for an SHR correlation peak (normalized metric,
 // same 0.25 threshold as zigbee::Receiver::synchronize, with a sliding
-// prefix-sum energy term so the search is O(window) per offset instead of
-// O(window^2)), decodes each detected frame with the full receiver, feeds
-// the discriminator chips to a defense::StreamingDetector, and emits one
+// prefix-sum energy term, and a preamble-structure screen that runs the
+// exact window-length correlation best-first at only a few offsets per
+// frame), decodes each detected frame with the full receiver, feeds the
+// discriminator chips to a defense::StreamingDetector, and emits one
 // VerdictRecord per decoded frame through a callback.
 //
 // Determinism contract (the service's replay gate rests on it): the
@@ -73,6 +74,9 @@ struct ScannerStats {
   std::uint64_t samples_consumed = 0; ///< samples retired from the buffer
   std::uint64_t scan_rounds = 0;      ///< sync searches run
   std::uint64_t sync_misses = 0;      ///< rounds with no acceptable peak
+  /// Exact full-window SHR correlations run, in the sweep and hill-climb
+  /// (the screen skips the rest).
+  std::uint64_t sync_exact = 0;
   std::uint64_t frames_detected = 0;  ///< accepted correlation peaks
   std::uint64_t frames_decoded = 0;   ///< detected frames with a valid PHR
   std::uint64_t frames_ok = 0;        ///< decoded frames passing CRC etc.
@@ -137,19 +141,22 @@ class StreamScanner {
   std::size_t frame_need_ = 0;  ///< max PPDU samples (lookahead bound)
   /// Preamble-structure screen: the SHR's eight preamble symbols repeat the
   /// same sample block (symbol period seg_len_), so symbols 1..7 of the
-  /// reference are bitwise-identical segments. A scan round correlates the
-  /// stream against that ONE segment at every strip offset (corr_many) and
-  /// combines the per-segment magnitudes into a rigorous upper bound on the
-  /// full-window correlation (triangle inequality across segments +
-  /// Cauchy-Schwarz on the non-repeating head/tail). Offsets whose bound
-  /// falls below the acceptance threshold provably cannot synchronize and
-  /// skip the exact window_-sample dot — the decisions (and therefore every
-  /// output byte) are unchanged, only the arithmetic volume drops.
-  bool screen_ok_ = false;      ///< segment structure verified at construction
+  /// reference are bitwise-identical segments, each one period of the
+  /// periodic O-QPSK waveform of symbol 0's chips. A scan round correlates
+  /// the stream against that ONE segment at every strip offset
+  /// (dsp::kernels chip_strip: 32 signed adds of a pulse-filtered stream
+  /// per offset) and combines the per-segment magnitudes into a rigorous
+  /// upper bound on the full-window metric (triangle inequality across
+  /// segments + Cauchy-Schwarz on the non-repeating head/tail). The bound
+  /// orders and prunes the exact window_-sample dots of a best-first argmax:
+  /// it decides which offsets get the exact metric, never what an offset
+  /// scores, so every output byte is the unscreened search's.
   std::size_t seg_len_ = 0;     ///< one symbol period in samples
   std::size_t preamble_len_ = 0;  ///< eight preamble symbols in samples
   double seg0_energy_ = 0.0;    ///< energy of the (distinct) first segment
   double tail_energy_ = 0.0;    ///< energy of the SFD + pulse-tail remainder
+  rvec pulse_;                  ///< half-sine chip pulse, 2 * spc taps
+  std::uint32_t preamble_chips_ = 0;  ///< symbol 0's chips, bit j = chip j
   /// Hill-climb extension past a threshold crossing so a peak straddling a
   /// round boundary refines to its true offset (fixed width => partition
   /// invariant).
@@ -175,7 +182,9 @@ class StreamScanner {
   /// persistent epoch) is what keeps window energies bit-identical to the
   /// pre-cache scanner, since float prefix differences depend on the anchor.
   rvec energy_prefix_;
-  cvec corr_strip_;  ///< scratch: corr_many output strip per scan round
+  cvec corr_strip_;   ///< scratch: chip_strip output per scan round
+  rvec strip_work_;   ///< scratch: chip_strip's filtered streams
+  rvec bounds_;       ///< scratch: screen bound per offset of the round
 
   ScannerStats stats_;
 };

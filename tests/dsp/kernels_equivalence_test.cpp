@@ -276,38 +276,96 @@ TEST(KernelsEquivalence, DotConjBitwise) {
   });
 }
 
-TEST(KernelsEquivalence, CorrManyBitwise) {
+/// One period of the periodic half-sine O-QPSK waveform of `chips` (bit j
+/// set = chip +1; even chips on I, odd on Q; chip 31 wraps to sample 0):
+/// chip_strip's reference, built sample by sample.
+cvec periodic_oqpsk(std::uint32_t chips, std::size_t spc,
+                    const rvec& pulse) {
+  const auto amplitude = [&](std::size_t chip) {
+    return ((chips >> chip) & 1U) != 0 ? 1.0 : -1.0;
+  };
+  cvec period(32 * spc);
+  for (std::size_t m = 0; m < period.size(); ++m) {
+    const std::size_t chip = m / spc;
+    const double lead = amplitude(chip) * pulse[m % spc];
+    const double trail = amplitude((chip + 31) % 32) * pulse[m % spc + spc];
+    period[m] = chip % 2 == 0 ? cplx{lead, trail} : cplx{trail, lead};
+  }
+  return period;
+}
+
+TEST(KernelsEquivalence, ChipStripBitwise) {
   Rng rng = Rng::for_stream(1, 21);
-  // Strip widths spanning the 4-offset AVX2 blocking: sub-block, exact
-  // blocks, and block+tail combinations.
-  const std::vector<std::size_t> kStrips = {1, 2, 3, 4, 5, 7, 8, 9, 16, 31};
-  for_each_case([&](std::size_t n, std::size_t offset) {
+  // Strip widths spanning the 4- and 16-offset AVX2 blocks and their tails.
+  const std::vector<std::size_t> kStrips = {1,  2,  3,  4,  5,  7,  15,
+                                            16, 17, 20, 31, 33, 64, 101};
+  for (std::size_t spc = 1; spc <= 4; ++spc) {
+    rvec pulse(2 * spc);
+    for (std::size_t n = 0; n < pulse.size(); ++n) {
+      pulse[n] = std::sin(kPi * static_cast<double>(n) /
+                          static_cast<double>(pulse.size()));
+    }
     for (std::size_t m : kStrips) {
-      const cvec x = random_cvec(rng, n + m + offset);
-      const cvec y = random_cvec(rng, n + offset);
-      cvec a(m), b(m);
-      scalar_table().corr_many(x.data() + offset, y.data() + offset, n, m,
-                               a.data());
-      best_table().corr_many(x.data() + offset, y.data() + offset, n, m,
-                             b.data());
-      expect_bitwise(a, b, "corr_many", n, offset);
-      // The strip contract: out[s] == dot_conj(a + s, b, n) bit for bit, at
-      // both levels (the scanner mixes strip sweeps with per-offset dots and
-      // relies on them agreeing exactly).
-      for (std::size_t s = 0; s < m; ++s) {
-        const cplx ds = scalar_table().dot_conj(x.data() + offset + s,
-                                                y.data() + offset, n);
-        const cplx db = best_table().dot_conj(x.data() + offset + s,
-                                              y.data() + offset, n);
-        EXPECT_EQ(std::memcmp(&a[s], &ds, sizeof(cplx)), 0)
-            << "corr_many[scalar] vs dot_conj n=" << n << " m=" << m
-            << " s=" << s << " offset=" << offset;
-        EXPECT_EQ(std::memcmp(&b[s], &db, sizeof(cplx)), 0)
-            << "corr_many[best] vs dot_conj n=" << n << " m=" << m
-            << " s=" << s << " offset=" << offset;
+      for (std::size_t offset : kOffsets) {
+        const auto chips = static_cast<std::uint32_t>(rng.next_u64());
+        const cvec x = random_cvec(rng, offset + m + 32 * spc - 1);
+        const cvec r = periodic_oqpsk(chips, spc, pulse);
+        cvec a(m), b(m);
+        rvec work(chip_strip_work(m, spc));
+        scalar_table().chip_strip(x.data() + offset, m, spc, pulse.data(),
+                                  chips, work.data(), a.data());
+        std::fill(work.begin(), work.end(), 0.0);
+        best_table().chip_strip(x.data() + offset, m, spc, pulse.data(), chips,
+                                work.data(), b.data());
+        expect_bitwise(a, b, "chip_strip", m, offset);
+        // The strip is dot_conj against the period regrouped by chips: the
+        // same sum up to rounding, far inside 1e-13 of sum |x||r|.
+        for (std::size_t s = 0; s < m; ++s) {
+          const cplx exact =
+              scalar_table().dot_conj(x.data() + offset + s, r.data(), r.size());
+          double scale = 0.0;
+          for (std::size_t i = 0; i < r.size(); ++i) {
+            scale += std::abs(x[offset + s + i]) * std::abs(r[i]);
+          }
+          EXPECT_LE(std::abs(a[s] - exact), 1e-13 * scale)
+              << "chip_strip vs dot_conj spc=" << spc << " m=" << m
+              << " s=" << s << " offset=" << offset;
+        }
       }
     }
-  });
+  }
+}
+
+TEST(KernelsEquivalence, ChipStripPropagatesNonFinite) {
+  // One NaN or Inf sample makes every strip value whose window covers it
+  // non-finite at both levels, since every sample meets a reference value.
+  const std::size_t spc = 2, m = 40;
+  rvec pulse(2 * spc);
+  for (std::size_t n = 0; n < pulse.size(); ++n) {
+    pulse[n] = std::sin(kPi * static_cast<double>(n) / 4.0);
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng = Rng::for_stream(1, 22);
+  for (const cplx bad : {cplx{nan, 0.0}, cplx{inf, 0.0}, cplx{0.0, -inf}}) {
+    for (std::size_t at : {0UL, 1UL, 20UL, 63UL, 64UL, 70UL}) {
+      cvec x = random_cvec(rng, m + 32 * spc - 1);
+      x[at] = bad;
+      cvec a(m), b(m);
+      rvec work(chip_strip_work(m, spc));
+      scalar_table().chip_strip(x.data(), m, spc, pulse.data(), 0x12345678U,
+                                work.data(), a.data());
+      best_table().chip_strip(x.data(), m, spc, pulse.data(), 0x12345678U,
+                              work.data(), b.data());
+      expect_bitwise(a, b, "chip_strip non-finite", m, at);
+      for (std::size_t s = 0; s < m; ++s) {
+        const bool covered = s <= at && at < s + 32 * spc;
+        EXPECT_EQ(std::isfinite(a[s].real()) && std::isfinite(a[s].imag()),
+                  !covered)
+            << "s=" << s << " at=" << at;
+      }
+    }
+  }
 }
 
 TEST(KernelsEquivalence, CumulantAccBitwise) {

@@ -20,8 +20,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -252,6 +254,20 @@ class TeeSource : public sentry::SampleSource {
   cvec& sink_;
 };
 
+/// Opens an output file for writing before any sample is processed, so a
+/// bad path fails at startup rather than after the whole stream. Exits 1
+/// with "cannot write PATH" when the file cannot be opened.
+std::optional<std::ofstream> open_output(const std::string& path,
+                                         std::ios::openmode mode = {}) {
+  if (path.empty()) return std::nullopt;
+  std::ofstream out(path, std::ios::out | std::ios::trunc | mode);
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    std::exit(1);
+  }
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -287,6 +303,13 @@ int main(int argc, char** argv) {
                  options.channels, options.shards);
   }
   auto capture_sink = std::make_shared<cvec>();
+  const bool want_capture = options.live && !options.capture_out.empty();
+  std::optional<std::ofstream> verdicts_file =
+      open_output(options.verdicts_path);
+  std::optional<std::ofstream> capture_file = open_output(
+      want_capture ? options.capture_out : std::string(), std::ios::binary);
+  std::optional<std::ofstream> telemetry_file =
+      open_output(options.telemetry_out);
 
   sentry::LinkSourceConfig live_config;
   live_config.environment = channel::Environment::awgn(options.snr_db);
@@ -296,7 +319,6 @@ int main(int argc, char** argv) {
   live_config.payload_bytes = options.payload;
   live_config.seed = options.seed;
 
-  const bool want_capture = options.live && !options.capture_out.empty();
   sentry::SentryService service(
       config,
       [&options, capture, live_config, capture_sink,
@@ -350,20 +372,17 @@ int main(int argc, char** argv) {
   }
 
   // Verdict stream: stdout by default, or --verdicts=FILE.
-  if (options.verdicts_path.empty()) {
-    std::fputs(report.verdicts_jsonl.c_str(), stdout);
-  } else {
-    std::FILE* file = std::fopen(options.verdicts_path.c_str(), "w");
-    if (file == nullptr) {
+  if (verdicts_file) {
+    if (!(*verdicts_file << report.verdicts_jsonl).flush()) {
       std::fprintf(stderr, "cannot write %s\n", options.verdicts_path.c_str());
       return 1;
     }
-    std::fputs(report.verdicts_jsonl.c_str(), file);
-    std::fclose(file);
+  } else {
+    std::fputs(report.verdicts_jsonl.c_str(), stdout);
   }
 
-  if (want_capture) {
-    dsp::write_cf32(options.capture_out, *capture_sink);
+  if (capture_file) {
+    dsp::write_cf32(*capture_file, *capture_sink);
     std::fprintf(stderr, "capture written to %s (%zu samples)\n",
                  options.capture_out.c_str(), capture_sink->size());
   }
@@ -381,16 +400,13 @@ int main(int argc, char** argv) {
     const std::string deterministic =
         sim::telemetry::to_json(metrics, /*include_timers=*/false);
     std::fprintf(stderr, "%s\n", deterministic.c_str());
-    if (!options.telemetry_out.empty()) {
+    if (telemetry_file) {
       const std::string full =
           sim::telemetry::to_json(metrics, /*include_timers=*/true);
-      if (std::FILE* file = std::fopen(options.telemetry_out.c_str(), "w")) {
-        std::fputs(full.c_str(), file);
-        std::fputc('\n', file);
-        std::fclose(file);
-      } else {
-        std::fprintf(stderr, "cannot write telemetry to %s\n",
+      if (!(*telemetry_file << full << '\n').flush()) {
+        std::fprintf(stderr, "cannot write %s\n",
                      options.telemetry_out.c_str());
+        return 1;
       }
     }
   }
