@@ -7,7 +7,8 @@
 // fm_discriminate kernel, per-offset dot_conj vs the chip_strip kernel on
 // one frame-sync scan round's screen strip, and the scalar vs SIMD table on
 // selected kernels (among them cdiv, the equalizer's division of one
-// received frame, and chip_strip).
+// received frame, and chip_strip), and the default Receiver::receive on one
+// 12 dB authentic and one emulated text frame.
 //
 //   $ ./perf_hotpath --json | tail -n1 > BENCH_perf_hotpath.json
 //
@@ -26,6 +27,7 @@
 #include "attack/emulator.h"
 #include "attack/qam_quantize.h"
 #include "bench_common.h"
+#include "channel/environment.h"
 #include "dsp/fft.h"
 #include "dsp/kernels/kernels.h"
 #include "dsp/pulse.h"
@@ -94,9 +96,9 @@ zigbee::ReceiveResult percall_timing_receive(
                              zigbee::kChipsPerSymbol * config.samples_per_chip;
   double best_metric = -1.0;
   double best_tau = 0.0;
-  for (double tau = -config.timing_search_range;
-       tau <= config.timing_search_range + 1e-12;
-       tau += config.timing_search_step) {
+  // The receiver's grid, -0.5 to 0.5 in steps of 1/16 (exact in binary).
+  for (int k = -8; k <= 8; ++k) {
+    const double tau = k / 16.0;
     const cvec shifted = dsp::fractional_delay(shr_reference, tau);
     const double energy = kt.energy(shifted.data(), window);
     const cplx correlation = kt.dot_conj(waveform.data(), shifted.data(), window);
@@ -375,6 +377,42 @@ int main(int argc, char** argv) {
                  sim::Table::num(disc_fast_ms, 3) + " ms",
                  sim::Table::num(disc_reference_ms / disc_fast_ms, 2) + "x"});
 
+  // -- receive: the default Receiver on one 12 dB frame per link kind -------
+  // What every workload decodes with (spc = 2, the usrp differential
+  // profile, the discriminator tap): one authentic and one emulated text
+  // frame through AWGN, decoded 32 times per run, best of the runs.
+  double receive_frame_ms = 0.0;
+  std::size_t receive_frame_samples = 0;
+  {
+    const zigbee::Receiver receiver;
+    sim::LinkConfig authentic_config;
+    authentic_config.kind = sim::LinkKind::authentic;
+    const sim::Link authentic_link(authentic_config);
+    dsp::Rng channel_rng = dsp::Rng::for_stream(options.seed, 1);
+    const channel::Environment awgn12 = channel::Environment::awgn(12.0);
+    const std::vector<cvec> received = {
+        awgn12.propagate(authentic_link.clean_waveform(frames[0]), channel_rng),
+        awgn12.propagate(link_cached.clean_waveform(frames[0]), channel_rng)};
+    const std::size_t passes = 32;
+    for (const cvec& frame : received) {
+      receive_frame_samples += passes * frame.size();
+    }
+    receive_frame_ms = time_ms(reps, [&] {
+      for (std::size_t p = 0; p < passes; ++p) {
+        for (const cvec& frame : received) {
+          g_sink = g_sink + (receiver.receive(frame).frame_ok() ? 1.0 : 0.0);
+        }
+      }
+    });
+  }
+  const double receive_frame_ns_per_sample =
+      receive_frame_ms * 1e6 / static_cast<double>(receive_frame_samples);
+  table.add_row({"receive (12 dB authentic + emulated, x32)", "-",
+                 sim::Table::num(receive_frame_ms, 3) + " ms (" +
+                     sim::Table::num(receive_frame_ns_per_sample, 2) +
+                     " ns/sample)",
+                 "-"});
+
   // -- dsp::kernels: scalar table vs best dispatched table ------------------
   // Times each hot kernel at both dispatch levels on the same buffers and
   // reports ns/sample alongside the ratio. Levels are requested explicitly
@@ -538,7 +576,7 @@ int main(int argc, char** argv) {
                 [&](const dsp::kernels::KernelTable& kt) {
                   std::copy(received.begin(), received.end(), buf.begin());
                   for (std::size_t p = 0; p < passes; ++p) {
-                    kt.cdiv(buf.data(), buf.size(), h);
+                    kt.cdiv(buf.data(), buf.size(), h, buf.data());
                   }
                   g_sink = g_sink + buf.back().real();
                 });
@@ -626,6 +664,8 @@ int main(int argc, char** argv) {
              disc_reference_ms * ns_per_sample_per_ms);
   report.set("discriminator_fast_ns_per_sample",
              disc_fast_ms * ns_per_sample_per_ms);
+  report.set("receive_frame_ms", receive_frame_ms);
+  report.set("receive_frame_ns_per_sample", receive_frame_ns_per_sample);
   report.set("screen_strip_reference_ms", strip_reference_ms);
   report.set("screen_strip_reference_ns_per_sample",
              strip_reference_ms * 1e6 / static_cast<double>(strip_timing.samples));

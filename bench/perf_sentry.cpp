@@ -12,6 +12,9 @@
 //     (ingest + ring + frame sync + detector, no pacing);
 //   * sharded_msamples_per_sec   — aggregate rate of 4 channels sharded
 //     across worker threads;
+//     each is the median of kRateRuns back-to-back service runs (one run
+//     can swing by a third on a busy host), with the extremes in
+//     *_min / *_max;
 //   * latency_p50_ms/latency_p99_ms — push-to-verdict latency with a
 //     free-running producer thread paced to ~2/3 of the sustained rate,
 //     measured from the ring push of the frame's last sample to the verdict
@@ -58,6 +61,50 @@ cvec collect_capture(const sentry::LinkSourceConfig& config) {
   return stream;
 }
 
+/// Service runs per throughput section; the report takes their median.
+constexpr std::size_t kRateRuns = 5;
+
+/// Throughput of kRateRuns back-to-back runs of a service, sorted
+/// ascending, in Msamples/s.
+struct Rates {
+  std::vector<double> msps;
+  double samples = 0.0;
+
+  double median() const { return msps[msps.size() / 2]; }
+};
+
+Rates service_rates(const sentry::ServiceConfig& config,
+                    const sentry::SentryService::SourceFactory& factory) {
+  Rates rates;
+  for (std::size_t run = 0; run < kRateRuns; ++run) {
+    sentry::SentryService service(config, factory);
+    const auto start = Clock::now();
+    const sentry::ServiceReport result = service.run();
+    const double seconds =
+        std::chrono::duration<double>(Clock::now() - start).count();
+    rates.samples = static_cast<double>(result.total_ingested());
+    rates.msps.push_back(rates.samples / seconds / 1e6);
+  }
+  std::sort(rates.msps.begin(), rates.msps.end());
+  return rates;
+}
+
+/// Reports `key` as the median rate, with `key`_min and `key`_max, and
+/// adds the table row.
+void report_rates(bench::JsonReport& report, sim::Table& table,
+                  const std::string& key, const std::string& label,
+                  const Rates& rates) {
+  report.set(key, rates.median());
+  report.set(key + "_min", rates.msps.front());
+  report.set(key + "_max", rates.msps.back());
+  table.add_row({label, sim::Table::num(rates.samples, 0),
+                 sim::Table::num(rates.samples / rates.median() / 1e3, 1) +
+                     " ms (median of " + std::to_string(kRateRuns) + ")",
+                 sim::Table::num(rates.median(), 2) + " Msamples/s [" +
+                     sim::Table::num(rates.msps.front(), 2) + "-" +
+                     sim::Table::num(rates.msps.back(), 2) + "]"});
+}
+
 double percentile(std::vector<double>& sorted_values, double p) {
   if (sorted_values.empty()) return 0.0;
   const std::size_t index = std::min(
@@ -85,40 +132,19 @@ int main(int argc, char** argv) {
   const auto replay_factory = [&capture, repeat](std::size_t) {
     return std::make_unique<sentry::ReplaySource>(capture, repeat);
   };
-  double sustained_msps = 0.0;
-  {
-    sentry::ServiceConfig config;
-    sentry::SentryService service(config, replay_factory);
-    const auto start = Clock::now();
-    const sentry::ServiceReport result = service.run();
-    const double seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    const double samples = static_cast<double>(result.total_ingested());
-    sustained_msps = samples / seconds / 1e6;
-    table.add_row({"sustained (1 channel)", sim::Table::num(samples, 0),
-                   sim::Table::num(seconds * 1e3, 1) + " ms",
-                   sim::Table::num(sustained_msps, 2) + " Msamples/s"});
-  }
-  report.set("sustained_msamples_per_sec", sustained_msps);
+  const Rates sustained = service_rates({}, replay_factory);
+  const double sustained_msps = sustained.median();
+  report_rates(report, table, "sustained_msamples_per_sec",
+               "sustained (1 channel)", sustained);
 
   // -- aggregate throughput, 4 channels sharded -----------------------------
-  double sharded_msps = 0.0;
   {
     sentry::ServiceConfig config;
     config.channels = 4;
     config.shards = options.threads != 0 ? options.threads : 4;
-    sentry::SentryService service(config, replay_factory);
-    const auto start = Clock::now();
-    const sentry::ServiceReport result = service.run();
-    const double seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    const double samples = static_cast<double>(result.total_ingested());
-    sharded_msps = samples / seconds / 1e6;
-    table.add_row({"sharded (4 channels)", sim::Table::num(samples, 0),
-                   sim::Table::num(seconds * 1e3, 1) + " ms",
-                   sim::Table::num(sharded_msps, 2) + " Msamples/s"});
+    report_rates(report, table, "sharded_msamples_per_sec",
+                 "sharded (4 channels)", service_rates(config, replay_factory));
   }
-  report.set("sharded_msamples_per_sec", sharded_msps);
 
   // -- verdict latency through a free-running producer/consumer pair --------
   // The producer pushes paced blocks (~2/3 of the sustained rate, so the

@@ -120,8 +120,8 @@ struct KernelTable {
   void (*two_tap)(cplx* x, std::size_t n, double a, double b);
 
   // -- complex division (bitwise) ------------------------------------------
-  /// x[i] /= h with the bits of std::complex operator/=, which GCC lowers
-  /// to libgcc's __divdc3 — the equalizer's numerics. For h = c + id,
+  /// out[i] = in[i] / h with the bits of std::complex operator/=, which GCC
+  /// lowers to libgcc's __divdc3 — the equalizer's numerics. For h = c + id,
   /// Smith's ratio r is c/d when |c| < |d|, else d/c, and the denominator
   /// den is fl(c*r) + d, else fl(d*r) + c. A sample a + ib then rounds as
   ///   |c| < |d|:  x = fl(fl(a*r) + b) / den,  y = fl(fl(b*r) - a) / den
@@ -132,9 +132,12 @@ struct KernelTable {
   /// [DBL_EPSILON, DBL_MAX/2) and |r| > DBL_MIN (so not an exactly real or
   /// imaginary h). Any other h runs the scalar table for the whole call.
   /// Inside the gate, a sample with a component below DBL_MIN in magnitude
-  /// (zero or subnormal) or a NaN quotient is redone by the scalar table,
-  /// as is the odd tail.
-  void (*cdiv)(cplx* x, std::size_t n, cplx h);
+  /// (zero or subnormal) or a NaN quotient is redone by the scalar table
+  /// from its saved input, as is the odd tail. `out` may be `in` (the
+  /// in-place division); it must not overlap `in` any other way. The
+  /// receiver divides the received frame straight into its equalized
+  /// buffer, so no copy precedes the division.
+  void (*cdiv)(const cplx* in, std::size_t n, cplx h, cplx* out);
 
   // -- reductions (bitwise, lane-structured) -------------------------------
   /// sum over components c of |c|^2 with an 8-real-lane structure
@@ -182,7 +185,14 @@ struct KernelTable {
   /// its predecessor); phase_s = fm_atan2(im, re) when re^2 + im^2 > 1e-24,
   /// else the step is skipped (NaN steps fail the gate). Strictly per chip:
   /// chip i reads samples i*spc .. (i+1)*spc only, so `wave` needs
-  /// num_chips*spc + 1 samples.
+  /// num_chips*spc + 1 samples. AVX2 vectorizes spc = 2 only, in blocks of
+  /// 16 chips: eight four-step passes in lock step, the lanes that need
+  /// fm_atan2's special branches finished through the scalar routine once
+  /// per block, and each chip summed in vector registers as
+  /// fl(fl(+0.0 + p0) + p1) / (pi/2): the in-order sum's value, since a
+  /// gated phase is finite and a sum from +0.0 turns a -0.0 p0 into +0.0.
+  /// Other spc and the chips past the last whole block run the scalar
+  /// table.
   void (*fm_discriminate)(const cplx* wave, std::size_t num_chips,
                           std::size_t spc, double* chips);
 

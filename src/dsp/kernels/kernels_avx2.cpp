@@ -21,7 +21,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 
 #include "dsp/kernels/scalar_impl.h"
 
@@ -255,17 +254,20 @@ void two_tap(cplx* x, std::size_t n, double a, double b) {
 // imaginary h); one sample when a component is below DBL_MIN in magnitude
 // (its operand scaling) or a quotient is NaN (its recovery branch, NaN
 // payloads). The numerators must stay unfused: a build with contraction
-// differs from libgcc by 1 ulp on some samples.
+// differs from libgcc by 1 ulp on some samples. Quotients go to `out`,
+// which may be `in`, so a redone sample starts from its input as loaded.
 // ---------------------------------------------------------------------------
 
 template <bool kImagMajor>
-void cdiv_smith(cplx* x, std::size_t n, cplx h, double ratio, double denom) {
+void cdiv_smith(const cplx* in, std::size_t n, cplx h, double ratio,
+                double denom, cplx* out) {
   const __m256d r = _mm256_set1_pd(ratio);
   const __m256d den = _mm256_set1_pd(denom);
   const __m256d neg_odd = negate_odd_mask();
   const __m256d sign = _mm256_set1_pd(-0.0);
   const __m256d tiny = _mm256_set1_pd(std::numeric_limits<double>::min());
-  double* xd = as_doubles(x);
+  const double* xd = as_doubles(in);
+  double* od = as_doubles(out);
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) {
     const __m256d v = _mm256_loadu_pd(xd + 2 * i);  // [a0, b0, a1, b1]
@@ -280,22 +282,23 @@ void cdiv_smith(cplx* x, std::size_t n, cplx h, double ratio, double denom) {
     const int redo = _mm256_movemask_pd(_mm256_or_pd(
         _mm256_cmp_pd(_mm256_andnot_pd(sign, v), tiny, _CMP_LT_OQ),
         _mm256_cmp_pd(q, q, _CMP_UNORD_Q)));
-    _mm256_storeu_pd(xd + 2 * i, q);
+    _mm256_storeu_pd(od + 2 * i, q);
     if (redo != 0) {
-      alignas(32) double in[4];
-      _mm256_store_pd(in, v);
+      // The saved input, since the store above may have overwritten it.
+      alignas(32) double saved[4];
+      _mm256_store_pd(saved, v);
       for (std::size_t k = 0; k < 2; ++k) {
         if ((redo >> (2 * k)) & 3) {
-          x[i + k] = cplx{in[2 * k], in[2 * k + 1]};
-          scalar_table().cdiv(x + i + k, 1, h);
+          const cplx sample{saved[2 * k], saved[2 * k + 1]};
+          scalar_table().cdiv(&sample, 1, h, out + i + k);
         }
       }
     }
   }
-  scalar_table().cdiv(x + i, n - i, h);
+  scalar_table().cdiv(in + i, n - i, h, out + i);
 }
 
-void cdiv(cplx* x, std::size_t n, cplx h) {
+void cdiv(const cplx* in, std::size_t n, cplx h, cplx* out) {
   const double c = h.real();
   const double d = h.imag();
   const bool imag_major = std::abs(c) < std::abs(d);
@@ -307,11 +310,11 @@ void cdiv(cplx* x, std::size_t n, cplx h) {
                       major >= std::numeric_limits<double>::epsilon() &&
                       std::abs(ratio) > std::numeric_limits<double>::min();
   if (!common) {
-    scalar_table().cdiv(x, n, h);
+    scalar_table().cdiv(in, n, h, out);
   } else if (imag_major) {
-    cdiv_smith<true>(x, n, h, ratio, denom);
+    cdiv_smith<true>(in, n, h, ratio, denom, out);
   } else {
-    cdiv_smith<false>(x, n, h, ratio, denom);
+    cdiv_smith<false>(in, n, h, ratio, denom, out);
   }
 }
 
@@ -743,14 +746,25 @@ void add_gauss(cplx* x, std::size_t n, double sigma, GaussLanes* lanes) {
 }
 
 // ---------------------------------------------------------------------------
-// fm_discriminate (bitwise): four steps per pass, step j + l on lane l.
+// fm_discriminate (bitwise): four steps per pass, step j + l on lane l, and
+// kFmPasses independent passes per iteration in lock step. One pass is a
+// single dependency chain (step products, r = |im|/|re| by a divide, the
+// interval lookup, x = (A r - B)/(A + B r) by a second divide, two Horner
+// chains, the quadrant fix) of about 130 cycles, so one pass at a time
+// leaves the core latency-bound, far from its divide throughput; fm_passes
+// issues each stage for all passes side by side.
 // Lanes whose step has a zero, infinite or NaN component, or an exponent
-// gap past 2^60, take fm_atan2's branches in the scalar TU; the rest run
-// fm_atan_reduced with the interval id picked from the compare masks and
-// its A, B, hi, lo looked up by one dword permute each (ids 0-3) plus a
-// blend for id 4. Each chip's phases are then summed in step order, so the
-// output is the scalar table's bit for bit.
+// gap past 2^60, take fm_atan2's branches in the scalar TU, once per
+// iteration for every flagged lane; the rest run fm_atan_reduced with the
+// interval id picked from the compare masks and its A, B, hi, lo looked up
+// by one dword permute each (ids 0-3) plus a blend for id 4. Only spc = 2,
+// the rate every receiver runs, takes this path, over whole 16-chip
+// blocks whose chips are summed in vector registers; other rates and the
+// chips past the last whole block run the scalar table.
 // ---------------------------------------------------------------------------
+
+/// Passes per iteration: 32 steps, 16 chips at spc = 2.
+inline constexpr std::size_t kFmPasses = 8;
 
 /// Table row (ids 0-3) from `row`, id 4 from `last`, per lane.
 inline __m256d atan_lookup(const double row[4], double last, __m256i index,
@@ -760,122 +774,165 @@ inline __m256d atan_lookup(const double row[4], double last, __m256i index,
   return _mm256_blendv_pd(picked, splat(last), is_last);
 }
 
-/// Phases of the four steps (a + ib) * conj(c + id); 0.0 where gated out.
-inline __m256d fm_step_phases(__m256d a, __m256d b, __m256d c, __m256d d) {
+/// Four steps (a + ib) * conj(c + id), sample w[l + 1] over w[l] on lane l.
+inline void fm_steps(const double* w, __m256d* re, __m256d* im) {
+  __m256d a;
+  __m256d b;
+  __m256d c;
+  __m256d d;
+  deinterleave4(w, &c, &d);
+  deinterleave4(w + 2, &a, &b);
+  *re = vadd(vmul(a, c), vmul(b, d));
+  *im = vsub(vmul(b, c), vmul(a, d));
+}
+
+/// Phases of kFmPasses passes into phase[p], pass p the four steps from
+/// sample 4p of w (interleaved doubles), 0.0 where a step is gated out.
+/// Branch-free: returns bit 4p + l set where lane l of pass p is gated in
+/// but needs one of fm_atan2's special branches; fm_fixup finishes those
+/// lanes.
+inline std::uint32_t fm_passes(const double* w,
+                               __m256d (&phase)[kFmPasses]) {
   using namespace scalar_impl;
-  const __m256d re = vadd(vmul(a, c), vmul(b, d));
-  const __m256d im = vsub(vmul(b, c), vmul(a, d));
-  const __m256d gate = _mm256_cmp_pd(vadd(vmul(re, re), vmul(im, im)),
-                                     splat(1e-24), _CMP_GT_OQ);
   const __m256d sign = splat(-0.0);
-  const __m256d ax = _mm256_andnot_pd(sign, re);
-  const __m256d ay = _mm256_andnot_pd(sign, im);
-  // Ordinary lanes: both components finite and nonzero, and fdlibm's
-  // k = (iy - ix) >> 20 within [-60, 60], i.e. -60 * 2^20 <= iy - ix <
-  // 61 * 2^20 on the high words.
   const __m256d inf = splat(std::numeric_limits<double>::infinity());
   const __m256d zero = _mm256_setzero_pd();
-  const __m256d finite_nonzero = _mm256_and_pd(
-      _mm256_and_pd(_mm256_cmp_pd(ax, zero, _CMP_GT_OQ),
-                    _mm256_cmp_pd(ax, inf, _CMP_LT_OQ)),
-      _mm256_and_pd(_mm256_cmp_pd(ay, zero, _CMP_GT_OQ),
-                    _mm256_cmp_pd(ay, inf, _CMP_LT_OQ)));
-  const __m256i gap =
-      _mm256_sub_epi64(_mm256_srli_epi64(_mm256_castpd_si256(ay), 32),
-                       _mm256_srli_epi64(_mm256_castpd_si256(ax), 32));
-  const __m256i far = _mm256_or_si256(
-      _mm256_cmpgt_epi64(gap, splat_u64((61U << 20) - 1)),
-      _mm256_cmpgt_epi64(_mm256_set1_epi64x(-(60LL << 20)), gap));
-  const __m256d ordinary =
-      _mm256_andnot_pd(_mm256_castsi256_pd(far), finite_nonzero);
+  __m256d re[kFmPasses];
+  __m256d im[kFmPasses];
+  __m256d gate[kFmPasses];
+  __m256d r[kFmPasses];
+  std::uint32_t special = 0;
+#pragma GCC unroll 8
+  for (std::size_t p = 0; p < kFmPasses; ++p) fm_steps(w + 8 * p, &re[p], &im[p]);
+#pragma GCC unroll 8
+  for (std::size_t p = 0; p < kFmPasses; ++p) {
+    gate[p] = _mm256_cmp_pd(vadd(vmul(re[p], re[p]), vmul(im[p], im[p])),
+                            splat(1e-24), _CMP_GT_OQ);
+    const __m256d ax = _mm256_andnot_pd(sign, re[p]);
+    const __m256d ay = _mm256_andnot_pd(sign, im[p]);
+    // Ordinary lanes: both components finite and nonzero, and fdlibm's
+    // k = (iy - ix) >> 20 within [-60, 60], i.e. -60 * 2^20 <= iy - ix <
+    // 61 * 2^20 on the high words.
+    const __m256d finite_nonzero = _mm256_and_pd(
+        _mm256_and_pd(_mm256_cmp_pd(ax, zero, _CMP_GT_OQ),
+                      _mm256_cmp_pd(ax, inf, _CMP_LT_OQ)),
+        _mm256_and_pd(_mm256_cmp_pd(ay, zero, _CMP_GT_OQ),
+                      _mm256_cmp_pd(ay, inf, _CMP_LT_OQ)));
+    const __m256i gap =
+        _mm256_sub_epi64(_mm256_srli_epi64(_mm256_castpd_si256(ay), 32),
+                         _mm256_srli_epi64(_mm256_castpd_si256(ax), 32));
+    const __m256i far = _mm256_or_si256(
+        _mm256_cmpgt_epi64(gap, splat_u64((61U << 20) - 1)),
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(-(60LL << 20)), gap));
+    const __m256d ordinary =
+        _mm256_andnot_pd(_mm256_castsi256_pd(far), finite_nonzero);
+    special |= static_cast<std::uint32_t>(_mm256_movemask_pd(
+                   _mm256_andnot_pd(ordinary, gate[p])))
+               << (4 * p);
+    r[p] = _mm256_div_pd(ay, ax);
+  }
+  __m256d x[kFmPasses];
+  __m256d hi[kFmPasses];
+  __m256d lo[kFmPasses];
+#pragma GCC unroll 8
+  for (std::size_t p = 0; p < kFmPasses; ++p) {
+    const __m256d m1 = _mm256_cmp_pd(r[p], splat(kAtanBreak[0]), _CMP_GE_OQ);
+    const __m256d m2 = _mm256_cmp_pd(r[p], splat(kAtanBreak[1]), _CMP_GE_OQ);
+    const __m256d m3 = _mm256_cmp_pd(r[p], splat(kAtanBreak[2]), _CMP_GE_OQ);
+    const __m256d m4 = _mm256_cmp_pd(r[p], splat(kAtanBreak[3]), _CMP_GE_OQ);
+    // id (0-3 before the m4 blend) = number of set masks; dword pair
+    // (2 id, 2 id + 1) of a 4-double row is element id.
+    const __m256i id = _mm256_sub_epi64(
+        _mm256_sub_epi64(
+            _mm256_sub_epi64(_mm256_setzero_si256(), _mm256_castpd_si256(m1)),
+            _mm256_castpd_si256(m2)),
+        _mm256_castpd_si256(m3));
+    const __m256i lo_dword = _mm256_add_epi64(id, id);
+    const __m256i index = _mm256_or_si256(
+        lo_dword,
+        _mm256_slli_epi64(_mm256_add_epi64(lo_dword, splat_u64(1)), 32));
+    const __m256d ca = atan_lookup(kAtanA, kAtanA[4], index, m4);
+    const __m256d cb = atan_lookup(kAtanB, kAtanB[4], index, m4);
+    hi[p] = atan_lookup(kAtanHi, kAtanHi[4], index, m4);
+    lo[p] = atan_lookup(kAtanLo, kAtanLo[4], index, m4);
+    x[p] = _mm256_div_pd(vsub(vmul(ca, r[p]), cb), vadd(ca, vmul(cb, r[p])));
+  }
+#pragma GCC unroll 8
+  for (std::size_t p = 0; p < kFmPasses; ++p) {
+    const __m256d z = vmul(x[p], x[p]);
+    const __m256d w4 = vmul(z, z);
+    // The scalar Horner chains, innermost term first.
+    __m256d s1 = splat(kAT10);
+    for (double t : {kAT8, kAT6, kAT4, kAT2}) s1 = vadd(splat(t), vmul(w4, s1));
+    s1 = vmul(z, vadd(splat(kAT0), vmul(w4, s1)));
+    __m256d s2 = splat(kAT9);
+    for (double t : {kAT7, kAT5, kAT3, kAT1}) s2 = vadd(splat(t), vmul(w4, s2));
+    s2 = vmul(w4, s2);
+    const __m256d atan_r =
+        vsub(hi[p], vsub(vsub(vmul(x[p], vadd(s1, s2)), lo[p]), x[p]));
+    // Quadrant fix: pi - (atan_r - pi_lo) where re < 0 (blendv reads its
+    // sign bit), then the sign of im.
+    const __m256d folded = _mm256_blendv_pd(
+        atan_r, vsub(splat(kPi), vsub(atan_r, splat(kPiLo))), re[p]);
+    phase[p] = _mm256_and_pd(_mm256_xor_pd(folded, _mm256_and_pd(im[p], sign)),
+                             gate[p]);
+  }
+  return special;
+}
 
-  const __m256d r = _mm256_div_pd(ay, ax);
-  const __m256d m1 = _mm256_cmp_pd(r, splat(kAtanBreak[0]), _CMP_GE_OQ);
-  const __m256d m2 = _mm256_cmp_pd(r, splat(kAtanBreak[1]), _CMP_GE_OQ);
-  const __m256d m3 = _mm256_cmp_pd(r, splat(kAtanBreak[2]), _CMP_GE_OQ);
-  const __m256d m4 = _mm256_cmp_pd(r, splat(kAtanBreak[3]), _CMP_GE_OQ);
-  // id (0-3 before the m4 blend) = number of set masks; dword pair
-  // (2 id, 2 id + 1) of a 4-double row is element id.
-  const __m256i id = _mm256_sub_epi64(
-      _mm256_sub_epi64(
-          _mm256_sub_epi64(_mm256_setzero_si256(), _mm256_castpd_si256(m1)),
-          _mm256_castpd_si256(m2)),
-      _mm256_castpd_si256(m3));
-  const __m256i lo_dword = _mm256_add_epi64(id, id);
-  const __m256i index = _mm256_or_si256(
-      lo_dword,
-      _mm256_slli_epi64(_mm256_add_epi64(lo_dword, splat_u64(1)), 32));
-  const __m256d ca = atan_lookup(kAtanA, kAtanA[4], index, m4);
-  const __m256d cb = atan_lookup(kAtanB, kAtanB[4], index, m4);
-  const __m256d hi = atan_lookup(kAtanHi, kAtanHi[4], index, m4);
-  const __m256d lo = atan_lookup(kAtanLo, kAtanLo[4], index, m4);
-
-  const __m256d x =
-      _mm256_div_pd(vsub(vmul(ca, r), cb), vadd(ca, vmul(cb, r)));
-  const __m256d z = vmul(x, x);
-  const __m256d w = vmul(z, z);
-  // The scalar Horner chains, innermost term first.
-  __m256d s1 = splat(kAT10);
-  for (double t : {kAT8, kAT6, kAT4, kAT2}) s1 = vadd(splat(t), vmul(w, s1));
-  s1 = vmul(z, vadd(splat(kAT0), vmul(w, s1)));
-  __m256d s2 = splat(kAT9);
-  for (double t : {kAT7, kAT5, kAT3, kAT1}) s2 = vadd(splat(t), vmul(w, s2));
-  s2 = vmul(w, s2);
-  const __m256d atan_r = vsub(hi, vsub(vsub(vmul(x, vadd(s1, s2)), lo), x));
-  // Quadrant fix: pi - (atan_r - pi_lo) where re < 0 (blendv reads its
-  // sign bit), then the sign of im.
-  const __m256d folded = _mm256_blendv_pd(
-      atan_r, vsub(splat(kPi), vsub(atan_r, splat(kPiLo))), re);
-  __m256d phase = _mm256_xor_pd(folded, _mm256_and_pd(im, sign));
-
-  const int special = _mm256_movemask_pd(_mm256_andnot_pd(ordinary, gate));
-  if (special != 0) {
+/// Recomputes the lanes fm_passes flagged through the scalar TU's
+/// fm_atan2, from step products fm_steps rounds exactly as fm_passes did.
+[[gnu::noinline]] void fm_fixup(const double* w, std::uint32_t special,
+                                __m256d* phase) {
+  for (std::size_t p = 0; special != 0; ++p, special >>= 4) {
+    const std::uint32_t lanes = special & 0xF;
+    if (lanes == 0) continue;
+    __m256d re;
+    __m256d im;
+    fm_steps(w + 8 * p, &re, &im);
     alignas(32) double re_l[4];
     alignas(32) double im_l[4];
     alignas(32) double phase_l[4];
     _mm256_store_pd(re_l, re);
     _mm256_store_pd(im_l, im);
-    _mm256_store_pd(phase_l, phase);
+    _mm256_store_pd(phase_l, phase[p]);
     for (int l = 0; l < 4; ++l) {
-      if ((special >> l) & 1) phase_l[l] = kernels::fm_atan2(im_l[l], re_l[l]);
+      if ((lanes >> l) & 1) phase_l[l] = kernels::fm_atan2(im_l[l], re_l[l]);
     }
-    phase = _mm256_load_pd(phase_l);
+    phase[p] = _mm256_load_pd(phase_l);
   }
-  return _mm256_and_pd(phase, gate);
 }
 
 void fm_discriminate(const cplx* wave, std::size_t num_chips, std::size_t spc,
                      double* chips) {
-  // Whole passes end on a chip boundary every 4 / gcd(spc, 4) chips; the
-  // chips past the last such boundary go through the scalar table.
-  const std::size_t group = 4 / std::gcd(spc, std::size_t{4});
-  const std::size_t vector_chips = num_chips - num_chips % group;
-  const std::size_t steps = vector_chips * spc;
-  const double* w = as_doubles(wave);
-  double rotation = 0.0;
-  std::size_t in_chip = 0;
-  std::size_t chip = 0;
-  for (std::size_t j = 0; j < steps; j += 4) {
-    __m256d prev_re;
-    __m256d prev_im;
-    __m256d cur_re;
-    __m256d cur_im;
-    deinterleave4(w + 2 * j, &prev_re, &prev_im);
-    deinterleave4(w + 2 * j + 2, &cur_re, &cur_im);
-    alignas(32) double phase[4];
-    _mm256_store_pd(phase, fm_step_phases(cur_re, cur_im, prev_re, prev_im));
-    for (std::size_t l = 0; l < 4; ++l) {
-      // A gated-out step adds +0.0, which leaves the sum unchanged: it
-      // starts at +0.0, so it is never -0.0.
-      rotation += phase[l];
-      if (++in_chip == spc) {
-        chips[chip++] = rotation / scalar_impl::kHalfPi;
-        rotation = 0.0;
-        in_chip = 0;
-      }
+  constexpr std::size_t kBlockChips = 2 * kFmPasses;
+  const std::size_t vector_chips =
+      spc == 2 ? num_chips - num_chips % kBlockChips : 0;
+  // A block's 16 chips are summed in four registers. Chip k is the scalar
+  // sum fl(fl(+0.0 + p0) + p1) / (pi/2) of its steps p0, p1: adding
+  // [+0.0, -0.0] per chip turns a -0.0 p0 into +0.0 as the scalar sum's
+  // start does and leaves every p1 as it is, and hadd adds each lane pair.
+  // Gated phases are finite, so the order inside hadd cannot change a bit.
+  // One divide then serves four chips.
+  const __m256d start = negate_odd_mask();
+  const __m256d half_pi = splat(scalar_impl::kHalfPi);
+  for (std::size_t chip = 0; chip < vector_chips; chip += kBlockChips) {
+    const double* w = as_doubles(wave + 2 * chip);
+    __m256d phase[kFmPasses];
+    const std::uint32_t special = fm_passes(w, phase);
+    if (special != 0) fm_fixup(w, special, phase);
+#pragma GCC unroll 4
+    for (std::size_t p = 0; p < kFmPasses; p += 2) {
+      // [chip 0, chip 2, chip 1, chip 3] of passes p and p + 1.
+      const __m256d sums =
+          _mm256_hadd_pd(vadd(phase[p], start), vadd(phase[p + 1], start));
+      _mm256_storeu_pd(
+          chips + chip + 2 * p,
+          _mm256_div_pd(_mm256_permute4x64_pd(sums, 0xD8), half_pi));
     }
   }
-  scalar_table().fm_discriminate(wave + steps, num_chips - vector_chips, spc,
+  scalar_table().fm_discriminate(wave + vector_chips * spc,
+                                 num_chips - vector_chips, spc,
                                  chips + vector_chips);
 }
 

@@ -103,8 +103,13 @@ inline void two_tap(cplx* x, std::size_t n, double a, double b) {
 // and subnormal operands, an alternate formula for a ratio at or below
 // DBL_MIN, and recovery of infinities and zeros that computed as NaN. The
 // AVX2 kernel runs the common path and hands every other case back here.
-inline void cdiv(cplx* x, std::size_t n, cplx h) {
-  for (std::size_t i = 0; i < n; ++i) x[i] /= h;
+// Each sample is read before its quotient is written, so in == out works.
+inline void cdiv(const cplx* in, std::size_t n, cplx h, cplx* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    cplx v = in[i];
+    v /= h;
+    out[i] = v;
+  }
 }
 
 // 8-real-lane energy: component m (the flattened re/im stream) lands in

@@ -57,7 +57,8 @@ cvec equalized_grid(std::span<const cplx> symbol, std::span<const cplx> channel,
   pilot_sum += grid[subcarrier_to_bin(pilots[3])] * (-polarity);
   if (std::abs(pilot_sum) > 1e-9) {
     const cplx rotation = pilot_sum / std::abs(pilot_sum);
-    dsp::kernels::active().cdiv(grid.data(), grid.size(), rotation);
+    dsp::kernels::active().cdiv(grid.data(), grid.size(), rotation,
+                                grid.data());
   }
   return grid;
 }

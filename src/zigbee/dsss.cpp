@@ -186,7 +186,8 @@ const DifferentialRowSets& differential_row_sets() {
 }  // namespace
 
 std::vector<DespreadResult> despread_differential(
-    std::span<const double> freq_chips, std::size_t threshold) {
+    std::span<const double> freq_chips, std::size_t threshold,
+    std::uint8_t previous_chip) {
   CTC_REQUIRE_MSG(freq_chips.size() % kChipsPerSymbol == 0,
                   "chip stream must contain whole symbols");
   const std::size_t blocks = freq_chips.size() / kChipsPerSymbol;
@@ -201,7 +202,6 @@ std::vector<DespreadResult> despread_differential(
   // The symbol chain itself stays sequential: block k's row set depends on
   // the decoded last chip of block k-1.
   const DifferentialRowSets& sets = differential_row_sets();
-  std::uint8_t previous_chip = 2;  // first block has no predecessor
   for (std::size_t k = 0; k < blocks; ++k) {
     const PackedChips* rows = previous_chip > 1 ? sets.first.data()
                               : previous_chip == 0 ? sets.prev0.data()

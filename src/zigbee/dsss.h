@@ -51,10 +51,14 @@ std::vector<DespreadResult> despread(std::span<const std::uint8_t> chips,
 ///   f_i = s_i * (2 c_{i-1} - 1)(2 c_i - 1),  s_i = +1 (i odd) / -1 (i even),
 /// so each candidate chip sequence is matched in this differential domain.
 /// The first chip of each block depends on the last chip of the previous
-/// symbol; it is carried across blocks (and skipped for the very first
-/// block, where no predecessor exists).
+/// symbol; it is carried across blocks. `previous_chip` < 2 is the last
+/// chip of the symbol before the first block, so a stream despread from a
+/// decoded prefix's last symbol on matches the whole stream's despread;
+/// the default 2 means the first block has no predecessor, and its chip 0
+/// is skipped.
 std::vector<DespreadResult> despread_differential(
-    std::span<const double> freq_chips, std::size_t threshold);
+    std::span<const double> freq_chips, std::size_t threshold,
+    std::uint8_t previous_chip = 2);
 
 /// Single-block differential matcher. `previous_chip` < 2 is the last chip
 /// of the preceding symbol; pass 2 to exclude chip 0 from the distance.

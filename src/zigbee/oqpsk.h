@@ -82,14 +82,15 @@ class OqpskDemodulator {
   rvec frequency_chips(std::span<const cplx> waveform, std::size_t num_chips) const;
 
   /// Incremental forms: extend `soft`/`chips` in place from their current
-  /// size up to `num_chips`, computing only the chips not yet present. Both
-  /// demodulations are strictly per-chip (chip i reads only its own sample
-  /// window), so extending a prefix is bit-identical to recomputing the
-  /// full stream — the receiver relies on that to demodulate the header
-  /// once, learn the frame length, and then extend to the full frame
-  /// without redoing (or re-rounding) a single chip. The soft extension
-  /// must start on an even chip so the I/Q branch parity of the offset
-  /// call matches the absolute chip index.
+  /// size up to `num_chips`, computing only the chips not yet present; on
+  /// an empty vector they demodulate into its reused storage (the
+  /// receiver's header pass). Both demodulations are strictly per-chip
+  /// (chip i reads only its own sample window), so extending a prefix is
+  /// bit-identical to recomputing the full stream, and so is demodulating
+  /// a span that starts on a chip boundary — the receiver's second pass
+  /// demodulates only the PSDU's chips. The soft extension (or span) must
+  /// start on an even chip so the I/Q branch parity of the offset call
+  /// matches the absolute chip index.
   void extend_soft_chips(std::span<const cplx> waveform, std::size_t num_chips,
                          rvec& soft) const;
   void extend_frequency_chips(std::span<const cplx> waveform,

@@ -1,5 +1,6 @@
 #include "zigbee/receiver.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "dsp/kernels/kernels.h"
@@ -16,6 +17,9 @@ namespace {
 constexpr std::size_t kShrSymbols = 2 * (kPreambleBytes + 1);  // 10
 constexpr std::size_t kPhrSymbols = 2;
 constexpr std::size_t kHeaderSymbols = kShrSymbols + kPhrSymbols;
+// Clock recovery's tau grid: half-range and step in samples (17 points).
+constexpr double kTimingSearchRange = 0.5;
+constexpr double kTimingSearchStep = 0.0625;
 
 }  // namespace
 
@@ -42,17 +46,18 @@ ReceiverProfile ReceiverProfile::cc26x2r1() {
 
 Receiver::Receiver(ReceiverConfig config)
     : config_(config), demodulator_(config.samples_per_chip) {
+  const std::size_t window =
+      kShrSymbols * kChipsPerSymbol * config_.samples_per_chip;
   TransmitterConfig tx_config;
   tx_config.samples_per_chip = config_.samples_per_chip;
   tx_config.normalize_power = false;  // reference amplitude = 1 per branch
   shr_reference_ = Transmitter(tx_config).shr_reference();
+  reference_energy_ =
+      dsp::kernels::active().energy(shr_reference_.data(), window);
 
   if (config_.timing_recovery) {
-    const std::size_t window =
-        kShrSymbols * kChipsPerSymbol * config_.samples_per_chip;
-    for (double tau = -config_.timing_search_range;
-         tau <= config_.timing_search_range + 1e-12;
-         tau += config_.timing_search_step) {
+    for (double tau = -kTimingSearchRange; tau <= kTimingSearchRange + 1e-12;
+         tau += kTimingSearchStep) {
       TimingReference entry;
       entry.tau = tau;
       entry.reference =
@@ -106,17 +111,20 @@ ReceiveResult Receiver::receive(std::span<const cplx> waveform) const {
 
   // Data-aided channel estimate over the SHR window: h = <r, ref> / ||ref||^2.
   // The coherent path needs it; the discriminator path is gain/phase
-  // agnostic but shares the equalized buffer for simplicity. Thread-local
-  // scratch: receive() runs on every Monte Carlo trial, and this copy was
-  // the per-trial allocation high-water mark.
+  // agnostic but shares the equalized buffer for simplicity. cdiv divides
+  // the waveform straight into a thread-local buffer: receive() runs on
+  // every Monte Carlo trial, and a per-call buffer was the per-trial
+  // allocation high-water mark. The buffer only grows, so a steady stream
+  // of frames writes each equalized sample once; when h is too small to
+  // apply, the samples are copied instead.
   //
-  // The copy (and the division below) is staged: only the header span is
-  // equalized up front; once the PHR reveals the frame length the buffer is
-  // extended to exactly the frame. Callers hand receive() a span sized for
-  // the LARGEST admissible frame (the scanner's bounded lookahead), so
-  // equalizing the whole span would process ~3.6x the samples a typical
-  // frame occupies. cdiv is elementwise, so the staged division rounds
-  // every sample exactly as the one-shot division did.
+  // The division is staged: only the header span is equalized up front;
+  // once the PHR reveals the frame length, the rest of exactly the frame
+  // is. Callers hand receive() a span sized for the LARGEST admissible
+  // frame (the scanner's bounded lookahead), so equalizing the whole span
+  // would process ~3.6x the samples a typical frame occupies. cdiv is
+  // elementwise, so the staged division rounds every sample exactly as a
+  // one-shot division does.
   //
   // The zigbee_rx/{equalize,demod,despread} timers split receive() without
   // overlapping; each of the two staged passes adds one span to each.
@@ -125,20 +133,26 @@ ReceiveResult Receiver::receive(std::span<const cplx> waveform) const {
   const std::size_t window = shr_chips * spc;
   cplx h;
   bool equalizer_applied = false;
+  // Equalizes waveform[first, last) into equalized[first, last).
+  const auto equalize = [&](std::size_t first, std::size_t last) {
+    if (equalized.size() < last) equalized.resize(last);
+    if (equalizer_applied) {
+      kt.cdiv(waveform.data() + first, last - first, h,
+              equalized.data() + first);
+    } else {
+      std::copy(waveform.begin() + static_cast<std::ptrdiff_t>(first),
+                waveform.begin() + static_cast<std::ptrdiff_t>(last),
+                equalized.begin() + static_cast<std::ptrdiff_t>(first));
+    }
+  };
   {
     CTC_TELEM_TIMER("zigbee_rx", "equalize");
-    equalized.assign(waveform.begin(),
-                     waveform.begin() +
-                         static_cast<std::ptrdiff_t>(header_samples));
     const cplx correlation =
         kt.dot_conj(waveform.data(), shr_reference_.data(), window);
-    const double reference_energy = kt.energy(shr_reference_.data(), window);
-    h = correlation / reference_energy;
+    h = correlation / reference_energy_;
     equalizer_applied = std::abs(h) > 1e-9;
-    if (equalizer_applied) {
-      result.channel_estimate = h;
-      kt.cdiv(equalized.data(), equalized.size(), h);
-    }
+    if (equalizer_applied) result.channel_estimate = h;
+    equalize(0, header_samples);
   }
   // Noise estimate from the residual r - h*ref over the SHR window.
   double residual_energy = 0.0;
@@ -156,38 +170,29 @@ ReceiveResult Receiver::receive(std::span<const cplx> waveform) const {
   const bool differential = config_.profile.demod == DemodKind::differential;
   const std::size_t threshold = config_.profile.correlation_threshold;
 
-  // Chip caches shared by the header pass, the defense taps, and the final
-  // despread. Both demodulations are per-chip, so extending a cache is
-  // bit-identical to the full-stream calls this code used to make — the
-  // header's chips are demodulated once instead of three times (header
-  // despread, full-frame tap, full-frame despread).
-  thread_local rvec freq_cache;
-  thread_local rvec soft_cache;
-  freq_cache.clear();
-  soft_cache.clear();
-  // Despreads the first num_chips chips of the profile's cache, which the
-  // pass has already extended that far.
-  auto despread_cached = [&](std::size_t num_chips) {
-    CTC_TELEM_TIMER("zigbee_rx", "despread");
-    if (differential) {
-      return despread_differential(
-          std::span<const double>(freq_cache.data(), num_chips), threshold);
-    }
-    const auto hard = OqpskDemodulator::hard_decision(
-        std::span<const double>(soft_cache.data(), num_chips));
-    return despread(hard, threshold);
-  };
-
-  // Pass 1: header only, to learn the frame length.
+  // Pass 1: header only, to learn the frame length. The profile's chips go
+  // to a thread-local buffer, since only the symbols are kept.
+  thread_local rvec header_cache;
+  header_cache.clear();
   {
     CTC_TELEM_TIMER("zigbee_rx", "demod");
+    const std::span<const cplx> header_wave(equalized.data(), header_samples);
     if (differential) {
-      demodulator_.extend_frequency_chips(equalized, header_chips, freq_cache);
+      demodulator_.extend_frequency_chips(header_wave, header_chips,
+                                          header_cache);
     } else {
-      demodulator_.extend_soft_chips(equalized, header_chips, soft_cache);
+      demodulator_.extend_soft_chips(header_wave, header_chips, header_cache);
     }
   }
-  const auto header_symbols = despread_cached(header_chips);
+  std::vector<DespreadResult> header_symbols;
+  {
+    CTC_TELEM_TIMER("zigbee_rx", "despread");
+    header_symbols =
+        differential
+            ? despread_differential(header_cache, threshold)
+            : despread(OqpskDemodulator::hard_decision(header_cache),
+                       threshold);
+  }
 
   // Preamble: eight 0 symbols; SFD 0xA7 -> symbols {7, 10} (low nibble first).
   bool shr_ok = true;
@@ -218,46 +223,49 @@ ReceiveResult Receiver::receive(std::span<const cplx> waveform) const {
   result.phr_ok = true;
   CTC_TELEM_COUNT("zigbee_rx", "phr_ok", 1);
 
-  // The frame length is now known: extend the equalized buffer (copy +
-  // staged cdiv, same per-sample rounding) from the header to exactly the
-  // frame's samples.
+  // The frame length is now known: equalize the rest of exactly the
+  // frame's samples (same per-sample rounding as the header's).
   const std::size_t frame_samples = (total_chips + 1) * spc;
   {
     CTC_TELEM_TIMER("zigbee_rx", "equalize");
-    equalized.insert(equalized.end(),
-                     waveform.begin() +
-                         static_cast<std::ptrdiff_t>(equalized.size()),
-                     waveform.begin() +
-                         static_cast<std::ptrdiff_t>(frame_samples));
-    if (equalizer_applied) {
-      kt.cdiv(equalized.data() + header_samples,
-              frame_samples - header_samples, h);
-    }
+    equalize(header_samples, frame_samples);
   }
 
-  // Pass 2: the whole frame, so differential chip boundaries carry across
-  // the PHR/PSDU seam. The profile's cache already holds the header's
-  // chips, so only its PSDU chips are demodulated here.
+  // Pass 2: the PSDU's chips [header_chips, total_chips) only, straight
+  // into the result, since nothing reads the header's chips again. Both
+  // demodulations are per chip, so these are the chips a whole-frame call
+  // gives: header_chips is even, so the matched filter's I/Q branch parity
+  // holds. The differential chain continues from the last chip of the
+  // PHR's decoded symbol, as a whole-frame despread would have; the
+  // coherent despread is per block.
+  const std::span<const cplx> psdu_wave(equalized.data() + header_chips * spc,
+                                        frame_samples - header_chips * spc);
   {
     CTC_TELEM_TIMER("zigbee_rx", "demod");
-    demodulator_.extend_soft_chips(equalized, total_chips, soft_cache);
-    demodulator_.extend_frequency_chips(equalized, total_chips, freq_cache);
+    result.soft_chips = demodulator_.soft_chips(psdu_wave, psdu_chips);
+    result.freq_chips = demodulator_.frequency_chips(psdu_wave, psdu_chips);
   }
-  result.soft_chips.assign(soft_cache.begin() + header_chips, soft_cache.end());
-  result.freq_chips.assign(freq_cache.begin() + header_chips, freq_cache.end());
   result.hard_chips = OqpskDemodulator::hard_decision(result.soft_chips);
-
-  const auto all_symbols = despread_cached(total_chips);
+  std::vector<DespreadResult> psdu_symbols;
+  {
+    CTC_TELEM_TIMER("zigbee_rx", "despread");
+    psdu_symbols =
+        differential
+            ? despread_differential(
+                  result.freq_chips, threshold,
+                  chips_for_symbol(header_symbols.back().symbol).back())
+            : despread(result.hard_chips, threshold);
+  }
   result.psdu_complete = true;
   std::vector<std::uint8_t> symbol_values;
-  symbol_values.reserve(all_symbols.size() - kHeaderSymbols);
-  for (std::size_t s = kHeaderSymbols; s < all_symbols.size(); ++s) {
-    result.hamming_distances.push_back(all_symbols[s].distance);
+  symbol_values.reserve(psdu_symbols.size());
+  for (const DespreadResult& symbol : psdu_symbols) {
+    result.hamming_distances.push_back(symbol.distance);
     // The statistic of the paper's Fig. 7: chip Hamming distance of the
     // best-matching sequence, per PSDU symbol.
-    CTC_TELEM_HISTO("zigbee_rx", "symbol_hamming", all_symbols[s].distance);
-    if (!all_symbols[s].accepted) result.psdu_complete = false;
-    symbol_values.push_back(all_symbols[s].symbol);
+    CTC_TELEM_HISTO("zigbee_rx", "symbol_hamming", symbol.distance);
+    if (!symbol.accepted) result.psdu_complete = false;
+    symbol_values.push_back(symbol.symbol);
   }
   result.psdu = symbols_to_bytes(symbol_values);
   if (result.psdu_complete) {

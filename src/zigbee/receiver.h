@@ -89,12 +89,9 @@ struct ReceiverConfig {
   /// reference on a sub-sample grid and correct it before demodulation.
   /// Off by default to keep the calibrated experiment profiles unchanged;
   /// the ablation tests show the low-SNR gain under timing offsets.
+  /// The search grid is fixed: tau from -0.5 to 0.5 samples in steps of
+  /// 1/16, 17 shifted SHR references built once, at construction.
   bool timing_recovery = false;
-  /// Timing search half-range (fractions of a sample) and grid step. The
-  /// shifted SHR references of the whole tau grid are built once, at
-  /// construction.
-  double timing_search_range = 0.5;
-  double timing_search_step = 0.0625;
 };
 
 class Receiver {
@@ -126,6 +123,9 @@ class Receiver {
   ReceiverConfig config_;
   OqpskDemodulator demodulator_;
   cvec shr_reference_;
+  /// energy() of the SHR correlation window of shr_reference_, the
+  /// equalizer's denominator.
+  double reference_energy_ = 0.0;
   std::vector<TimingReference> timing_grid_;  ///< empty unless timing_recovery
 };
 

@@ -121,24 +121,36 @@ std::string hex(cplx v) {
   return out.str();
 }
 
-/// Divides x[offset, offset + n) by h at both levels and compares every
-/// byte of each result with std::complex operator/=, i.e. libgcc's
-/// __divdc3 — what the equalizer compiled to before the kernel existed.
+/// Divides x[offset, offset + n) by h at both levels, in place and out of
+/// place, and compares every byte of each result with std::complex
+/// operator/=, i.e. libgcc's __divdc3 — what the equalizer compiled to
+/// before the kernel existed. Out of place, the input must stay as it was
+/// and the output buffer untouched outside [offset, offset + n).
 testing::AssertionResult cdiv_matches_operator(const cvec& x,
                                                std::size_t offset,
                                                std::size_t n, cplx h) {
   cvec expected = x;
   for (std::size_t i = offset; i < offset + n; ++i) expected[i] /= h;
+  const cplx untouched{-7.0, 7.0};
   for (const SimdLevel level : {SimdLevel::scalar, best_supported_level()}) {
-    cvec got = x;
-    table(level).cdiv(got.data() + offset, n, h);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      if (std::memcmp(&got[i], &expected[i], sizeof(cplx)) != 0) {
-        return testing::AssertionFailure()
-               << level_name(level) << " cdiv differs from operator/= at i="
-               << i << " (n=" << n << ", offset=" << offset << "): "
-               << hex(x[i]) << " / " << hex(h) << " gave " << hex(got[i])
-               << ", expected " << hex(expected[i]);
+    for (const bool in_place : {true, false}) {
+      cvec in = x;
+      cvec out(x.size(), untouched);
+      cvec& got = in_place ? in : out;
+      table(level).cdiv(in.data() + offset, n, h, got.data() + offset);
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        const bool inside = i >= offset && i < offset + n;
+        const cplx want = inside ? expected[i] : in_place ? x[i] : untouched;
+        if (std::memcmp(&got[i], &want, sizeof(cplx)) != 0 ||
+            std::memcmp(&in[i], in_place ? &want : &x[i], sizeof(cplx)) != 0) {
+          return testing::AssertionFailure()
+                 << level_name(level)
+                 << (in_place ? " in-place" : " out-of-place")
+                 << " cdiv differs from operator/= at i=" << i
+                 << " (n=" << n << ", offset=" << offset << "): " << hex(x[i])
+                 << " / " << hex(h) << " gave " << hex(got[i]) << ", input "
+                 << hex(in[i]) << ", expected " << hex(want);
+        }
       }
     }
   }
@@ -442,6 +454,46 @@ TEST(KernelsEquivalence, AddGaussBitwise) {
   }
 }
 
+/// fm_discriminate of `chips` chips from wave[offset] at both levels,
+/// compared byte for byte (and the slot past the last chip untouched).
+testing::AssertionResult fm_discriminate_bitwise(const cvec& wave,
+                                                 std::size_t offset,
+                                                 std::size_t chips,
+                                                 std::size_t spc) {
+  rvec a(chips + 1, 7.0);
+  rvec b(chips + 1, 7.0);
+  scalar_table().fm_discriminate(wave.data() + offset, chips, spc, a.data());
+  best_table().fm_discriminate(wave.data() + offset, chips, spc, b.data());
+  for (std::size_t i = 0; i <= chips; ++i) {
+    if (std::memcmp(&a[i], &b[i], sizeof(double)) != 0) {
+      return testing::AssertionFailure()
+             << "fm_discriminate differs at chip " << i << " of " << chips
+             << " (spc=" << spc << ", offset=" << offset << "): "
+             << std::hexfloat << a[i] << " vs " << b[i];
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+// The AVX2 kernel runs whole blocks of 32 steps (eight four-step passes)
+// at spc = 2 and hands the chips past the last block, and every other spc,
+// to the scalar table: chip counts at one and two blocks +-1 chip sit on
+// that seam.
+std::vector<std::size_t> fm_chip_counts(std::size_t spc) {
+  // Every tail length at 1-4 samples per chip (0-9 chips), a few passes
+  // plus a tail (31) and one text frame's discriminator chips (1408), +-1.
+  std::vector<std::size_t> counts = {0, 1, 2,  3,    4,    5,   6,
+                                     7, 8, 9, 31, 1407, 1408, 1409};
+  for (std::size_t blocks : {1, 2}) {
+    const std::size_t steps = 32 * blocks;
+    for (std::size_t c = steps / spc - 1; c <= (steps + spc - 1) / spc + 1;
+         ++c) {
+      counts.push_back(c);
+    }
+  }
+  return counts;
+}
+
 TEST(KernelsEquivalence, FmDiscriminateBitwise) {
   Rng rng = Rng::for_stream(1, 23);
   const double inf = std::numeric_limits<double>::infinity();
@@ -454,12 +506,8 @@ TEST(KernelsEquivalence, FmDiscriminateBitwise) {
   const std::vector<double> ratios = {0x1p-27, 0.4375, 0.6875,
                                       1.1875,  2.4375, 0x1p60,
                                       0x1p-60, 0x1p61, 0x1p-61};
-  // Every tail length at 1-4 samples per chip (0-9 chips), a few passes
-  // plus a tail (31) and one text frame's discriminator chips (1408).
-  const std::vector<std::size_t> chip_counts = {0, 1, 2, 3, 4,  5,
-                                                6, 7, 8, 9, 31, 1408};
   for (std::size_t spc = 1; spc <= 4; ++spc) {
-    for (std::size_t chips : chip_counts) {
+    for (std::size_t chips : fm_chip_counts(spc)) {
       for (std::size_t offset : {std::size_t{0}, std::size_t{1}}) {
         for (int variant = 0; variant < 4; ++variant) {
           cvec wave = random_cvec(rng, chips * spc + 1 + offset);
@@ -487,17 +535,78 @@ TEST(KernelsEquivalence, FmDiscriminateBitwise) {
               wave[i] = cplx{re, re * ratio * (pick & 2 ? -1 : 1)};
             }
           }
-          rvec a(chips + 1, 7.0);
-          rvec b(chips + 1, 7.0);
-          scalar_table().fm_discriminate(wave.data() + offset, chips, spc,
-                                         a.data());
-          best_table().fm_discriminate(wave.data() + offset, chips, spc,
-                                       b.data());
-          ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)),
-                    0)
-              << "fm_discriminate spc=" << spc << " chips=" << chips
-              << " offset=" << offset << " variant=" << variant;
+          ASSERT_TRUE(fm_discriminate_bitwise(wave, offset, chips, spc))
+              << "variant " << variant;
         }
+      }
+    }
+  }
+}
+
+// Every special value in each component of the sample that ends step p,
+// for each of the 32 step positions of a block (and so each lane of each
+// of its eight passes), with the block followed by a second one and a
+// scalar tail. The scalar fixup must finish every flagged lane.
+TEST(KernelsEquivalence, FmDiscriminateFixupAtEveryStep) {
+  Rng rng = Rng::for_stream(1, 25);
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> specials = {
+      0.0, -0.0, inf, -inf, std::nan(""), 0x1p-1074, 1e-310, 1e300, -1e300,
+      1e-300};
+  for (std::size_t spc = 1; spc <= 4; ++spc) {
+    const std::size_t chips = (68 + spc - 1) / spc;
+    for (std::size_t step = 0; step < 32; ++step) {
+      for (const double v : specials) {
+        for (int component = 0; component < 2; ++component) {
+          cvec wave = random_cvec(rng, chips * spc + 1);
+          // Step `step` is wave[step + 1] * conj(wave[step]); prev = (1, 0)
+          // makes the step the planted sample itself.
+          wave[step] = cplx{1.0, 0.0};
+          cplx& sample = wave[step + 1];
+          if (component == 0) {
+            sample.real(v);
+          } else {
+            sample.imag(v);
+          }
+          ASSERT_TRUE(fm_discriminate_bitwise(wave, 0, chips, spc))
+              << "step " << step << " component " << component << " value "
+              << v;
+        }
+      }
+    }
+  }
+}
+
+// At spc = 2 the AVX2 kernel sums a chip's two phases in vector registers
+// as fl(fl(+0.0 + p0) + p1). A first step of (x, -0.0) has phase -0.0; when
+// the second step's phase is -0.0 too, a plain p0 + p1 would give -0.0
+// where the scalar sum, which starts at +0.0, gives +0.0.
+TEST(KernelsEquivalence, FmDiscriminateNegativeZeroFirstStep) {
+  Rng rng = Rng::for_stream(1, 26);
+  const std::size_t spc = 2;
+  const std::size_t chips = 40;
+  for (std::size_t chip = 0; chip < chips; ++chip) {
+    for (int second = 0; second < 3; ++second) {
+      cvec wave = random_cvec(rng, chips * spc + 1);
+      // Chip `chip` reads samples 2 chip .. 2 chip + 2. prev = (1, 0) and
+      // sample = (x, -0.0) make its first step (x, -0.0), x > 0.
+      const std::size_t start = chip * spc;
+      wave[start] = cplx{1.0, 0.0};
+      wave[start + 1] = cplx{1e10, -0.0};
+      if (second == 1) {
+        // Second step (+inf, -1e10): phase -0.0.
+        wave[start + 2] = cplx{1e300, -1.0};
+      } else if (second == 2) {
+        // Second step gated out: it adds nothing.
+        wave[start + 2] = cplx{1e-30, 1e-30};
+      }
+      ASSERT_TRUE(fm_discriminate_bitwise(wave, 0, chips, spc))
+          << "chip " << chip << " second " << second;
+      if (second == 1) {
+        rvec out(chips);
+        best_table().fm_discriminate(wave.data(), chips, spc, out.data());
+        EXPECT_FALSE(std::signbit(out[chip])) << "chip " << chip;
+        EXPECT_EQ(out[chip], 0.0) << "chip " << chip;
       }
     }
   }

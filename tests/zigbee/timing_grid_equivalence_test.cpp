@@ -42,8 +42,13 @@ void expect_identical(const ReceiveResult& a, const ReceiveResult& b) {
   EXPECT_EQ(a.timing_offset_estimate, b.timing_offset_estimate);
 }
 
+/// The receiver's tau grid: -0.5 to 0.5 in steps of 1/16. Each tau is exact
+/// in binary, so these are the values the receiver's accumulating loop
+/// produces.
+double grid_tau(int k) { return k / 16.0; }
+
 /// The per-call clock-recovery search: the winning tau of the SHR
-/// correlation over the configured grid.
+/// correlation over the receiver's grid.
 double percall_best_tau(std::span<const cplx> capture,
                         const ReceiverConfig& config) {
   TransmitterConfig tx_config;
@@ -55,9 +60,8 @@ double percall_best_tau(std::span<const cplx> capture,
   const dsp::kernels::KernelTable& kt = dsp::kernels::active();
   double best_metric = -1.0;
   double best_tau = 0.0;
-  for (double tau = -config.timing_search_range;
-       tau <= config.timing_search_range + 1e-12;
-       tau += config.timing_search_step) {
+  for (int k = -8; k <= 8; ++k) {
+    const double tau = grid_tau(k);
     const cvec shifted = dsp::fractional_delay(shr_reference, tau);
     const double energy = kt.energy(shifted.data(), window);
     const cplx correlation = kt.dot_conj(capture.data(), shifted.data(), window);
@@ -112,14 +116,21 @@ TEST(TimingGridEquivalenceTest, GridReceiveIsBitIdenticalToPerCall) {
 }
 
 TEST(TimingGridEquivalenceTest, GridCoversTheFullTauSequence) {
-  // The estimated offset must still span the whole search range: feed
-  // captures delayed by each extreme and confirm the estimate tracks them
-  // (i.e. the grid didn't truncate the tau sweep).
+  // The estimated offset must still span the whole search range: a clean
+  // frame delayed by each of the grid's 17 taus must come back with exactly
+  // that tau as its estimate, and captures delayed by the channel's timing
+  // offset must track it (i.e. the grid didn't truncate the tau sweep).
   Transmitter tx;
   const cvec wave = tx.transmit_frame(make_text_frame(0, 0));
   ReceiverConfig config;
   config.timing_recovery = true;
   const Receiver receiver(config);
+  for (int k = -8; k <= 8; ++k) {
+    const double tau = grid_tau(k);
+    const cvec delayed = dsp::fractional_delay(wave, tau);
+    EXPECT_EQ(receiver.receive(delayed).timing_offset_estimate, tau)
+        << "tau " << tau;
+  }
   for (double offset : {0.0625, 0.4375}) {
     const cvec delayed = channel::apply_timing_offset(wave, offset);
     const ReceiveResult result = receiver.receive(delayed);
