@@ -8,7 +8,9 @@
 // Captures written here load directly into GNU Radio file sources (and vice
 // versa), so the pipeline interoperates with real SDR recordings.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include "attack/emulator.h"
@@ -17,6 +19,7 @@
 #include "dsp/psd.h"
 #include "dsp/stats.h"
 #include "zigbee/receiver.h"
+#include "zigbee/shr_sync.h"
 #include "zigbee/transmitter.h"
 
 using namespace ctc;
@@ -54,13 +57,11 @@ int cmd_attack(const char* in_path, const char* out_path) {
 
 int cmd_detect(const char* path) {
   const cvec capture = dsp::read_cf32(path);
-  const zigbee::Receiver receiver;
   // Tolerate unaligned captures.
-  std::size_t offset = 0;
-  if (const auto found = receiver.synchronize(capture, 4000)) {
-    offset = *found;
-  }
-  const auto rx = receiver.receive(std::span<const cplx>(capture).subspan(offset));
+  const std::size_t offset =
+      zigbee::ShrSync().find(capture, 4000).offset.value_or(0);
+  const auto rx =
+      zigbee::Receiver().receive(std::span<const cplx>(capture).subspan(offset));
   std::printf("sync offset %zu | SHR %s | PHR %s | DSSS %s | FCS %s\n", offset,
               rx.shr_ok ? "ok" : "FAIL", rx.phr_ok ? "ok" : "FAIL",
               rx.psdu_complete ? "ok" : "FAIL", rx.mac ? "ok" : "FAIL");
@@ -109,9 +110,7 @@ int cmd_psd(const char* path, double rate_hz) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int dispatch(int argc, char** argv) {
   if (argc >= 3 && std::strcmp(argv[1], "generate") == 0) {
     return cmd_generate(argv[2], argc > 3 ? argv[3] : "HELLO");
   }
@@ -132,4 +131,16 @@ int main(int argc, char** argv) {
                "  %s psd <in.cf32> [rate_hz]\n",
                argv[0], argv[0], argv[0], argv[0]);
   return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // An unreadable or odd-length capture fails with one line, not an abort.
+  try {
+    return dispatch(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "ctc_tool: %s\n", error.what());
+    return 1;
+  }
 }

@@ -3,7 +3,7 @@
 #include "channel/awgn.h"
 #include "dsp/resample.h"
 #include "dsp/stats.h"
-#include "zigbee/receiver.h"
+#include "zigbee/shr_sync.h"
 
 namespace ctc::attack {
 
@@ -26,9 +26,9 @@ EavesdropResult Eavesdropper::listen(std::span<const cplx> zigbee_waveform,
   result.capture_4mhz = wifi_band_to_zigbee_baseband(capture, config_.plan);
 
   // Frame sync against the 802.15.4 SHR.
-  const zigbee::Receiver reference;
-  const auto offset =
-      reference.synchronize(result.capture_4mhz, config_.max_sync_offset);
+  const std::optional<std::size_t> offset =
+      zigbee::ShrSync().find(result.capture_4mhz, config_.max_sync_offset)
+          .offset;
   if (!offset) return result;
   result.synchronized = true;
   result.frame_offset = *offset;

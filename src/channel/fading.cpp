@@ -15,12 +15,6 @@ cplx rician_tap(double k_factor, dsp::Rng& rng) {
   return cplx{los, 0.0} + rng.complex_gaussian(scatter_variance);
 }
 
-cvec apply_flat_fading(std::span<const cplx> signal, cplx tap) {
-  cvec out(signal.begin(), signal.end());
-  for (auto& x : out) x *= tap;
-  return out;
-}
-
 void apply_flat_fading_inplace(std::span<cplx> signal, cplx tap) {
   for (auto& x : signal) x *= tap;
 }

@@ -20,10 +20,7 @@ cplx rayleigh_tap(dsp::Rng& rng);
 /// k_factor = 0 degenerates to Rayleigh; k -> inf approaches a pure LoS tap.
 cplx rician_tap(double k_factor, dsp::Rng& rng);
 
-/// Applies a single complex tap to the whole block (block fading).
-cvec apply_flat_fading(std::span<const cplx> signal, cplx tap);
-
-/// In-place variant — bit-identical to apply_flat_fading.
+/// Applies a single complex tap to the whole block in place (block fading).
 void apply_flat_fading_inplace(std::span<cplx> signal, cplx tap);
 
 }  // namespace ctc::channel

@@ -17,8 +17,9 @@ cvec apply_phase_offset(std::span<const cplx> signal, double phase_rad) {
 
 cvec apply_cfo(std::span<const cplx> signal, double cfo_hz, double sample_rate_hz,
                double initial_phase_rad) {
-  dsp::Mixer mixer(cfo_hz, sample_rate_hz, initial_phase_rad);
-  return mixer.process(signal);
+  cvec out(signal.size());
+  dsp::mix(signal, out, cfo_hz, sample_rate_hz, initial_phase_rad);
+  return out;
 }
 
 cvec apply_timing_offset(std::span<const cplx> signal, double delay_fraction) {
@@ -30,8 +31,7 @@ cvec apply_timing_offset(std::span<const cplx> signal, double delay_fraction) {
 
 void apply_cfo_inplace(std::span<cplx> signal, double cfo_hz,
                        double sample_rate_hz, double initial_phase_rad) {
-  dsp::Mixer mixer(cfo_hz, sample_rate_hz, initial_phase_rad);
-  mixer.process_inplace(signal);
+  dsp::mix(signal, signal, cfo_hz, sample_rate_hz, initial_phase_rad);
 }
 
 void apply_timing_offset_inplace(std::span<cplx> signal,

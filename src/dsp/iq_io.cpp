@@ -32,7 +32,8 @@ cvec read_cf32(const std::filesystem::path& path) {
   CTC_REQUIRE_MSG(in.good(), "cannot open file for reading: " + path.string());
   const std::streamsize bytes = in.tellg();
   CTC_REQUIRE_MSG(bytes % (2 * sizeof(float)) == 0,
-                  "file is not a whole number of complex float32 samples");
+                  "file is not a whole number of complex float32 samples: " +
+                      path.string());
   in.seekg(0);
   std::vector<float> buffer(static_cast<std::size_t>(bytes) / sizeof(float));
   in.read(reinterpret_cast<char*>(buffer.data()), bytes);

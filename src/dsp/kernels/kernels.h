@@ -96,11 +96,11 @@ struct KernelTable {
   // -- mixer / rotator (tolerance) -----------------------------------------
   /// out[i] = in[i] * exp(j*phase_i) where phase_0 = phase and
   /// phase_{i+1} = wrap(phase_i + step) (wrap subtracts/adds 2*pi past
-  /// +-2*pi, matching the legacy Mixer). Returns the final wrapped phase,
-  /// which is computed by the exact scalar recurrence at EVERY level so
-  /// mixer state stays bit-identical across levels even though the samples
-  /// are only tolerance-equivalent (AVX2 uses a renormalized phasor
-  /// recurrence instead of per-sample sincos). in == out is allowed.
+  /// +-2*pi, one if each). Returns the final wrapped phase, which is
+  /// computed by the exact scalar recurrence at EVERY level, so it is
+  /// bit-identical across levels even though the samples are only
+  /// tolerance-equivalent (AVX2 uses a renormalized phasor recurrence
+  /// instead of per-sample sincos). in == out is allowed.
   double (*rotate)(const cplx* in, std::size_t n, cplx* out, double phase,
                    double step);
 

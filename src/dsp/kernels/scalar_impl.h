@@ -34,7 +34,7 @@ inline void fir_mac(const cplx* signal, std::size_t n, const double* taps,
   }
 }
 
-// The legacy Mixer wrap step: two independent ifs, not if/else.
+// The phase wrap step: two independent ifs, not if/else.
 inline double wrap_phase_step(double phase, double step) {
   phase += step;
   if (phase > kTwoPi) phase -= kTwoPi;
@@ -42,7 +42,7 @@ inline double wrap_phase_step(double phase, double step) {
   return phase;
 }
 
-// Legacy Mixer::process loop: per-sample sincos of the exact phase.
+// The reference rotation loop: per-sample sincos of the exact phase.
 inline double rotate(const cplx* in, std::size_t n, cplx* out, double phase,
                      double step) {
   for (std::size_t i = 0; i < n; ++i) {

@@ -47,32 +47,19 @@ cvec decimate(std::span<const cplx> input, std::size_t factor) {
   return out;
 }
 
-Mixer::Mixer(double freq_hz, double sample_rate_hz, double initial_phase)
-    : step_(kTwoPi * freq_hz / sample_rate_hz), phase_(initial_phase) {
+void mix(std::span<const cplx> in, std::span<cplx> out, double freq_hz,
+         double sample_rate_hz, double initial_phase) {
   CTC_REQUIRE(sample_rate_hz > 0.0);
+  CTC_REQUIRE(out.size() == in.size());
+  kernels::active().rotate(in.data(), in.size(), out.data(), initial_phase,
+                           kTwoPi * freq_hz / sample_rate_hz);
 }
-
-cvec Mixer::process(std::span<const cplx> block) {
-  cvec out(block.size());
-  // The rotate kernel advances the exact phase recurrence at every dispatch
-  // level, so mixer STATE is bitwise level-independent even though AVX2
-  // samples come from a re-anchored phasor recurrence (tolerance class).
-  phase_ = kernels::active().rotate(block.data(), block.size(), out.data(),
-                                    phase_, step_);
-  return out;
-}
-
-void Mixer::process_inplace(std::span<cplx> block) {
-  phase_ = kernels::active().rotate(block.data(), block.size(), block.data(),
-                                    phase_, step_);
-}
-
-void Mixer::reset(double phase) { phase_ = phase; }
 
 cvec frequency_shift(std::span<const cplx> input, double freq_hz,
                      double sample_rate_hz) {
-  Mixer mixer(freq_hz, sample_rate_hz);
-  return mixer.process(input);
+  cvec out(input.size());
+  mix(input, out, freq_hz, sample_rate_hz);
+  return out;
 }
 
 cvec fractional_delay(std::span<const cplx> input, double delay) {

@@ -4,7 +4,7 @@
 // rate, then "interpolates the ZigBee waveform with parameter 5, creating 80
 // points in each WiFi symbol duration" (Sec. V-B1). upsample() implements
 // that interpolation; decimate() is the matching ZigBee-receiver front-end
-// when listening inside a 20 MHz WiFi capture; Mixer implements the 5 MHz
+// when listening inside a 20 MHz WiFi capture; mix() implements the 5 MHz
 // center-frequency offset between ZigBee channel 17 (2435 MHz) and the WiFi
 // channel (2440 MHz).
 #pragma once
@@ -26,23 +26,11 @@ cvec upsample(std::span<const cplx> input, std::size_t factor);
 /// upsample(), then keep every factor-th sample, delay-compensated.
 cvec decimate(std::span<const cplx> input, std::size_t factor);
 
-/// Continuous-phase digital mixer: multiplies by exp(j*2*pi*freq_hz/fs * n).
-/// Phase persists across process() calls so long captures stay coherent.
-class Mixer {
- public:
-  Mixer(double freq_hz, double sample_rate_hz, double initial_phase = 0.0);
-
-  cvec process(std::span<const cplx> block);
-  /// Same rotation applied in place — bit-identical to process().
-  void process_inplace(std::span<cplx> block);
-  void reset(double phase = 0.0);
-
-  double phase() const { return phase_; }
-
- private:
-  double step_;   // radians per sample
-  double phase_;  // current phase in radians
-};
+/// Digital mixer: out[n] = in[n] * exp(j*(initial_phase + 2*pi*freq_hz/fs *
+/// n)), through the dispatched rotate kernel. `out` has in.size() samples
+/// and may be `in` itself (the rotation in place has the same bits).
+void mix(std::span<const cplx> in, std::span<cplx> out, double freq_hz,
+         double sample_rate_hz, double initial_phase = 0.0);
 
 /// One-shot frequency shift of a block starting at phase 0.
 cvec frequency_shift(std::span<const cplx> input, double freq_hz,

@@ -4,14 +4,12 @@
 // The batch pipeline hands zigbee::Receiver a waveform whose sample 0 is a
 // frame start; a deployed monitor sees an endless stream with frames at
 // unknown positions, gaps, noise, and possibly truncated tails. The
-// StreamScanner closes that gap: it buffers pushed sample blocks, searches
-// fixed-size scan rounds for an SHR correlation peak (normalized metric,
-// same 0.25 threshold as zigbee::Receiver::synchronize, with a sliding
-// prefix-sum energy term, and a preamble-structure screen that runs the
-// exact window-length correlation best-first at only a few offsets per
-// frame), decodes each detected frame with the full receiver, feeds the
-// discriminator chips to a defense::StreamingDetector, and emits one
-// VerdictRecord per decoded frame through a callback.
+// StreamScanner closes that gap: it buffers pushed sample blocks, runs
+// zigbee::ShrSync's screened SHR search over fixed-size scan rounds (its
+// 0.25 threshold and energy gate are ShrSync's constants), decodes each
+// detected frame with the full receiver, feeds the discriminator chips to a
+// defense::StreamingDetector, and emits one VerdictRecord per decoded frame
+// through a callback.
 //
 // Determinism contract (the service's replay gate rests on it): the
 // scanner's decisions depend only on the sample values and their absolute
@@ -36,35 +34,17 @@
 #include "dsp/types.h"
 #include "sentry/verdict.h"
 #include "zigbee/receiver.h"
+#include "zigbee/shr_sync.h"
 
 namespace ctc::sentry {
-
-/// Which receiver tap feeds the streaming detector.
-enum class ScanTap {
-  discriminator,  ///< FM-discriminator frequency chips (the paper's tap)
-  coherent,       ///< matched-filter soft chips
-};
 
 struct ScannerConfig {
   zigbee::ReceiverConfig receiver;
   defense::DetectorConfig detector;
-  ScanTap tap = ScanTap::discriminator;
-  /// Candidate frame-start offsets searched per scan round. Larger rounds
-  /// amortize bookkeeping; smaller rounds shrink buffered lookahead.
-  std::size_t scan_span = 2048;
   /// Largest PSDU the scanner waits for before decoding a detected frame —
   /// the bounded-latency knob. Streams with larger frames decode truncated
   /// (phr fails, frame skipped); 127 accepts anything 802.15.4 allows.
   std::size_t max_psdu_bytes = zigbee::kMaxPsduBytes;
-  /// Normalized SHR correlation acceptance threshold in [0, 1].
-  double sync_threshold = 0.25;
-  /// Windows whose energy falls below this are skipped without running the
-  /// correlation — an exact-zero gap (idle air in generated streams) costs
-  /// one prefix-sum subtraction per offset instead of a 640-sample dot.
-  double energy_gate = 1e-12;
-  /// Minimum constellation points for a valid verdict (forwarded to
-  /// defense::StreamingDetector::verdict).
-  std::size_t min_points = 4;
 };
 
 /// Monotonic per-channel progress counters (plain integers: the scanner is
@@ -87,6 +67,10 @@ struct ScannerStats {
 class StreamScanner {
  public:
   using VerdictFn = std::function<void(const VerdictRecord&)>;
+
+  /// Candidate frame-start offsets searched per scan round. Larger rounds
+  /// amortize bookkeeping; smaller rounds shrink buffered lookahead.
+  static constexpr std::size_t kScanSpan = 2048;
 
   StreamScanner(ScannerConfig config, std::size_t channel, VerdictFn on_verdict);
 
@@ -117,7 +101,7 @@ class StreamScanner {
   std::size_t frame_need() const { return frame_need_; }
 
   /// SHR correlation window length in samples.
-  std::size_t sync_window() const { return window_; }
+  std::size_t sync_window() const { return sync_.window(); }
 
  private:
   void advance(bool flushing);
@@ -135,28 +119,8 @@ class StreamScanner {
   VerdictFn on_verdict_;
   zigbee::Receiver receiver_;
   defense::StreamingDetector detector_;
-  cvec shr_reference_;
-  double reference_energy_ = 0.0;
-  std::size_t window_ = 0;      ///< SHR samples
+  zigbee::ShrSync sync_;
   std::size_t frame_need_ = 0;  ///< max PPDU samples (lookahead bound)
-  /// Preamble-structure screen: the SHR's eight preamble symbols repeat the
-  /// same sample block (symbol period seg_len_), so symbols 1..7 of the
-  /// reference are bitwise-identical segments, each one period of the
-  /// periodic O-QPSK waveform of symbol 0's chips. A scan round correlates
-  /// the stream against that ONE segment at every strip offset
-  /// (dsp::kernels chip_strip: 32 signed adds of a pulse-filtered stream
-  /// per offset) and combines the per-segment magnitudes into a rigorous
-  /// upper bound on the full-window metric (triangle inequality across
-  /// segments + Cauchy-Schwarz on the non-repeating head/tail). The bound
-  /// orders and prunes the exact window_-sample dots of a best-first argmax:
-  /// it decides which offsets get the exact metric, never what an offset
-  /// scores, so every output byte is the unscreened search's.
-  std::size_t seg_len_ = 0;     ///< one symbol period in samples
-  std::size_t preamble_len_ = 0;  ///< eight preamble symbols in samples
-  double seg0_energy_ = 0.0;    ///< energy of the (distinct) first segment
-  double tail_energy_ = 0.0;    ///< energy of the SFD + pulse-tail remainder
-  rvec pulse_;                  ///< half-sine chip pulse, 2 * spc taps
-  std::uint32_t preamble_chips_ = 0;  ///< symbol 0's chips, bit j = chip j
   /// Hill-climb extension past a threshold crossing so a peak straddling a
   /// round boundary refines to its true offset (fixed width => partition
   /// invariant).
@@ -177,14 +141,6 @@ class StreamScanner {
   /// norm is never recomputed across the scan rounds that overlap it. Always
   /// parallel to buffer_.
   rvec norms_;
-  /// Scratch: per-round prefix sums over norms_. Still rebuilt per round —
-  /// anchoring the running sum at each round's first offset (not at a
-  /// persistent epoch) is what keeps window energies bit-identical to the
-  /// pre-cache scanner, since float prefix differences depend on the anchor.
-  rvec energy_prefix_;
-  cvec corr_strip_;   ///< scratch: chip_strip output per scan round
-  rvec strip_work_;   ///< scratch: chip_strip's filtered streams
-  rvec bounds_;       ///< scratch: screen bound per offset of the round
 
   ScannerStats stats_;
 };

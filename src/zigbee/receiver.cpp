@@ -275,33 +275,4 @@ ReceiveResult Receiver::receive(std::span<const cplx> waveform) const {
   return result;
 }
 
-std::optional<std::size_t> Receiver::synchronize(std::span<const cplx> waveform,
-                                                 std::size_t max_offset) const {
-  const std::size_t window = shr_reference_.size();
-  if (waveform.size() < window) return std::nullopt;
-  max_offset = std::min(max_offset, waveform.size() - window);
-
-  const dsp::kernels::KernelTable& kt = dsp::kernels::active();
-  const double reference_energy = kt.energy(shr_reference_.data(), window);
-
-  std::size_t best_offset = 0;
-  double best_metric = 0.0;
-  for (std::size_t offset = 0; offset <= max_offset; ++offset) {
-    const cplx correlation =
-        kt.dot_conj(waveform.data() + offset, shr_reference_.data(), window);
-    const double received_energy = kt.energy(waveform.data() + offset, window);
-    if (received_energy <= 0.0) continue;
-    // Normalized correlation in [0, 1].
-    const double metric =
-        std::norm(correlation) / (received_energy * reference_energy);
-    if (metric > best_metric) {
-      best_metric = metric;
-      best_offset = offset;
-    }
-  }
-  // A true SHR correlates strongly; noise-only peaks stay far below 0.5.
-  if (best_metric < 0.25) return std::nullopt;
-  return best_offset;
-}
-
 }  // namespace ctc::zigbee

@@ -1,4 +1,4 @@
-// ZigBee receiver: synchronization, data-aided phase/gain equalization,
+// ZigBee receiver: data-aided phase/gain equalization,
 // O-QPSK matched-filter demodulation, hard-decision DSSS despreading with a
 // correlation threshold, PPDU parsing and MAC CRC check (Fig. 1, right half).
 //
@@ -102,12 +102,6 @@ class Receiver {
   /// of the PPDU). Never throws on bad data — failures are flagged in the
   /// result.
   ReceiveResult receive(std::span<const cplx> waveform) const;
-
-  /// Searches for the frame start by cross-correlating against the SHR
-  /// reference waveform over [0, max_offset]. Returns the best offset or
-  /// nullopt when the peak is too weak to be a frame.
-  std::optional<std::size_t> synchronize(std::span<const cplx> waveform,
-                                         std::size_t max_offset) const;
 
   const ReceiverConfig& config() const { return config_; }
 

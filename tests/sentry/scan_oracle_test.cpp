@@ -1,16 +1,17 @@
 // The frame scanner against an unscreened oracle.
 //
-// StreamScanner prunes its frame-sync search: a chip-domain bound on the
-// SHR metric orders the exact full-window correlations (best-first) and
-// skips every offset whose bound cannot win. The claim is that this changes
-// only which offsets run the exact metric, never a decision. The oracle
-// below is the search without any of that, built from public calls: it
-// runs the exact metric (dot_conj over the window, divided by the prefix-sum
-// window energy anchored at the round's first offset, times the reference
-// energy) at every offset and keeps the first maximum. Its round, hill-climb,
-// lookahead, decode, consume and flush rules are StreamScanner's. Verdict
-// JSONL and every ScannerStats counter must match byte for byte; only
-// sync_exact, the pruned search's own cost, may differ.
+// StreamScanner's frame-sync search (zigbee::ShrSync::search) is pruned: a
+// chip-domain bound on the SHR metric orders the exact full-window
+// correlations (best-first) and skips every offset whose bound cannot win.
+// The claim is that this changes only which offsets run the exact metric,
+// never a decision. The oracle below is the search without any of that,
+// built from public calls: it runs the exact metric (dot_conj over the
+// window, divided by the prefix-sum window energy anchored at the round's
+// first offset, times the reference energy) at every offset and keeps the
+// first maximum. Its round, hill-climb, lookahead, decode, consume and
+// flush rules are StreamScanner's. Verdict JSONL and every ScannerStats
+// counter must match byte for byte; only sync_exact, the pruned search's
+// own cost, may differ.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +29,7 @@
 #include "sentry/source.h"
 #include "zigbee/chip_sequences.h"
 #include "zigbee/frame.h"
+#include "zigbee/shr_sync.h"
 #include "zigbee/transmitter.h"
 
 namespace ctc::sentry {
@@ -87,13 +89,15 @@ class UnscreenedScanner {
   }
 
   bool scan_round(bool flushing) {
-    if (!flushing && avail() < config_.scan_span + window_ - 1 + guard_) {
+    if (!flushing &&
+        avail() < StreamScanner::kScanSpan + window_ - 1 + guard_) {
       return false;
     }
     if (avail() == 0) return false;
     const std::size_t limit =
-        avail() >= window_ ? std::min(config_.scan_span, avail() - window_ + 1)
-                           : 0;
+        avail() >= window_
+            ? std::min(StreamScanner::kScanSpan, avail() - window_ + 1)
+            : 0;
     if (limit == 0) {
       consume(avail());
       return true;
@@ -117,9 +121,9 @@ class UnscreenedScanner {
     std::size_t best = kNone;
     double best_metric = 0.0;
     for (std::size_t o = 0; o < limit; ++o) {
-      if (energy(o) <= config_.energy_gate) continue;
+      if (energy(o) <= zigbee::ShrSync::kEnergyGate) continue;
       const double m = metric(o);
-      if (m >= config_.sync_threshold && m > best_metric) {
+      if (m >= zigbee::ShrSync::kThreshold && m > best_metric) {
         best = o;
         best_metric = m;
       }
@@ -131,7 +135,7 @@ class UnscreenedScanner {
     }
     std::size_t horizon = std::min(best + guard_, search_end);
     for (std::size_t o = best + 1; o <= horizon; ++o) {
-      if (energy(o) <= config_.energy_gate) continue;
+      if (energy(o) <= zigbee::ShrSync::kEnergyGate) continue;
       if (const double m = metric(o); m > best_metric) {
         best = o;
         best_metric = m;
@@ -157,11 +161,8 @@ class UnscreenedScanner {
                                       config_.receiver.samples_per_chip),
           take);
       detector_.begin_frame();
-      detector_.push_chips(config_.tap == ScanTap::discriminator
-                               ? rx.freq_chips
-                               : rx.soft_chips);
-      const std::optional<defense::Verdict> verdict =
-          detector_.verdict(config_.min_points);
+      detector_.push_chips(rx.freq_chips);
+      const std::optional<defense::Verdict> verdict = detector_.verdict();
       VerdictRecord record;
       record.frame_index = stats_.verdicts;
       record.stream_position = base_ + offset;

@@ -151,42 +151,6 @@ TEST(ReceiverTest, NoiseEstimateFeedsDefenseCorrection) {
   EXPECT_NEAR(result.noise_variance_estimate, dsp::from_db(-9.0), 0.04);
 }
 
-TEST(ReceiverTest, SynchronizeFindsFrameOffset) {
-  Transmitter tx;
-  dsp::Rng rng(62);
-  const cvec wave = tx.transmit_frame(test_frame());
-  for (std::size_t offset : {0u, 17u, 250u}) {
-    cvec padded(offset);
-    for (auto& x : padded) x = rng.complex_gaussian(0.01);
-    padded.insert(padded.end(), wave.begin(), wave.end());
-    const auto found = Receiver().synchronize(padded, 400);
-    ASSERT_TRUE(found.has_value()) << "offset=" << offset;
-    EXPECT_EQ(*found, offset);
-  }
-}
-
-TEST(ReceiverTest, SynchronizeRejectsNoiseOnly) {
-  dsp::Rng rng(63);
-  cvec noise(2000);
-  for (auto& x : noise) x = rng.complex_gaussian(1.0);
-  EXPECT_FALSE(Receiver().synchronize(noise, 1000).has_value());
-}
-
-TEST(ReceiverTest, SynchronizeThenReceiveDecodes) {
-  Transmitter tx;
-  dsp::Rng rng(64);
-  const cvec wave = tx.transmit_frame(test_frame());
-  cvec padded(123);
-  for (auto& x : padded) x = rng.complex_gaussian(0.001);
-  padded.insert(padded.end(), wave.begin(), wave.end());
-  Receiver receiver;
-  const auto offset = receiver.synchronize(padded, 300);
-  ASSERT_TRUE(offset.has_value());
-  const ReceiveResult result =
-      receiver.receive(std::span<const cplx>(padded).subspan(*offset));
-  EXPECT_TRUE(result.frame_ok());
-}
-
 TEST(ReceiverTest, TighterThresholdRejectsDamagedChips) {
   // Corrupt a slice of the PSDU waveform: strict threshold drops the frame,
   // generous threshold still decodes it.

@@ -15,11 +15,13 @@
 // tools/sentry_determinism.sh diffs exactly this output.
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -80,7 +82,7 @@ struct CliOptions {
       "  --shards=N          worker threads channels shard across (default 1)\n"
       "  --verdicts=FILE     verdict JSONL destination (default stdout)\n"
       "  --ring=N            SPSC ring capacity in samples, power of two\n"
-      "                      (default 32768)\n"
+      "                      of at least 2 (default 32768)\n"
       "  --ingest-block=N    samples pulled from the source per step (4096)\n"
       "  --drain-block=N     samples handed to the scanner per step (4096);\n"
       "                      smaller than --ingest-block forces overload\n"
@@ -90,7 +92,8 @@ struct CliOptions {
       "  --rate=S            pace ingestion to S samples/sec (default: as\n"
       "                      fast as possible)\n"
       "  --threshold=Q       detector DE^2 threshold (default 0.2)\n"
-      "  --max-psdu=N        largest PSDU the scanner waits for (default 127)\n"
+      "  --max-psdu=N        largest PSDU the scanner waits for, 1-127\n"
+      "                      (default 127)\n"
       "  --seed=N            stream seed for the live generator\n"
       "  --snapshot-every-ms=N  print a live counter snapshot JSON line to\n"
       "                      stderr every N ms while running\n"
@@ -107,7 +110,8 @@ struct CliOptions {
       "                      (default 3)\n"
       "  --snr-db=X          AWGN channel SNR (default 15)\n"
       "  --gap=N             idle samples between frames (default 512)\n"
-      "  --payload=N         MAC payload bytes per frame (default 20)\n"
+      "  --payload=N         MAC payload bytes per frame, at most 116\n"
+      "                      (default 20)\n"
       "  --capture-out=FILE  write channel 0's stream to a cf32 capture\n",
       out);
   std::exit(code);
@@ -133,22 +137,24 @@ bool flag_value(int argc, char** argv, int& i, const char* name,
   return false;
 }
 
+[[noreturn]] void invalid_value(const char* flag, const char* text) {
+  std::fprintf(stderr, "invalid value for %s: %s\n", flag, text);
+  std::exit(2);
+}
+
 std::uint64_t parse_u64(const char* text, const char* flag) {
   char* end = nullptr;
   const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "invalid value for %s: %s\n", flag, text);
-    std::exit(2);
-  }
+  if (end == text || *end != '\0') invalid_value(flag, text);
   return static_cast<std::uint64_t>(value);
 }
 
+/// Every floating-point flag (--rate, --threshold, --snr-db) must be finite.
 double parse_double(const char* text, const char* flag) {
   char* end = nullptr;
   const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "invalid value for %s: %s\n", flag, text);
-    std::exit(2);
+  if (end == text || *end != '\0' || !std::isfinite(value)) {
+    invalid_value(flag, text);
   }
   return value;
 }
@@ -170,9 +176,14 @@ CliOptions parse_cli(int argc, char** argv) {
 
   for (int i = 2; i < argc; ++i) {
     const char* value = nullptr;
-    const auto size_flag = [&](const char* name, std::size_t& field) {
+    // Every range is checked here, before any output file is opened, so a
+    // bad value never truncates an existing --verdicts file.
+    const auto size_flag = [&](const char* name, std::size_t& field,
+                               std::size_t lo = 0,
+                               std::size_t hi = SIZE_MAX) {
       if (!flag_value(argc, argv, i, name, &value)) return false;
       field = static_cast<std::size_t>(parse_u64(value, name));
+      if (field < lo || field > hi) invalid_value(name, value);
       return true;
     };
     if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
@@ -207,17 +218,23 @@ CliOptions parse_cli(int argc, char** argv) {
                              "(drr or lockstep)\n", value);
         std::exit(2);
       }
-    } else if (size_flag("--channels", options.channels) ||
-               size_flag("--shards", options.shards) ||
-               size_flag("--ring", options.ring) ||
-               size_flag("--ingest-block", options.ingest_block) ||
-               size_flag("--drain-block", options.drain_block) ||
-               size_flag("--max-psdu", options.max_psdu) ||
-               size_flag("--repeat", options.repeat) ||
+    } else if (size_flag("--ring", options.ring, 2)) {
+      if ((options.ring & (options.ring - 1)) != 0) {
+        invalid_value("--ring", value);
+      }
+    } else if (size_flag("--channels", options.channels, 1) ||
+               size_flag("--shards", options.shards, 1) ||
+               size_flag("--ingest-block", options.ingest_block, 1) ||
+               size_flag("--drain-block", options.drain_block, 1) ||
+               size_flag("--max-psdu", options.max_psdu, 1,
+                         zigbee::kMaxPsduBytes) ||
+               size_flag("--repeat", options.repeat, 1) ||
                size_flag("--frames", options.frames) ||
                size_flag("--attack-every", options.attack_every) ||
                size_flag("--gap", options.gap) ||
-               size_flag("--payload", options.payload)) {
+               // MAC header and FCS take 11 of the PSDU's bytes.
+               size_flag("--payload", options.payload, 0,
+                         zigbee::kMaxPsduBytes - 11)) {
       // handled
     } else {
       std::fprintf(stderr, "unknown argument: %s (try --help)\n", argv[i]);
@@ -226,10 +243,6 @@ CliOptions parse_cli(int argc, char** argv) {
   }
   if (!options.live && options.capture_path.empty()) {
     std::fprintf(stderr, "replay mode requires --capture=FILE\n");
-    std::exit(2);
-  }
-  if (options.live && options.capture_out.size() && options.channels < 1) {
-    std::fprintf(stderr, "--capture-out needs at least one channel\n");
     std::exit(2);
   }
   return options;
@@ -268,10 +281,7 @@ std::optional<std::ofstream> open_output(const std::string& path,
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const CliOptions options = parse_cli(argc, argv);
+int run(const CliOptions& options) {
   sim::telemetry::set_enabled(options.telemetry ||
                               !options.telemetry_out.empty());
 
@@ -411,4 +421,18 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const CliOptions options = parse_cli(argc, argv);
+  // Whatever parse_cli cannot check, such as an unreadable or odd-length
+  // capture, fails here with one line instead of an abort.
+  try {
+    return run(options);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "ctc_sentry: %s\n", error.what());
+    return 1;
+  }
 }
