@@ -2,7 +2,10 @@
 // vs byte-loop despreading, the receiver's construction-time timing-search
 // grid vs a per-call search, the link's memoized clean-waveform synthesis vs
 // the synthesis chain, the QAM scale search's per-candidate allocating cost
-// vs the qam_cost kernel (plus one whole emulation), per-sample libm channel
+// vs the qam_cost kernel (plus one whole emulation), the x5 resampler's
+// full-rate convolution vs the polyphase path (upsample and decimate), the
+// 64-point FFT reading one strided twiddle table vs FftPlan's per-stage
+// tables, per-sample libm channel
 // noise vs the add_gauss kernel, the per-step libm FM discriminator vs the
 // fm_discriminate kernel, per-offset dot_conj vs the chip_strip kernel on
 // one frame-sync scan round's screen strip, and the scalar vs SIMD table on
@@ -22,13 +25,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "attack/emulator.h"
 #include "attack/qam_quantize.h"
 #include "bench_common.h"
 #include "channel/environment.h"
 #include "dsp/fft.h"
+#include "dsp/fir.h"
 #include "dsp/kernels/kernels.h"
 #include "dsp/pulse.h"
 #include "dsp/resample.h"
@@ -191,13 +197,96 @@ cvec pooled_points(std::span<const cplx> observed,
   return pooled;
 }
 
+/// The resampler before the polyphase kernel, kept as the reference rows:
+/// zero-stuff, filter every sample at full rate (all taps at every output,
+/// through the same kernel at up = down = 1, the "same" filtering of the
+/// old full convolution), then scale (upsample) or keep every fifth sample
+/// (decimate).
+cvec full_rate_upsample(std::span<const cplx> input, const rvec& taps) {
+  cvec stuffed(input.size() * 5, cplx{0.0, 0.0});
+  for (std::size_t i = 0; i < input.size(); ++i) stuffed[i * 5] = input[i];
+  cvec out(stuffed.size());
+  const dsp::kernels::KernelTable& kt = dsp::kernels::active();
+  kt.resample(stuffed.data(), stuffed.size(), 1, 1, taps.data(), taps.size(),
+              out.data(), out.size());
+  kt.rscale(out.data(), out.size(), 5.0);
+  return out;
+}
+
+cvec full_rate_decimate(std::span<const cplx> input, const rvec& taps) {
+  cvec filtered(input.size());
+  dsp::kernels::active().resample(input.data(), input.size(), 1, 1,
+                                  taps.data(), taps.size(), filtered.data(),
+                                  filtered.size());
+  cvec out;
+  for (std::size_t i = 0; i < filtered.size(); i += 5) {
+    out.push_back(filtered[i]);
+  }
+  return out;
+}
+
+/// FftPlan's butterflies before the per-stage twiddle tables, kept as the
+/// reference row: one N/2-entry table read at stride N/len, conjugated per
+/// butterfly when inverting.
+class StridedFft {
+ public:
+  explicit StridedFft(std::size_t size) : size_(size), twiddles_(size / 2) {
+    for (std::size_t k = 0; k < size / 2; ++k) {
+      const double angle =
+          -kTwoPi * static_cast<double>(k) / static_cast<double>(size);
+      twiddles_[k] = {std::cos(angle), std::sin(angle)};
+    }
+    std::size_t bits = 0;
+    for (std::size_t probe = size; probe > 1; probe >>= 1) ++bits;
+    for (std::size_t i = 0; i < size; ++i) {
+      std::size_t reversed = 0;
+      for (std::size_t b = 0; b < bits; ++b) {
+        if (i & (std::size_t{1} << b)) {
+          reversed |= std::size_t{1} << (bits - 1 - b);
+        }
+      }
+      bit_reverse_.push_back(reversed);
+    }
+  }
+
+  void transform(std::span<cplx> data, bool invert) const {
+    for (std::size_t i = 0; i < size_; ++i) {
+      if (i < bit_reverse_[i]) std::swap(data[i], data[bit_reverse_[i]]);
+    }
+    for (std::size_t len = 2; len <= size_; len <<= 1) {
+      const std::size_t half = len / 2;
+      const std::size_t stride = size_ / len;
+      for (std::size_t start = 0; start < size_; start += len) {
+        for (std::size_t k = 0; k < half; ++k) {
+          cplx w = twiddles_[k * stride];
+          if (invert) w = std::conj(w);
+          const cplx even = data[start + k];
+          const cplx odd = data[start + k + half] * w;
+          data[start + k] = even + odd;
+          data[start + k + half] = even - odd;
+        }
+      }
+    }
+    if (invert) {
+      const double scale = 1.0 / static_cast<double>(size_);
+      for (auto& value : data) value *= scale;
+    }
+  }
+
+ private:
+  std::size_t size_;
+  cvec twiddles_;
+  std::vector<std::size_t> bit_reverse_;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const bench::Options options = bench::parse_options(argc, argv);
   bench::print_banner(options, "Perf: hot-path kernels (despread / timing "
                                "grid / waveform cache / scale search / "
-                               "noise / discriminator / screen strip)");
+                               "resampling / FFT / noise / discriminator / "
+                               "screen strip)");
   const std::size_t reps = options.trials_or(5);
   dsp::Rng rng = dsp::Rng::for_stream(options.seed, 0);
 
@@ -331,6 +420,81 @@ int main(int argc, char** argv) {
   table.add_row({"emulate (one text frame)", "-",
                  sim::Table::num(emulate_ms, 3) + " ms", "-"});
 
+  // -- x5 resampling: full-rate convolution vs the polyphase kernel --------
+  // The text frame up to 20 MHz, and its emulated 20 MHz waveform back
+  // down, 16 times per run; ns per output sample.
+  const rvec resample_taps = dsp::design_lowpass(0.1, 61);
+  const std::size_t resample_passes = 16;
+  const cvec& wifi_20mhz = emulation.wifi_waveform_20mhz;
+  const double upsample_reference_ms = time_ms(reps, [&] {
+    for (std::size_t p = 0; p < resample_passes; ++p) {
+      g_sink = g_sink +
+               full_rate_upsample(frame_waveform, resample_taps)[7].real();
+    }
+  });
+  const double upsample_fast_ms = time_ms(reps, [&] {
+    for (std::size_t p = 0; p < resample_passes; ++p) {
+      g_sink = g_sink + dsp::upsample(frame_waveform, 5)[7].real();
+    }
+  });
+  const double decimate_reference_ms = time_ms(reps, [&] {
+    for (std::size_t p = 0; p < resample_passes; ++p) {
+      g_sink = g_sink + full_rate_decimate(wifi_20mhz, resample_taps)[7].real();
+    }
+  });
+  const double decimate_fast_ms = time_ms(reps, [&] {
+    for (std::size_t p = 0; p < resample_passes; ++p) {
+      g_sink = g_sink + dsp::decimate(wifi_20mhz, 5)[7].real();
+    }
+  });
+  const double upsample_ns_per_ms =
+      1e6 / static_cast<double>(resample_passes * frame_waveform.size() * 5);
+  const double decimate_ns_per_ms =
+      1e6 / static_cast<double>(resample_passes *
+                                ((wifi_20mhz.size() + 4) / 5));
+  table.add_row({"upsample x5 (16 frames)",
+                 sim::Table::num(upsample_reference_ms, 3) + " ms",
+                 sim::Table::num(upsample_fast_ms, 3) + " ms",
+                 sim::Table::num(upsample_reference_ms / upsample_fast_ms, 2) +
+                     "x"});
+  table.add_row({"decimate x5 (16 frames)",
+                 sim::Table::num(decimate_reference_ms, 3) + " ms",
+                 sim::Table::num(decimate_fast_ms, 3) + " ms",
+                 sim::Table::num(decimate_reference_ms / decimate_fast_ms, 2) +
+                     "x"});
+
+  // -- 64-point FFT: strided twiddles vs per-stage tables -------------------
+  // 1024 forward and 1024 inverse transforms of one slot per run, each
+  // from a fresh copy of the slot; ns per transform.
+  const std::size_t fft_passes = 1024;
+  const cvec fft_slot(wifi_20mhz.begin() + 16, wifi_20mhz.begin() + 80);
+  cvec fft_buf(64);
+  const StridedFft strided_fft(64);
+  const dsp::FftPlan fft_plan(64);
+  const double fft64_reference_ms = time_ms(reps, [&] {
+    for (std::size_t p = 0; p < fft_passes; ++p) {
+      std::copy(fft_slot.begin(), fft_slot.end(), fft_buf.begin());
+      strided_fft.transform(fft_buf, /*invert=*/(p & 1) != 0);
+      g_sink = g_sink + fft_buf[3].real();
+    }
+  });
+  const double fft64_fast_ms = time_ms(reps, [&] {
+    for (std::size_t p = 0; p < fft_passes; ++p) {
+      std::copy(fft_slot.begin(), fft_slot.end(), fft_buf.begin());
+      if ((p & 1) != 0) {
+        fft_plan.inverse_inplace(fft_buf);
+      } else {
+        fft_plan.forward_inplace(fft_buf);
+      }
+      g_sink = g_sink + fft_buf[3].real();
+    }
+  });
+  const double fft64_ns_per_ms = 1e6 / static_cast<double>(fft_passes);
+  table.add_row({"FFT 64 (1024 transforms)",
+                 sim::Table::num(fft64_reference_ms, 3) + " ms",
+                 sim::Table::num(fft64_fast_ms, 3) + " ms",
+                 sim::Table::num(fft64_reference_ms / fft64_fast_ms, 2) + "x"});
+
   // -- channel noise: per-sample libm draws vs the add_gauss kernel ---------
   // 64 frame-length buffers, each on its own trial stream like the engine's
   // trials. The reference is noise stream 1's loop (one libm Box–Muller
@@ -452,18 +616,15 @@ int main(int argc, char** argv) {
     kernel_timings.push_back(std::move(timing));
   };
 
-  // fir_mac: the pulse-shaping shape (short real taps over a long burst).
+  // resample: the emulator's x5 upsampling of one text frame (61 taps).
   {
-    const std::size_t n = 16384, t = 9;
-    cvec sig(n);
-    for (auto& x : sig) x = rng.complex_gaussian(1.0);
-    rvec fir_taps(t);
-    for (auto& v : fir_taps) v = rng.uniform(-1.0, 1.0);
-    cvec out(n + t - 1);
-    time_kernel("fir_kernel", "kernel fir_mac (n=16384, t=9)", n,
+    const std::size_t n = frame_waveform.size();
+    cvec out(n * 5);
+    time_kernel("fir_kernel", "kernel resample (x5 up, one frame)", n * 5,
                 [&](const dsp::kernels::KernelTable& kt) {
-                  std::fill(out.begin(), out.end(), cplx{0.0, 0.0});
-                  kt.fir_mac(sig.data(), n, fir_taps.data(), t, out.data());
+                  kt.resample(frame_waveform.data(), n, 5, 1,
+                              resample_taps.data(), resample_taps.size(),
+                              out.data(), out.size());
                   g_sink = g_sink + out.back().real();
                 });
   }
@@ -659,6 +820,19 @@ int main(int argc, char** argv) {
   report.set("scale_search_speedup",
              scale_search_reference_ms / scale_search_fast_ms);
   report.set("emulate_ms", emulate_ms);
+  report.set("upsample_reference_ns_per_sample",
+             upsample_reference_ms * upsample_ns_per_ms);
+  report.set("upsample_fast_ns_per_sample",
+             upsample_fast_ms * upsample_ns_per_ms);
+  report.set("upsample_speedup", upsample_reference_ms / upsample_fast_ms);
+  report.set("decimate_reference_ns_per_sample",
+             decimate_reference_ms * decimate_ns_per_ms);
+  report.set("decimate_fast_ns_per_sample",
+             decimate_fast_ms * decimate_ns_per_ms);
+  report.set("decimate_speedup", decimate_reference_ms / decimate_fast_ms);
+  report.set("fft64_reference_ns", fft64_reference_ms * fft64_ns_per_ms);
+  report.set("fft64_fast_ns", fft64_fast_ms * fft64_ns_per_ms);
+  report.set("fft64_speedup", fft64_reference_ms / fft64_fast_ms);
   report.set("noise_reference_ms", noise_reference_ms);
   report.set("noise_fast_ms", noise_fast_ms);
   report.set("noise_speedup", noise_reference_ms / noise_fast_ms);

@@ -47,8 +47,11 @@ double optimize_scale(std::span<const cplx> points, ScaleSearchConfig config) {
 
   CTC_REQUIRE(config.min_alpha > 0.0 && max_alpha > 0.0);
 
-  // Coarse grid: every candidate in one kernel call (four per AVX2 pass),
-  // then the first minimum in index order.
+  // Coarse grid: every candidate in one kernel call, then the first
+  // minimum in index order. The kernel finds each component's level steps
+  // along the grid, which needs it ascending; correctly rounded arithmetic
+  // keeps min + span * i / (steps - 1) monotone in i unless max_alpha is
+  // below min_alpha.
   std::vector<double> alphas(config.coarse_steps);
   std::vector<double> costs(config.coarse_steps);
   alphas[0] = config.min_alpha;
@@ -56,6 +59,8 @@ double optimize_scale(std::span<const cplx> points, ScaleSearchConfig config) {
     alphas[i] = config.min_alpha + (max_alpha - config.min_alpha) *
                                        static_cast<double>(i) /
                                        static_cast<double>(config.coarse_steps - 1);
+    CTC_REQUIRE_MSG(alphas[i] >= alphas[i - 1],
+                    "scale-search candidates must ascend");
   }
   dsp::kernels::active().qam_cost(points.data(), points.size(), alphas.data(),
                                   alphas.size(), costs.data());

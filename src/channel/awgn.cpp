@@ -7,13 +7,8 @@ namespace ctc::channel {
 cvec add_awgn(std::span<const cplx> signal, double snr_db, dsp::Rng& rng) {
   const double signal_power = dsp::average_power(signal);
   const double noise_variance = signal_power / dsp::from_db(snr_db);
-  return add_noise_variance(signal, noise_variance, rng);
-}
-
-cvec add_noise_variance(std::span<const cplx> signal, double noise_variance,
-                        dsp::Rng& rng) {
   cvec out(signal.begin(), signal.end());
-  rng.add_complex_gaussian(out, noise_variance);
+  add_noise_variance_inplace(out, noise_variance, rng);
   return out;
 }
 

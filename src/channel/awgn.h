@@ -17,15 +17,11 @@ namespace ctc::channel {
 cvec add_awgn(std::span<const cplx> signal, double snr_db, dsp::Rng& rng);
 
 /// Adds complex AWGN of fixed per-sample variance `noise_variance`
-/// (E|n|^2 = noise_variance), independent of the signal power. This is the
-/// paper's SNR = 1/sigma^2 convention when the signal has unit power. The
-/// noise is dsp::Rng::add_complex_gaussian's (stream dsp::kNoiseStream):
-/// four draws of `rng` seed it, whatever the signal length.
-cvec add_noise_variance(std::span<const cplx> signal, double noise_variance,
-                        dsp::Rng& rng);
-
-/// In-place variant — bit-identical to add_noise_variance for the same
-/// `rng` state.
+/// (E|n|^2 = noise_variance), independent of the signal power, in place.
+/// This is the paper's SNR = 1/sigma^2 convention when the signal has unit
+/// power. The noise is dsp::Rng::add_complex_gaussian's (stream
+/// dsp::kNoiseStream): four draws of `rng` seed it, whatever the signal
+/// length.
 void add_noise_variance_inplace(std::span<cplx> signal, double noise_variance,
                                 dsp::Rng& rng);
 

@@ -15,20 +15,6 @@ cvec apply_phase_offset(std::span<const cplx> signal, double phase_rad) {
   return out;
 }
 
-cvec apply_cfo(std::span<const cplx> signal, double cfo_hz, double sample_rate_hz,
-               double initial_phase_rad) {
-  cvec out(signal.size());
-  dsp::mix(signal, out, cfo_hz, sample_rate_hz, initial_phase_rad);
-  return out;
-}
-
-cvec apply_timing_offset(std::span<const cplx> signal, double delay_fraction) {
-  CTC_REQUIRE(delay_fraction >= 0.0 && delay_fraction < 1.0);
-  cvec out(signal.begin(), signal.end());
-  apply_timing_offset_inplace(out, delay_fraction);
-  return out;
-}
-
 void apply_cfo_inplace(std::span<cplx> signal, double cfo_hz,
                        double sample_rate_hz, double initial_phase_rad) {
   dsp::mix(signal, signal, cfo_hz, sample_rate_hz, initial_phase_rad);

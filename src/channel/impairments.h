@@ -16,22 +16,15 @@ namespace ctc::channel {
 cvec apply_phase_offset(std::span<const cplx> signal, double phase_rad);
 
 /// Applies a carrier frequency offset of `cfo_hz` at `sample_rate_hz`
-/// starting from `initial_phase_rad`.
-cvec apply_cfo(std::span<const cplx> signal, double cfo_hz,
-               double sample_rate_hz, double initial_phase_rad = 0.0);
-
-/// In-place CFO — bit-identical to apply_cfo. The propagate hot path uses
-/// these *_inplace variants on a reused workspace so a Monte Carlo trial
+/// starting from `initial_phase_rad`, in place. The propagate hot path runs
+/// these *_inplace stages on a reused workspace so a Monte Carlo trial
 /// allocates nothing in the channel stage.
 void apply_cfo_inplace(std::span<cplx> signal, double cfo_hz,
                        double sample_rate_hz, double initial_phase_rad = 0.0);
 
-/// Fractional-sample delay via linear interpolation (0 <= delay < 1).
-/// Output has the same length; the first sample interpolates toward zero.
-cvec apply_timing_offset(std::span<const cplx> signal, double delay_fraction);
-
-/// In-place fractional delay — bit-identical to apply_timing_offset (the
-/// backward sweep reads each untouched predecessor before overwriting it).
+/// Fractional-sample delay via linear interpolation (0 <= delay < 1), in
+/// place: a backward sweep reads each untouched predecessor before
+/// overwriting it. The first sample interpolates toward zero.
 void apply_timing_offset_inplace(std::span<cplx> signal, double delay_fraction);
 
 /// Scales the whole block by a linear amplitude gain.

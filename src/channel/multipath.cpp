@@ -26,24 +26,11 @@ cvec draw_multipath_taps(const MultipathProfile& profile, dsp::Rng& rng) {
   return taps;
 }
 
-cvec apply_multipath(std::span<const cplx> signal, std::span<const cplx> taps) {
-  CTC_REQUIRE(!taps.empty());
-  cvec out(signal.size(), cplx{0.0, 0.0});
-  for (std::size_t n = 0; n < signal.size(); ++n) {
-    cplx acc{0.0, 0.0};
-    const std::size_t depth = std::min(taps.size(), n + 1);
-    for (std::size_t l = 0; l < depth; ++l) acc += taps[l] * signal[n - l];
-    out[n] = acc;
-  }
-  return out;
-}
-
 void apply_multipath_inplace(std::span<cplx> signal,
                              std::span<const cplx> taps) {
   CTC_REQUIRE(!taps.empty());
   // Causal convolution reads only indices <= n, so sweeping n backward sees
-  // every signal[n - l] before it is overwritten. Same accumulation order
-  // per output sample as apply_multipath.
+  // every signal[n - l] before it is overwritten.
   for (std::size_t n = signal.size(); n-- > 0;) {
     cplx acc{0.0, 0.0};
     const std::size_t depth = std::min(taps.size(), n + 1);

@@ -26,12 +26,9 @@ struct MultipathProfile {
 /// Draws one channel realization (complex taps, unit total average power).
 cvec draw_multipath_taps(const MultipathProfile& profile, dsp::Rng& rng);
 
-/// Convolves the signal with the taps ("same" length, causal: output sample
-/// n sums taps applied to inputs n, n-1, ...).
-cvec apply_multipath(std::span<const cplx> signal, std::span<const cplx> taps);
-
-/// In-place variant — bit-identical to apply_multipath (the backward sweep
-/// only reads predecessors that have not been overwritten yet).
+/// Convolves the signal with the taps in place ("same" length, causal:
+/// output sample n sums taps applied to inputs n, n-1, ...; the backward
+/// sweep only reads predecessors that have not been overwritten yet).
 void apply_multipath_inplace(std::span<cplx> signal, std::span<const cplx> taps);
 
 }  // namespace ctc::channel

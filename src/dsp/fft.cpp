@@ -22,11 +22,21 @@ FftPlan::FftPlan(std::size_t size) : size_(size) {
     }
     bit_reverse_[i] = reversed;
   }
-  // Forward twiddles exp(-j 2 pi k / N).
-  twiddles_.resize(size_ / 2);
+  // Forward twiddles exp(-j 2 pi k / N), then each stage's subsequence.
+  cvec twiddles(size_ / 2);
   for (std::size_t k = 0; k < size_ / 2; ++k) {
     const double angle = -kTwoPi * static_cast<double>(k) / static_cast<double>(size_);
-    twiddles_[k] = {std::cos(angle), std::sin(angle)};
+    twiddles[k] = {std::cos(angle), std::sin(angle)};
+  }
+  forward_twiddles_.reserve(size_ - 1);
+  for (std::size_t len = 2; len <= size_; len <<= 1) {
+    for (std::size_t k = 0; k < len / 2; ++k) {
+      forward_twiddles_.push_back(twiddles[k * (size_ / len)]);
+    }
+  }
+  inverse_twiddles_.reserve(size_ - 1);
+  for (const cplx& w : forward_twiddles_) {
+    inverse_twiddles_.push_back(std::conj(w));
   }
 }
 
@@ -35,17 +45,23 @@ void FftPlan::transform(std::span<cplx> data, bool invert) const {
     const std::size_t j = bit_reverse_[i];
     if (i < j) std::swap(data[i], data[j]);
   }
+  const cplx* twiddles =
+      invert ? inverse_twiddles_.data() : forward_twiddles_.data();
   for (std::size_t len = 2; len <= size_; len <<= 1) {
     const std::size_t half = len / 2;
-    const std::size_t stride = size_ / len;
+    const cplx* stage = twiddles + (half - 1);
     for (std::size_t start = 0; start < size_; start += len) {
+      cplx* lo = data.data() + start;
+      cplx* hi = lo + half;
       for (std::size_t k = 0; k < half; ++k) {
-        cplx w = twiddles_[k * stride];
-        if (invert) w = std::conj(w);
-        const cplx even = data[start + k];
-        const cplx odd = data[start + k + half] * w;
-        data[start + k] = even + odd;
-        data[start + k + half] = even - odd;
+        // The even sample is read as two doubles: held as a cplx, GCC
+        // stored its halves to the stack and reloaded them as one vector on
+        // every butterfly (about 3x slower). Same adds and subtracts.
+        const cplx odd = hi[k] * stage[k];
+        const double er = lo[k].real();
+        const double ei = lo[k].imag();
+        lo[k] = cplx{er + odd.real(), ei + odd.imag()};
+        hi[k] = cplx{er - odd.real(), ei - odd.imag()};
       }
     }
   }

@@ -3,7 +3,8 @@
 // The attack pipeline (Sec. V of the paper) is built around the 64-point
 // FFT/IFFT of the 802.11g OFDM modulator. FftPlan implements an iterative
 // radix-2 Cooley–Tukey transform for any power-of-two size with precomputed
-// twiddles; each user (the emulator's slot transform, the OFDM modulator,
+// twiddles, stored per stage so each butterfly loop reads them in order;
+// each user (the emulator's slot transform, the OFDM modulator,
 // Welch PSD) owns its plan. dft()/idft() are O(n^2) reference
 // implementations used by tests.
 //
@@ -51,7 +52,14 @@ class FftPlan {
 
   std::size_t size_;
   std::vector<std::size_t> bit_reverse_;
-  cvec twiddles_;  // exp(-j 2 pi k / N) for k in [0, N/2)
+  // Twiddles per stage, in the order the butterflies read them: stage
+  // len = 2, 4, ..., N holds its len/2 factors exp(-j 2 pi k / len) at
+  // [len/2 - 1, len - 1), N - 1 in all. Each is the value exp(-j 2 pi
+  // (k N/len) / N) of a single N-point table, so every butterfly multiplies
+  // by the bits the strided form read from it. The inverse table holds the
+  // conjugates.
+  cvec forward_twiddles_;
+  cvec inverse_twiddles_;
 };
 
 /// O(n^2) reference DFT with the same convention as FftPlan::forward.

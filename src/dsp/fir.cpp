@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "dsp/kernels/kernels.h"
 #include "dsp/require.h"
 
 namespace ctc::dsp {
@@ -25,26 +24,6 @@ rvec design_lowpass(double cutoff, std::size_t num_taps, WindowKind window) {
   }
   for (auto& tap : taps) tap /= sum;  // unity DC gain
   return taps;
-}
-
-cvec convolve_direct(std::span<const cplx> signal, std::span<const double> taps) {
-  CTC_REQUIRE(!taps.empty());
-  if (signal.empty()) return {};
-  cvec out(signal.size() + taps.size() - 1, cplx{0.0, 0.0});
-  kernels::active().fir_mac(signal.data(), signal.size(), taps.data(),
-                            taps.size(), out.data());
-  return out;
-}
-
-cvec filter_same(std::span<const cplx> signal, std::span<const double> taps) {
-  CTC_REQUIRE(taps.size() % 2 == 1);
-  cvec full = convolve_direct(signal, taps);
-  if (full.empty()) return full;  // empty signal
-  // Trim the group delay in place rather than copying into a second buffer.
-  const auto delay = static_cast<std::ptrdiff_t>((taps.size() - 1) / 2);
-  full.erase(full.begin(), full.begin() + delay);
-  full.resize(signal.size());
-  return full;
 }
 
 }  // namespace ctc::dsp

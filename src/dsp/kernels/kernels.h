@@ -1,10 +1,11 @@
 // Runtime-dispatched SIMD kernel layer for the complex hot loops.
 //
-// Every dense inner loop in the repo — FIR MAC, mixer rotation, matched
-// filtering, FM discrimination, the equalizer's complex division, cumulant
-// accumulation, energy reduction, the frame scanner's chip-domain preamble
-// strip, packed-chip correlation, Gaussian noise, the attack's QAM scale
-// search — funnels through the function-pointer table in this header.
+// Every dense inner loop in the repo — polyphase resampling, mixer
+// rotation, matched filtering, FM discrimination, the equalizer's complex
+// division, cumulant accumulation, energy reduction, the frame scanner's
+// chip-domain preamble strip, packed-chip correlation, Gaussian noise, the
+// attack's QAM scale search — funnels through the function-pointer table
+// in this header.
 // The implementation level is chosen ONCE per process (first use) from
 // CPUID, and can be forced with the CTC_SIMD environment variable:
 //
@@ -86,12 +87,27 @@ struct GaussLanes {
 
 /// The dispatched kernel table. All pointers are non-null at every level.
 struct KernelTable {
-  // -- FIR / convolution (tolerance) ---------------------------------------
-  /// Full convolution: accumulates signal (*) taps into `out`, which the
-  /// caller provides zero-initialized with n + t - 1 elements. Scalar is
-  /// the legacy scatter loop of convolve_direct(); AVX2 is an FMA gather.
-  void (*fir_mac)(const cplx* signal, std::size_t n, const double* taps,
-                  std::size_t t, cplx* out);
+  // -- polyphase resampler (tolerance) -------------------------------------
+  /// out[o] for o in [0, m) is sample k = o*down + (t-1)/2 of the full
+  /// convolution of the odd-length real `taps` with x zero-stuffed by `up`
+  /// (x[i] at index i*up, zeros between): the sum over the inputs i with
+  /// tap index j = k - i*up in [0, t) of x[i] * taps[j]. Only those
+  /// products are formed, and each level keeps the bits of the full
+  /// convolution it replaces. Scalar adds fl(x_i * t_j) unfused in
+  /// ascending input index (the old scatter loop's order) from +0.0: a
+  /// skipped product is a stuffed zero times a finite tap, +-0, and a
+  /// round-to-nearest sum is -0 only when both addends are, so the
+  /// accumulator is never -0 and adding +-0 to it is exact. AVX2 runs one
+  /// fma chain over ascending tap index from +0.0, several outputs in
+  /// flight; a fused step can round a tiny negative exact value to -0,
+  /// which a skipped product would have made +0, so the chains differ at
+  /// most in a zero's sign and an output with a zero component is redone
+  /// with the stuffed zeros. Per output the value depends on nothing but
+  /// the window's samples, so it is time-invariant to the bit at each level
+  /// (the byte-keyed slot and waveform caches rely on it).
+  void (*resample)(const cplx* x, std::size_t n, std::size_t up,
+                   std::size_t down, const double* taps, std::size_t t,
+                   cplx* out, std::size_t m);
 
   // -- mixer / rotator (tolerance) -----------------------------------------
   /// out[i] = in[i] * exp(j*phase_i) where phase_0 = phase and
@@ -201,8 +217,14 @@ struct KernelTable {
   /// alphas[c]-scaled 64-QAM grid, for c in [0, m). Per component v the
   /// level is qam_level(v, alpha); the point adds fl(fl(dr*dr) + fl(di*di)),
   /// d = point - fl(alpha * level) per component, to a sum that starts at
-  /// 0.0 and runs in point order. The AVX2 form evaluates four candidates
-  /// per pass, one per lane.
+  /// 0.0 and runs in point order. Requires ascending alphas with
+  /// alphas[0] > 0 (equal neighbours allowed). Over such a grid each
+  /// component's level is a monotone step function of the candidate index
+  /// with at most eight runs, so both levels find the runs with a few exact
+  /// qam_level evaluations per component (probing where |v| / alpha
+  /// crosses 2, 4 and 6) and never divide per point and candidate; AVX2
+  /// then sums four candidates per register. Fewer than four candidates
+  /// run qam_level per point at AVX2, two points per divide.
   void (*qam_cost)(const cplx* points, std::size_t n, const double* alphas,
                    std::size_t m, double* costs);
 
@@ -270,8 +292,9 @@ double fm_atan2(double y, double x);
 
 /// qam_cost's level rule, shared with attack::quantize_to_qam64: the
 /// nearest odd level in [-7, 7] to value / alpha, i.e. 2 floor(s / 2) + 1
-/// for s = value / alpha, plus 2 if s - level > 1, clamped as a double
-/// (NaN gives -7), so the result always converts to int.
+/// for s = value / alpha, clamped as a double (NaN gives -7), so the result
+/// always converts to int. It is non-decreasing in s (scalar_impl.h proves
+/// that the old "plus 2 if s - level > 1" correction never fires).
 double qam_level(double value, double alpha);
 
 }  // namespace ctc::dsp::kernels

@@ -5,7 +5,7 @@
 // scalar heads/tails in this TU (shared with scalar_impl.h) round exactly
 // like the scalar table — that is what makes the bitwise contracts hold.
 // FMA appears ONLY as explicit _mm256_fmadd_pd / std::fma in the two
-// tolerance-class kernels (fir_mac, oqpsk_mf).
+// tolerance-class kernels (resample, oqpsk_mf).
 //
 // Lane conventions (see kernels.h): reductions keep two accumulator
 // registers A (elements ≡ 0,1 mod 4 / components 0-3 mod 8) and B
@@ -18,6 +18,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -60,64 +61,185 @@ inline void deinterleave4(const double* p, __m256d* re, __m256d* im) {
 }
 
 // ---------------------------------------------------------------------------
-// fir_mac (tolerance): gather form, ascending j, explicit FMA. Every
-// interior output (full tap window) uses identical per-lane arithmetic
-// regardless of position — vector blocks and the scalar interior leftover
-// both round as fl(fma(sample, tap, acc)) — preserving the bitwise
-// time-invariance the emulator's slot LUT relies on.
+// resample (tolerance): per output one fma chain over ascending tap index,
+// from +0.0, over the taps that meet an input sample. That is the old full
+// convolution's gather chain with its stuffed-zero products and unkept
+// outputs left out. The vector interiors and resample_one (edges and
+// leftovers) round every output as that same chain, so no output's bits
+// depend on which path ran it. Registers of two outputs each keep several
+// chains in flight: four when upsampling (one load per fma), eight when
+// decimating (two half loads per fma), the faster counts on a 4-core x86
+// host.
+//
+// One fused step can leave a -0 accumulator: an exact product-plus-sum
+// that is negative but below half the least subnormal rounds to -0. A
+// skipped stuffed-zero product with a tap of clear sign bit would have
+// turned that -0 into +0. Every other step rounds the same exact value
+// whatever the zero's sign, so the two chains differ at most in the sign
+// of a zero, and resample_zero_signs redoes each output with a zero
+// component through the zero-stuffed chain.
 // ---------------------------------------------------------------------------
 
-void edge_gather(const cplx* signal, std::size_t n, const double* taps,
-                 std::size_t t, cplx* out, std::size_t k) {
-  const std::size_t jlo = k >= n ? k - (n - 1) : 0;
-  const std::size_t jhi = k < t - 1 ? k : t - 1;
-  double re = out[k].real();
-  double im = out[k].imag();
-  for (std::size_t j = jlo; j <= jhi; ++j) {
-    re = std::fma(signal[k - j].real(), taps[j], re);
-    im = std::fma(signal[k - j].imag(), taps[j], im);
+constexpr std::size_t kUpChains = 4;
+constexpr std::size_t kDownChains = 8;
+
+cplx resample_one(const cplx* x, std::size_t n, std::size_t up,
+                  const double* taps, std::size_t t, std::size_t k) {
+  const std::size_t first = scalar_impl::resample_first_input(k, up, t);
+  const std::size_t end = k / up < n ? k / up + 1 : n;
+  double re = 0.0;
+  double im = 0.0;
+  for (std::size_t i = end; i-- > first;) {  // ascending tap index
+    const double tap = taps[k - i * up];
+    re = std::fma(x[i].real(), tap, re);
+    im = std::fma(x[i].imag(), tap, im);
   }
-  out[k] = cplx{re, im};
+  return cplx{re, im};
 }
 
-void fir_mac(const cplx* signal, std::size_t n, const double* taps,
-             std::size_t t, cplx* out) {
-  if (n == 0 || t == 0) return;
-  // Head: outputs with a truncated tap window (and, when t-1 > n, the
-  // short-signal outputs past n that the tail loop below must then skip).
-  const std::size_t head_end = t - 1 < n + t - 1 ? t - 1 : n + t - 1;
-  for (std::size_t k = 0; k < head_end; ++k) {
-    edge_gather(signal, n, taps, t, out, k);
+// The old chain itself: every tap whose zero-stuffed index k - j lies in
+// [0, n*up), a stuffed zero where k - j is not a multiple of up.
+cplx resample_stuffed(const cplx* x, std::size_t n, std::size_t up,
+                      const double* taps, std::size_t t, std::size_t k) {
+  const std::size_t last = n * up - 1;
+  const std::size_t jhi = k < t - 1 ? k : t - 1;
+  double re = 0.0;
+  double im = 0.0;
+  for (std::size_t j = k > last ? k - last : 0; j <= jhi; ++j) {
+    const std::size_t stuffed = k - j;
+    const cplx v = stuffed % up == 0 ? x[stuffed / up] : cplx{0.0, 0.0};
+    re = std::fma(v.real(), taps[j], re);
+    im = std::fma(v.imag(), taps[j], im);
   }
-  // Interior: full tap window. 4 outputs (2 registers) per iteration.
-  std::size_t k = t - 1;
-  for (; k + 4 <= n; k += 4) {
-    __m256d acc0 = _mm256_loadu_pd(as_doubles(out + k));
-    __m256d acc1 = _mm256_loadu_pd(as_doubles(out + k + 2));
+  return cplx{re, im};
+}
+
+// Redoes the outputs with a +-0 component through resample_stuffed (n > 0).
+void resample_zero_signs(const cplx* x, std::size_t n, std::size_t up,
+                         std::size_t down, const double* taps, std::size_t t,
+                         cplx* out, std::size_t m) {
+  const std::size_t delay = (t - 1) / 2;
+  const __m256d zero = _mm256_setzero_pd();
+  for (std::size_t o = 0; o < m; o += 2) {
+    const bool pair = o + 1 < m;
+    const __m256d v =
+        pair ? _mm256_loadu_pd(as_doubles(out + o))
+             : _mm256_castpd128_pd256(_mm_loadu_pd(as_doubles(out + o)));
+    const int zeros = _mm256_movemask_pd(_mm256_cmp_pd(v, zero, _CMP_EQ_OQ)) &
+                      (pair ? 15 : 3);
+    if ((zeros & 3) != 0) {
+      out[o] = resample_stuffed(x, n, up, taps, t, o * down + delay);
+    }
+    if ((zeros & 12) != 0) {
+      out[o + 1] = resample_stuffed(x, n, up, taps, t, (o + 1) * down + delay);
+    }
+  }
+}
+
+// Upsampling: output k = q*up + r (phase r) takes taps r + s*up against
+// x[q - s]. Where every phase's whole tap set lies inside x, a register
+// holds one phase's outputs at q and q + 1, whose samples are adjacent.
+// Returns the interior's q range [*qa, *qb) (empty when *qa >= *qb).
+void resample_up(const cplx* x, std::size_t n, std::size_t up,
+                 const double* taps, std::size_t t, cplx* out, std::size_t m,
+                 std::size_t* qa, std::size_t* qb) {
+  const std::size_t delay = (t - 1) / 2;
+  const std::size_t most_taps = (t + up - 1) / up;  // phase 0's count
+  // Interior q: whole tap sets (q >= most_taps - 1, q < n) and every
+  // phase's output index k - delay inside [0, m).
+  *qa = std::max(most_taps - 1, (delay + up - 1) / up);
+  *qb = m + delay >= up ? std::min(n, (m + delay - up) / up + 1) : 0;
+  std::size_t q0 = *qa;
+  for (; q0 + 2 * kUpChains <= *qb; q0 += 2 * kUpChains) {
+    for (std::size_t r = 0; r < up; ++r) {
+      __m256d acc[kUpChains];
+      for (auto& a : acc) a = _mm256_setzero_pd();
+      for (std::size_t j = r, s = 0; j < t; j += up, ++s) {
+        const __m256d tap = _mm256_set1_pd(taps[j]);
+        for (std::size_t b = 0; b < kUpChains; ++b) {
+          acc[b] = _mm256_fmadd_pd(
+              _mm256_loadu_pd(as_doubles(x + q0 + 2 * b - s)), tap, acc[b]);
+        }
+      }
+      for (std::size_t b = 0; b < kUpChains; ++b) {
+        const std::size_t o = (q0 + 2 * b) * up + r - delay;
+        _mm_storeu_pd(as_doubles(out + o), _mm256_castpd256_pd128(acc[b]));
+        _mm_storeu_pd(as_doubles(out + o + up),
+                      _mm256_extractf128_pd(acc[b], 1));
+      }
+    }
+  }
+  for (; q0 < *qb; ++q0) {
+    for (std::size_t r = 0; r < up; ++r) {
+      out[q0 * up + r - delay] = resample_one(x, n, up, taps, t, q0 * up + r);
+    }
+  }
+}
+
+// Decimation: output o takes every tap against x[o*down + delay - j].
+// Where the whole window lies inside x, a register holds outputs o and
+// o + 1, loaded as two halves `down` samples apart. Returns the interior
+// [*oa, *ob).
+void resample_down(const cplx* x, std::size_t n, std::size_t down,
+                   const double* taps, std::size_t t, cplx* out,
+                   std::size_t m, std::size_t* oa, std::size_t* ob) {
+  const std::size_t delay = (t - 1) / 2;
+  *oa = (delay + down - 1) / down;  // k >= t - 1
+  *ob = n > delay ? std::min(m, (n - 1 - delay) / down + 1) : 0;  // k < n
+  std::size_t o0 = *oa;
+  for (; o0 + 2 * kDownChains <= *ob; o0 += 2 * kDownChains) {
+    __m256d acc[kDownChains];
+    for (auto& a : acc) a = _mm256_setzero_pd();
     for (std::size_t j = 0; j < t; ++j) {
       const __m256d tap = _mm256_set1_pd(taps[j]);
-      const __m256d s0 = _mm256_loadu_pd(as_doubles(signal + (k - j)));
-      const __m256d s1 = _mm256_loadu_pd(as_doubles(signal + (k - j) + 2));
-      acc0 = _mm256_fmadd_pd(s0, tap, acc0);
-      acc1 = _mm256_fmadd_pd(s1, tap, acc1);
+#pragma GCC unroll 8
+      for (std::size_t b = 0; b < kDownChains; ++b) {
+        const cplx* lo = x + (o0 + 2 * b) * down + delay - j;
+        const __m256d v = _mm256_insertf128_pd(
+            _mm256_castpd128_pd256(_mm_loadu_pd(as_doubles(lo))),
+            _mm_loadu_pd(as_doubles(lo + down)), 1);
+        acc[b] = _mm256_fmadd_pd(v, tap, acc[b]);
+      }
     }
-    _mm256_storeu_pd(as_doubles(out + k), acc0);
-    _mm256_storeu_pd(as_doubles(out + k + 2), acc1);
-  }
-  for (; k < n; ++k) {
-    // Interior leftover: same full-window scalar FMA as the vector lanes.
-    double re = out[k].real();
-    double im = out[k].imag();
-    for (std::size_t j = 0; j < t; ++j) {
-      re = std::fma(signal[k - j].real(), taps[j], re);
-      im = std::fma(signal[k - j].imag(), taps[j], im);
+    for (std::size_t b = 0; b < kDownChains; ++b) {
+      _mm256_storeu_pd(as_doubles(out + o0 + 2 * b), acc[b]);
     }
-    out[k] = cplx{re, im};
   }
-  // Tail: truncated signal window.
-  for (k = n > t - 1 ? n : t - 1; k < n + t - 1; ++k) {
-    edge_gather(signal, n, taps, t, out, k);
+  for (; o0 < *ob; ++o0) {
+    out[o0] = resample_one(x, n, 1, taps, t, o0 * down + delay);
   }
+}
+
+void resample(const cplx* x, std::size_t n, std::size_t up, std::size_t down,
+              const double* taps, std::size_t t, cplx* out, std::size_t m) {
+  const std::size_t delay = (t - 1) / 2;
+  // The vector interior covers outputs [lo, hi); the rest run one by one.
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  if (down == 1) {
+    std::size_t qa = 0;
+    std::size_t qb = 0;
+    resample_up(x, n, up, taps, t, out, m, &qa, &qb);
+    if (qa < qb) {
+      lo = qa * up - delay;
+      hi = qb * up - delay;
+    }
+  } else if (up == 1) {
+    std::size_t oa = 0;
+    std::size_t ob = 0;
+    resample_down(x, n, down, taps, t, out, m, &oa, &ob);
+    if (oa < ob) {
+      lo = oa;
+      hi = ob;
+    }
+  }
+  for (std::size_t o = 0; o < lo; ++o) {
+    out[o] = resample_one(x, n, up, taps, t, o * down + delay);
+  }
+  for (std::size_t o = hi; o < m; ++o) {
+    out[o] = resample_one(x, n, up, taps, t, o * down + delay);
+  }
+  if (up > 1 && n > 0) resample_zero_signs(x, n, up, down, taps, t, out, m);
 }
 
 // ---------------------------------------------------------------------------
@@ -937,31 +1059,26 @@ void fm_discriminate(const cplx* wave, std::size_t num_chips, std::size_t spc,
 }
 
 // ---------------------------------------------------------------------------
-// qam_cost (bitwise): four candidate alphas per pass, one per lane. Each
-// point's components are broadcast, and every lane runs qam_level's divide,
-// floor, compare and clamp, then the residual square-and-add, in the scalar
-// order, so each lane's sum is the scalar table's for its alpha. The halving
-// is a multiply by 0.5: x / 2 and x * 0.5 are the same correctly rounded
-// value. The last m mod 4 candidates (the golden-section search asks for
-// one at a time) run two points per register instead, [re0, im0, re1, im1]:
-// one divide per two points, a horizontal add for each point's
-// fl(dr^2 + di^2), then the point-order scalar sum.
+// qam_cost (bitwise). Four or more candidates take scalar_impl's level
+// runs, and each run's terms are four candidates per register: the point's
+// components and levels broadcast, the alphas loaded, then the scalar
+// residual square-and-add per lane, so each lane's sum is the scalar
+// table's for its alpha; a run's last m mod 4 candidates add through the
+// scalar segment. Fewer candidates (the golden-section search asks for one
+// at a time) run two points per register, [re0, im0, re1, im1], through
+// qam_level's divide, floor and clamp: one divide per two points, a
+// horizontal add for each point's fl(dr^2 + di^2), then the point-order
+// scalar sum. The halving is a multiply by 0.5: x / 2 and x * 0.5 are the
+// same correctly rounded value.
 // ---------------------------------------------------------------------------
 
-inline __m256d qam_level4(__m256d value, __m256d alpha) {
+inline __m256d qam_residual(__m256d value, __m256d alpha) {
   const __m256d scaled = _mm256_div_pd(value, alpha);
   __m256d level = vadd(
       vmul(splat(2.0), _mm256_floor_pd(vmul(scaled, splat(0.5)))), splat(1.0));
-  const __m256d up =
-      _mm256_cmp_pd(vsub(scaled, level), splat(1.0), _CMP_GT_OQ);
-  level = _mm256_blendv_pd(level, vadd(level, splat(2.0)), up);
   // max/min return the second operand for a NaN level: -7, as in scalar.
-  level = _mm256_max_pd(level, splat(-7.0));
-  return _mm256_min_pd(level, splat(7.0));
-}
-
-inline __m256d qam_residual(__m256d value, __m256d alpha) {
-  return vsub(value, vmul(alpha, qam_level4(value, alpha)));
+  level = _mm256_min_pd(_mm256_max_pd(level, splat(-7.0)), splat(7.0));
+  return vsub(value, vmul(alpha, level));
 }
 
 double qam_cost_single(const double* pd, std::size_t n, double a) {
@@ -984,21 +1101,39 @@ double qam_cost_single(const double* pd, std::size_t n, double a) {
   return cost;
 }
 
+void qam_segment(double vr, double vi, double lr, double li,
+                 const double* alphas, std::size_t a, std::size_t b,
+                 double* costs) {
+  std::size_t c = a;
+  if (c + 4 <= b) {
+    const __m256d r = splat(vr);
+    const __m256d i = splat(vi);
+    const __m256d level_r = splat(lr);
+    const __m256d level_i = splat(li);
+    for (; c + 4 <= b; c += 4) {
+      const __m256d alpha = _mm256_loadu_pd(alphas + c);
+      const __m256d dr = vsub(r, vmul(alpha, level_r));
+      const __m256d di = vsub(i, vmul(alpha, level_i));
+      _mm256_storeu_pd(costs + c,
+                       vadd(_mm256_loadu_pd(costs + c),
+                            vadd(vmul(dr, dr), vmul(di, di))));
+    }
+  }
+  scalar_impl::qam_segment(vr, vi, lr, li, alphas, c, b, costs);
+}
+
 void qam_cost(const cplx* points, std::size_t n, const double* alphas,
               std::size_t m, double* costs) {
-  const double* pd = as_doubles(points);
-  std::size_t c = 0;
-  for (; c + 4 <= m; c += 4) {
-    const __m256d alpha = _mm256_loadu_pd(alphas + c);
-    __m256d cost = _mm256_setzero_pd();
-    for (std::size_t i = 0; i < n; ++i) {
-      const __m256d dr = qam_residual(_mm256_broadcast_sd(pd + 2 * i), alpha);
-      const __m256d di = qam_residual(_mm256_broadcast_sd(pd + 2 * i + 1), alpha);
-      cost = vadd(cost, vadd(vmul(dr, dr), vmul(di, di)));
+  if (m < 4) {
+    for (std::size_t c = 0; c < m; ++c) {
+      costs[c] = qam_cost_single(as_doubles(points), n, alphas[c]);
     }
-    _mm256_storeu_pd(costs + c, cost);
+    return;
   }
-  for (; c < m; ++c) costs[c] = qam_cost_single(pd, n, alphas[c]);
+  scalar_impl::qam_cost_runs(
+      points, n, alphas, m, costs,
+      [&](double vr, double vi, double lr, double li, std::size_t a,
+          std::size_t b) { qam_segment(vr, vi, lr, li, alphas, a, b, costs); });
 }
 
 // ---------------------------------------------------------------------------
@@ -1123,7 +1258,7 @@ bool avx2_compiled() { return true; }
 
 const KernelTable& avx2_table() {
   static constexpr KernelTable table = {
-      .fir_mac = fir_mac,
+      .resample = resample,
       .rotate = rotate,
       .cscale = cscale,
       .rscale = rscale,

@@ -10,7 +10,7 @@ namespace ctc::dsp::kernels::detail {
 
 const KernelTable& scalar_table() {
   static constexpr KernelTable table = {
-      .fir_mac = scalar_impl::fir_mac,
+      .resample = scalar_impl::resample,
       .rotate = scalar_impl::rotate,
       .cscale = scalar_impl::cscale,
       .rscale = scalar_impl::rscale,

@@ -23,14 +23,31 @@
 
 namespace ctc::dsp::kernels::scalar_impl {
 
-// Legacy scatter form of convolve_direct(): i-outer, j-inner, so output k
-// accumulates taps in descending-j order. This is the pinned reference the
-// AVX2 gather form (ascending-j, FMA) is tolerance-tested against.
-inline void fir_mac(const cplx* signal, std::size_t n, const double* taps,
-                    std::size_t t, cplx* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const cplx x = signal[i];
-    for (std::size_t j = 0; j < t; ++j) out[i + j] += x * taps[j];
+// The smallest input index whose tap index j = k - i*up is at most t - 1,
+// so inputs [first, k/up] (clipped to n) are the ones output k meets.
+inline std::size_t resample_first_input(std::size_t k, std::size_t up,
+                                        std::size_t t) {
+  return k >= t ? (k - t + up) / up : 0;
+}
+
+// The old scatter convolution restricted to the products that meet an
+// input sample and to the kept outputs: output k gathers fl(x_i * t_j) in
+// ascending input index i (descending tap index), unfused, from +0.0.
+inline void resample(const cplx* x, std::size_t n, std::size_t up,
+                     std::size_t down, const double* taps, std::size_t t,
+                     cplx* out, std::size_t m) {
+  const std::size_t delay = (t - 1) / 2;
+  for (std::size_t o = 0; o < m; ++o) {
+    const std::size_t k = o * down + delay;
+    const std::size_t end = k / up < n ? k / up + 1 : n;
+    double re = 0.0;
+    double im = 0.0;
+    for (std::size_t i = resample_first_input(k, up, t); i < end; ++i) {
+      const double tap = taps[k - i * up];
+      re = re + x[i].real() * tap;
+      im = im + x[i].imag() * tap;
+    }
+    out[o] = cplx{re, im};
   }
 }
 
@@ -590,35 +607,191 @@ inline double fm_atan2(double y, double x) {
 
 // -- qam_cost -----------------------------------------------------------------
 // The nearest odd 64-QAM level of value / alpha, kept as a double so the
-// clamp comes before any integer conversion. The clamp is written as the
-// AVX2 max/min select (a NaN level becomes -7).
+// clamp comes before any integer conversion: 2 floor(s / 2) + 1 for
+// s = fl(value / alpha), clamped to [-7, 7] by the AVX2 max/min select (a
+// NaN level becomes -7). The rule once also added 2 when s - level > 1,
+// which no s reaches. While |s| >= 2^-1021, s / 2 is exact and
+// floor(s / 2) > s / 2 - 1, so level > s - 1 exactly when |s| < 2^53 (then
+// 2 floor(s / 2) + 1 is exact), and past 2^53 s / 2 is an integer and
+// level = fl(s + 1) >= s; either way fl(s - level) <= 1. Below 2^-1021 the
+// level is +-1 and s - level < 1. An infinite s gives Inf - Inf and a NaN
+// one NaN, neither > 1. So the level is a non-decreasing function of s
+// (halving, floor and clamp all are), with NaN at the bottom (-7).
 inline double qam_level(double value, double alpha) {
   const double scaled = value / alpha;
-  double level = 2.0 * std::floor(scaled / 2.0) + 1.0;
-  if (scaled - level > 1.0) level += 2.0;
-  level = level > -7.0 ? level : -7.0;
-  return level < 7.0 ? level : 7.0;
+  const double level = 2.0 * std::floor(scaled / 2.0) + 1.0;
+  const double clamped = level > -7.0 ? level : -7.0;
+  return clamped < 7.0 ? clamped : 7.0;
 }
 
-// Eq. 4's cost at one alpha: each point adds fl(fl(dr^2) + fl(di^2)),
-// d = point - alpha * level, to a sum that starts at 0.0, in point order.
-inline double qam_cost_one(const cplx* points, std::size_t n, double alpha) {
-  double cost = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double re = points[i].real();
-    const double im = points[i].imag();
-    const double dr = re - alpha * qam_level(re, alpha);
-    const double di = im - alpha * qam_level(im, alpha);
-    cost += (dr * dr) + (di * di);
+// One component's levels over ascending alphas (alphas[0] > 0), as runs of
+// equal level: run r covers candidates [start[r], start[r + 1]), the last
+// one up to m. Over such a grid the level is monotone in the candidate
+// index for every value v: for finite nonzero v, v / alpha is monotone in
+// alpha on (0, Inf] and correct rounding keeps it so, and the level is
+// monotone in s (above); v = +-0 gives s = +-0 and level 1 throughout, a
+// NaN v -7 throughout, and v = +Inf gives 7 at every finite alpha and -7
+// at alpha = Inf (v = -Inf -7 throughout). So a monotone run of odd levels
+// in [-7, 7] has at most eight runs, and any candidate between two
+// evaluated ones of equal level has that level.
+struct QamRuns {
+  static constexpr std::size_t kMax = 8;
+  std::size_t count = 0;
+  std::size_t start[kMax];
+  double level[kMax];
+};
+
+// The first candidate after `lo` whose level differs from `cur`, given
+// level(lo) == cur and level(*hi) == *hi_level != cur: a probe, a gallop
+// away from it and a bisection between candidates whose levels were
+// evaluated. On return *hi is that candidate and *hi_level its level.
+inline void qam_step(double v, const double* alphas, std::size_t lo,
+                     std::size_t probe, double cur, std::size_t* hi,
+                     double* hi_level) {
+  probe = probe <= lo ? lo + 1 : (probe > *hi ? *hi : probe);
+  const double probe_level = qam_level(v, alphas[probe]);
+  if (probe_level == cur) {
+    lo = probe;
+    for (std::size_t stride = 1; lo + stride < *hi; stride *= 2) {
+      const double level = qam_level(v, alphas[lo + stride]);
+      if (level != cur) {
+        *hi = lo + stride;
+        *hi_level = level;
+        break;
+      }
+      lo += stride;
+    }
+  } else {
+    *hi = probe;
+    *hi_level = probe_level;
+    for (std::size_t stride = 1; lo + stride < *hi; stride *= 2) {
+      const double level = qam_level(v, alphas[*hi - stride]);
+      if (level == cur) {
+        lo = *hi - stride;
+        break;
+      }
+      *hi -= stride;
+      *hi_level = level;
+    }
   }
-  return cost;
+  while (*hi - lo > 1) {
+    const std::size_t mid = lo + (*hi - lo) / 2;
+    const double level = qam_level(v, alphas[mid]);
+    if (level == cur) {
+      lo = mid;
+    } else {
+      *hi = mid;
+      *hi_level = level;
+    }
+  }
+}
+
+// Finds v's runs with exact qam_level evaluations only. Between the two
+// ends' levels the level passes each odd value in turn (or skips some); for
+// each such transition the probe is the first candidate past where v /
+// alpha crosses the even boundary between its two levels, on a uniform
+// grid of cell 1 / inv_cell. All probes and their left neighbours are
+// evaluated up front, so their divides overlap. A transition whose pair
+// shows the step (left neighbour at the current level, probe not) is done;
+// any other runs qam_step. Any ascending grid is correct; a uniform one
+// is fast.
+inline void qam_runs(double v, const double* alphas, std::size_t m,
+                     double inv_cell, QamRuns* runs) {
+  const double first = qam_level(v, alphas[0]);
+  const double last = m > 1 ? qam_level(v, alphas[m - 1]) : first;
+  runs->count = 1;
+  runs->start[0] = 0;
+  runs->level[0] = first;
+  if (first == last) return;
+  const double dir = last > first ? 2.0 : -2.0;
+  const auto transitions = static_cast<std::size_t>((last - first) / dir);
+  std::size_t at[QamRuns::kMax];
+  double left[QamRuns::kMax];
+  double right[QamRuns::kMax];
+  for (std::size_t k = 0; k < transitions; ++k) {
+    const double boundary = first + dir * (static_cast<double>(k) + 0.5);
+    const double cross = std::abs(boundary) >= 2.0
+                             ? (v / boundary - alphas[0]) * inv_cell
+                             : -1.0;
+    at[k] = cross >= 0.0 && cross < static_cast<double>(m - 1)
+                ? static_cast<std::size_t>(cross) + 1
+                : 1;
+    left[k] = qam_level(v, alphas[at[k] - 1]);
+    right[k] = qam_level(v, alphas[at[k]]);
+  }
+  double cur = first;
+  std::size_t lo = 0;  // level(lo) == cur
+  while (cur != last && runs->count < QamRuns::kMax) {
+    const auto k = static_cast<std::size_t>((cur - first) / dir);
+    std::size_t hi = m - 1;
+    double hi_level = last;
+    if (at[k] > lo && left[k] == cur && right[k] != cur) {
+      hi = at[k];
+      hi_level = right[k];
+    } else {
+      qam_step(v, alphas, lo, at[k], cur, &hi, &hi_level);
+    }
+    runs->start[runs->count] = hi;
+    runs->level[runs->count] = hi_level;
+    ++runs->count;
+    lo = hi;
+    cur = hi_level;
+  }
+}
+
+// Eq. 4's cost at every candidate with no divide per point and candidate:
+// each point's two components get their level runs, and
+// segment(vr, vi, lr, li, a, b) adds the point's term at levels (lr, li)
+// to candidates [a, b). Points run in order, so each candidate's sum
+// starts at 0.0 and runs in point order, as the per-candidate loop's does.
+template <class Segment>
+inline void qam_cost_runs(const cplx* points, std::size_t n,
+                          const double* alphas, std::size_t m, double* costs,
+                          const Segment& segment) {
+  for (std::size_t c = 0; c < m; ++c) costs[c] = 0.0;
+  if (m == 0) return;
+  const double span = alphas[m - 1] - alphas[0];
+  const double inv_cell = span > 0.0 ? static_cast<double>(m - 1) / span : 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double vr = points[i].real();
+    const double vi = points[i].imag();
+    QamRuns re;
+    QamRuns im;
+    qam_runs(vr, alphas, m, inv_cell, &re);
+    qam_runs(vi, alphas, m, inv_cell, &im);
+    std::size_t r = 0;
+    std::size_t q = 0;
+    for (std::size_t a = 0; a < m;) {
+      const std::size_t end_r = r + 1 < re.count ? re.start[r + 1] : m;
+      const std::size_t end_q = q + 1 < im.count ? im.start[q + 1] : m;
+      const std::size_t b = end_r < end_q ? end_r : end_q;
+      segment(vr, vi, re.level[r], im.level[q], a, b);
+      if (b == end_r) ++r;
+      if (b == end_q) ++q;
+      a = b;
+    }
+  }
+}
+
+// One point's term at fixed levels, added to candidates [a, b):
+// fl(fl(dr^2) + fl(di^2)), d = point - fl(alpha * level) per component.
+inline void qam_segment(double vr, double vi, double lr, double li,
+                        const double* alphas, std::size_t a, std::size_t b,
+                        double* costs) {
+  for (std::size_t c = a; c < b; ++c) {
+    const double dr = vr - alphas[c] * lr;
+    const double di = vi - alphas[c] * li;
+    costs[c] += (dr * dr) + (di * di);
+  }
 }
 
 inline void qam_cost(const cplx* points, std::size_t n, const double* alphas,
                      std::size_t m, double* costs) {
-  for (std::size_t c = 0; c < m; ++c) {
-    costs[c] = qam_cost_one(points, n, alphas[c]);
-  }
+  qam_cost_runs(points, n, alphas, m, costs,
+                [&](double vr, double vi, double lr, double li, std::size_t a,
+                    std::size_t b) {
+                  qam_segment(vr, vi, lr, li, alphas, a, b, costs);
+                });
 }
 
 // Legacy extend_frequency_chips loop with fm_atan2 for libm's atan2.

@@ -27,12 +27,13 @@ cvec upsample(std::span<const cplx> input, std::size_t factor) {
   CTC_REQUIRE(factor >= 1);
   if (factor == 1) return cvec(input.begin(), input.end());
   if (input.empty()) return {};
-  // Zero-stuff.
-  cvec stuffed(input.size() * factor, cplx{0.0, 0.0});
-  for (std::size_t i = 0; i < input.size(); ++i) stuffed[i * factor] = input[i];
-  cvec out = filter_same(stuffed, resampling_lowpass(factor));
+  const rvec taps = resampling_lowpass(factor);
+  cvec out(input.size() * factor);
+  const kernels::KernelTable& kt = kernels::active();
+  kt.resample(input.data(), input.size(), factor, 1, taps.data(), taps.size(),
+              out.data(), out.size());
   // Restore amplitude lost to zero-stuffing.
-  kernels::active().rscale(out.data(), out.size(), static_cast<double>(factor));
+  kt.rscale(out.data(), out.size(), static_cast<double>(factor));
   return out;
 }
 
@@ -40,10 +41,10 @@ cvec decimate(std::span<const cplx> input, std::size_t factor) {
   CTC_REQUIRE(factor >= 1);
   if (factor == 1) return cvec(input.begin(), input.end());
   if (input.empty()) return {};
-  const cvec filtered = filter_same(input, resampling_lowpass(factor));
-  cvec out;
-  out.reserve((input.size() + factor - 1) / factor);
-  for (std::size_t i = 0; i < filtered.size(); i += factor) out.push_back(filtered[i]);
+  const rvec taps = resampling_lowpass(factor);
+  cvec out((input.size() + factor - 1) / factor);
+  kernels::active().resample(input.data(), input.size(), 1, factor,
+                             taps.data(), taps.size(), out.data(), out.size());
   return out;
 }
 

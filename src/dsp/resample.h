@@ -19,11 +19,17 @@ namespace ctc::dsp {
 /// Integer upsampling by `factor`: zero-stuffing followed by an anti-imaging
 /// lowpass (cutoff 0.5/factor of the output rate, 12 taps per phase — 61
 /// taps at the paper's factor 5) with gain `factor`, with filter group delay
-/// removed so output[i*factor] aligns with input[i].
+/// removed so output[i*factor] aligns with input[i]. The dispatched
+/// resample kernel computes it polyphase: output q*factor + r sums only
+/// taps r + s*factor against input q - s, with the bits of the full
+/// zero-stuffed convolution (kernels.h). Bitwise time-invariant: equal
+/// input windows give equal output bytes wherever they sit, which the
+/// emulator's byte-keyed slot cache relies on.
 cvec upsample(std::span<const cplx> input, std::size_t factor);
 
 /// Integer decimation by `factor`: the same anti-alias lowpass as
-/// upsample(), then keep every factor-th sample, delay-compensated.
+/// upsample(), delay-compensated, evaluated only at every factor-th sample
+/// (the bits of filtering all samples and keeping those).
 cvec decimate(std::span<const cplx> input, std::size_t factor);
 
 /// Digital mixer: out[n] = in[n] * exp(j*(initial_phase + 2*pi*freq_hz/fs *

@@ -193,6 +193,7 @@ ShrMatch ShrSync::search(const cplx* samples, const double* norms,
     }
   }
   match.offset = best;
+  match.metric = best_metric;
   return match;
 }
 
@@ -203,7 +204,25 @@ ShrMatch ShrSync::find(std::span<const cplx> capture, std::size_t max_offset) {
   const std::size_t read = search_end + window;
   norms_.resize(read);
   for (std::size_t i = 0; i < read; ++i) norms_[i] = std::norm(capture[i]);
-  return search(capture.data(), norms_.data(), search_end + 1, search_end, 0);
+  // A non-finite norm would make every later prefix energy NaN or Inf and
+  // blind the search past it, so each finite stretch runs on its own.
+  ShrMatch found;
+  for (std::size_t start = 0; start + window <= read;) {
+    std::size_t end = start;
+    while (end < read && std::isfinite(norms_[end])) ++end;
+    if (end - start >= window) {
+      const std::size_t last = end - window - start;  // stretch's last offset
+      const ShrMatch match = search(capture.data() + start,
+                                    norms_.data() + start, last + 1, last, 0);
+      found.exact += match.exact;
+      if (match.offset && (!found.offset || match.metric > found.metric)) {
+        found.offset = start + *match.offset;
+        found.metric = match.metric;
+      }
+    }
+    start = end + 1;
+  }
+  return found;
 }
 
 }  // namespace ctc::zigbee

@@ -24,6 +24,8 @@ struct ShrMatch {
   std::optional<std::size_t> offset;  ///< frame start, or none below threshold
   /// Exact full-window correlations run (the screen skips the rest).
   std::uint64_t exact = 0;
+  /// The offset's normalized correlation (0 when there is no offset).
+  double metric = 0.0;
 };
 
 /// One instance holds the reference, the screen geometry and reusable
@@ -46,8 +48,13 @@ class ShrSync {
                   std::size_t search_end, std::size_t guard);
 
   /// One-shot search of a whole capture over offsets [0, max_offset]
-  /// (clipped to the last full window), with no hill-climb. A capture
-  /// shorter than the window has no offset.
+  /// (clipped to the last full window), with no hill-climb: the first
+  /// maximum at or above kThreshold in index order. A window holding a
+  /// sample whose |x|^2 is not finite (NaN, Inf, or an overflow) cannot
+  /// sync, so each stretch between such samples is searched on its own,
+  /// its prefix energies anchored at the stretch's first sample, and a
+  /// later stretch wins only on a greater metric. An all-finite capture is
+  /// one stretch. A capture shorter than the window has no offset.
   ShrMatch find(std::span<const cplx> capture, std::size_t max_offset);
 
   /// SHR correlation window length in samples.

@@ -45,7 +45,8 @@ TEST(MultipathTest, SingleTapIsFlatFading) {
   const cvec taps = draw_multipath_taps(profile, rng);
   ASSERT_EQ(taps.size(), 1u);
   const cvec x = {{1.0, 0.0}, {0.0, 1.0}, {-1.0, 0.0}};
-  const cvec y = apply_multipath(x, taps);
+  cvec y = x;
+  apply_multipath_inplace(y, taps);
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(std::abs(y[i] - taps[0] * x[i]), 0.0, 1e-12);
   }
@@ -54,7 +55,8 @@ TEST(MultipathTest, SingleTapIsFlatFading) {
 TEST(MultipathTest, ConvolutionIsCausalAndSameLength) {
   const cvec taps = {{1.0, 0.0}, {0.5, 0.0}};
   const cvec x = {{1.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}};
-  const cvec y = apply_multipath(x, taps);
+  cvec y = x;
+  apply_multipath_inplace(y, taps);
   ASSERT_EQ(y.size(), x.size());
   EXPECT_NEAR(std::abs(y[0] - cplx(1.0, 0.0)), 0.0, 1e-12);
   EXPECT_NEAR(std::abs(y[1] - cplx(0.5, 0.0)), 0.0, 1e-12);
@@ -66,7 +68,8 @@ TEST(MultipathTest, RejectsBadProfileAndEmptyTaps) {
   MultipathProfile profile;
   profile.num_taps = 0;
   EXPECT_THROW(draw_multipath_taps(profile, rng), ContractError);
-  EXPECT_THROW(apply_multipath(cvec(4), cvec{}), ContractError);
+  cvec signal(4);
+  EXPECT_THROW(apply_multipath_inplace(signal, cvec{}), ContractError);
 }
 
 TEST(MultipathTest, EnvironmentPrefersMultipathOverFlatFading) {
@@ -116,7 +119,8 @@ TEST(MultipathTest, DestroysCyclicPrefixRepetition) {
   profile.num_taps = 12;          // strong delay spread at 20 MHz
   profile.decay_per_tap_db = 1.0;
   profile.k_factor = 0.0;
-  const cvec faded = apply_multipath(wave, draw_multipath_taps(profile, rng));
+  cvec faded = wave;
+  apply_multipath_inplace(faded, draw_multipath_taps(profile, rng));
   // Repetition survives multipath (linear convolution preserves periodic
   // structure within a block) — but equalizer-less *energy* dispersion and
   // ISI across block boundaries reduce the normalized correlation.

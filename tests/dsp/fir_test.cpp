@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstring>
+#include <cmath>
+#include <vector>
 
+#include "dsp/kernels/kernels.h"
 #include "dsp/require.h"
 #include "dsp/rng.h"
 #include "dsp/stats.h"
@@ -53,31 +54,53 @@ TEST(FirDesignTest, PassbandAndStopbandBehave) {
   EXPECT_NEAR(tone_gain(taps, 0.1), 0.5, 0.02);
 }
 
+/// "Same"-length filtering through the resample kernel at up = down = 1:
+/// out[o] sums taps[j] * x[o + (t - 1) / 2 - j], at both kernel levels.
+std::vector<cvec> filter_same_both_levels(const cvec& x, const rvec& taps) {
+  std::vector<cvec> outs;
+  for (const kernels::SimdLevel level :
+       {kernels::SimdLevel::scalar, kernels::best_supported_level()}) {
+    cvec out(x.size(), cplx{7.0, 7.0});
+    kernels::table(level).resample(x.data(), x.size(), 1, 1, taps.data(),
+                                   taps.size(), out.data(), out.size());
+    outs.push_back(out);
+  }
+  return outs;
+}
+
 TEST(ConvolveTest, IdentityKernel) {
   Rng rng(21);
   cvec x(50);
   for (auto& v : x) v = rng.complex_gaussian(1.0);
-  const rvec delta = {1.0};
-  const cvec y = convolve_direct(x, delta);
-  ASSERT_EQ(y.size(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(std::abs(y[i] - x[i]), 0.0, 1e-12);
+  for (const cvec& y : filter_same_both_levels(x, rvec{1.0})) {
+    ASSERT_EQ(y.size(), x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(y[i], x[i]);
+  }
 }
 
 TEST(ConvolveTest, LengthAndKnownValues) {
   const cvec x = {{1, 0}, {2, 0}, {3, 0}};
-  const rvec h = {1.0, 1.0};
-  const cvec y = convolve_direct(x, h);
-  ASSERT_EQ(y.size(), 4u);
-  EXPECT_DOUBLE_EQ(y[0].real(), 1.0);
-  EXPECT_DOUBLE_EQ(y[1].real(), 3.0);
-  EXPECT_DOUBLE_EQ(y[2].real(), 5.0);
-  EXPECT_DOUBLE_EQ(y[3].real(), 3.0);
+  for (const cvec& y : filter_same_both_levels(x, rvec{1.0, 1.0, 1.0})) {
+    ASSERT_EQ(y.size(), 3u);
+    EXPECT_DOUBLE_EQ(y[0].real(), 3.0);
+    EXPECT_DOUBLE_EQ(y[1].real(), 6.0);
+    EXPECT_DOUBLE_EQ(y[2].real(), 5.0);
+  }
 }
 
 TEST(ConvolveTest, EmptySignalGivesEmptyOutput) {
-  const rvec h = {1.0, 2.0};
-  EXPECT_TRUE(convolve_direct(cvec{}, h).empty());
-  EXPECT_THROW(convolve_direct(cvec{{1, 0}}, rvec{}), ContractError);
+  // No input sample meets any tap: every requested output is +0.0.
+  for (const kernels::SimdLevel level :
+       {kernels::SimdLevel::scalar, kernels::best_supported_level()}) {
+    const rvec taps = {0.25, 0.5, 0.25};
+    cvec out(4, cplx{7.0, 7.0});
+    kernels::table(level).resample(nullptr, 0, 1, 1, taps.data(), taps.size(),
+                                   out.data(), out.size());
+    for (const cplx& y : out) {
+      EXPECT_EQ(y, cplx(0.0, 0.0));
+      EXPECT_FALSE(std::signbit(y.real()));
+    }
+  }
 }
 
 TEST(FilterSameTest, AlignsWithInput) {
@@ -87,39 +110,10 @@ TEST(FilterSameTest, AlignsWithInput) {
   for (auto& v : x) v = rng.complex_gaussian(1.0);
   rvec h(11, 0.0);
   h[5] = 1.0;  // pure delay of (taps-1)/2
-  const cvec y = filter_same(x, h);
-  ASSERT_EQ(y.size(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(std::abs(y[i] - x[i]), 0.0, 1e-12);
-}
-
-TEST(FilterSameTest, RequiresOddTaps) {
-  cvec x(8, cplx{1.0, 0.0});
-  EXPECT_THROW(filter_same(x, rvec{0.5, 0.5}), ContractError);
-}
-
-TEST(FilterSameTest, IdenticalSegmentsFilterToIdenticalBits) {
-  // Time invariance down to the bit: the same input window filters to the
-  // same output bytes wherever it sits in the signal. The byte-keyed
-  // emulator slot cache and link waveform cache depend on it.
-  const rvec taps = design_lowpass(0.1, 61);  // the x5 resampling lowpass
-  const std::size_t half = (taps.size() - 1) / 2;
-  Rng rng(24);
-  cvec segment(200);
-  for (auto& v : segment) v = rng.complex_gaussian(1.0);
-  // Two copies of the segment in a random signal, an odd distance apart so
-  // they sit at different SIMD lane alignments.
-  const std::size_t first = 37;
-  const std::size_t second = 350;
-  cvec x(second + segment.size() + 41);
-  for (auto& v : x) v = rng.complex_gaussian(1.0);
-  std::copy(segment.begin(), segment.end(), x.begin() + first);
-  std::copy(segment.begin(), segment.end(), x.begin() + second);
-  const cvec y = filter_same(x, taps);
-  // Outputs whose full tap window lies inside one copy.
-  const std::size_t interior = segment.size() - 2 * half;
-  EXPECT_EQ(std::memcmp(y.data() + first + half, y.data() + second + half,
-                        interior * sizeof(cplx)),
-            0);
+  for (const cvec& y : filter_same_both_levels(x, h)) {
+    ASSERT_EQ(y.size(), x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(y[i], x[i]);
+  }
 }
 
 }  // namespace

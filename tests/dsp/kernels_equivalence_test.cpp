@@ -9,12 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dsp/rng.h"
@@ -612,17 +614,72 @@ TEST(KernelsEquivalence, FmDiscriminateNegativeZeroFirstStep) {
   }
 }
 
+/// The scale search's per-candidate loop: qam_level's rule as written
+/// before the stepped grid, "plus 2 if s - level > 1" included, then each
+/// candidate's sum in point order from 0.0.
+double per_candidate_level(double value, double alpha) {
+  const double scaled = value / alpha;
+  double level = 2.0 * std::floor(scaled / 2.0) + 1.0;
+  if (scaled - level > 1.0) level += 2.0;
+  level = level > -7.0 ? level : -7.0;
+  return level < 7.0 ? level : 7.0;
+}
+
+std::vector<double> per_candidate_costs(const cvec& points,
+                                        const std::vector<double>& alphas) {
+  std::vector<double> costs;
+  for (const double alpha : alphas) {
+    double cost = 0.0;
+    for (const cplx& p : points) {
+      const double dr = p.real() - alpha * per_candidate_level(p.real(), alpha);
+      const double di = p.imag() - alpha * per_candidate_level(p.imag(), alpha);
+      cost += (dr * dr) + (di * di);
+    }
+    costs.push_back(cost);
+  }
+  return costs;
+}
+
+/// qam_cost at both levels must equal the per-candidate loop byte for byte.
+void expect_costs_match(const cvec& points, const std::vector<double>& alphas,
+                        const std::string& what) {
+  const std::vector<double> want = per_candidate_costs(points, alphas);
+  for (const KernelTable* kt : {&scalar_table(), &best_table()}) {
+    std::vector<double> got(alphas.size() + 1, 7.0);
+    kt->qam_cost(points.data(), points.size(), alphas.data(), alphas.size(),
+                 got.data());
+    EXPECT_EQ(got.back(), 7.0) << what << ": wrote past m";
+    for (std::size_t c = 0; c < alphas.size(); ++c) {
+      ASSERT_EQ(std::memcmp(&got[c], &want[c], sizeof(double)), 0)
+          << what << ": candidate " << c << " alpha " << alphas[c] << " got "
+          << got[c] << " want " << want[c]
+          << (kt == &scalar_table() ? " (scalar)" : " (best)");
+    }
+  }
+}
+
+/// An ascending grid of m candidates over [lo, hi], built like the scale
+/// search's.
+std::vector<double> grid(double lo, double hi, std::size_t m) {
+  std::vector<double> alphas(m, lo);
+  for (std::size_t i = 1; i < m; ++i) {
+    alphas[i] = lo + (hi - lo) * static_cast<double>(i) /
+                         static_cast<double>(m - 1);
+  }
+  return alphas;
+}
+
 TEST(KernelsEquivalence, QamCostBitwise) {
   Rng rng = Rng::for_stream(1, 24);
   // Power-of-two alphas make value / alpha exact, so points at alpha * 2k
   // sit exactly on the level boundaries (the nearest-level rule rounds an
   // even quotient up), +-1 ulp around them, on the +-6 / +-8 edges of the
-  // +-7 clamp, and far past it (1e300 / alpha overflows every int).
-  const std::vector<double> alphas = {0.25, 0.5, 1.0, 2.0, 0.05, 5.0990195135927845,
-                                      3.7, 1e-3, 40.0};
-  std::vector<double> specials = {0.0,   -0.0,    0x1p-1074, -0x1p-1074,
-                                  1e-310, -1e-310, 1e-300,   -1e-300,
-                                  1e300,  -1e300};
+  // +-7 clamp, and far past it (1e300 / alpha overflows every int). The
+  // candidates ascend, as the kernel requires.
+  const std::vector<double> alphas = {1e-3, 0.05, 0.25, 0.5, 1.0,
+                                      2.0,  3.7,  5.0990195135927845, 40.0};
+  std::vector<double> specials = {0.0,    -0.0,    0x1p-1074, -0x1p-1074,
+                                  1e-310, -1e-310, 1e-300,    -1e-300};
   for (const double alpha : {0.25, 0.5, 1.0, 2.0}) {
     for (int k = -5; k <= 5; ++k) {
       const double edge = alpha * 2.0 * k;
@@ -635,39 +692,257 @@ TEST(KernelsEquivalence, QamCostBitwise) {
   }
   for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
                               std::size_t{1239}}) {
-    for (int variant = 0; variant < 2; ++variant) {
+    for (int variant = 0; variant < 3; ++variant) {
       cvec points = random_cvec(rng, n);
       for (auto& p : points) p *= 8.0;
-      if (variant == 1) {
+      if (variant >= 1) {
         for (auto& p : points) {
           const double re = specials[rng.next_u64() % specials.size()];
           const double im = specials[rng.next_u64() % specials.size()];
           p = cplx{re, im};
         }
       }
+      // A component of +-1e300 squares to Inf, so every cost is Inf.
+      if (variant == 2 && n > 0) points[n / 2] = cplx{1e300, -1e300};
       for (std::size_t m = 1; m <= alphas.size(); ++m) {
-        std::vector<double> a(m + 1, 7.0);
-        std::vector<double> b(m + 1, 7.0);
-        scalar_table().qam_cost(points.data(), n, alphas.data(), m, a.data());
-        best_table().qam_cost(points.data(), n, alphas.data(), m, b.data());
-        ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
-            << "qam_cost n=" << n << " m=" << m << " variant=" << variant;
+        expect_costs_match(
+            points, std::vector<double>(alphas.begin(), alphas.begin() + m),
+            "n=" + std::to_string(n) + " m=" + std::to_string(m) +
+                " variant=" + std::to_string(variant));
       }
     }
   }
 }
 
-TEST(KernelsEquivalence, FirMacTolerance) {
+TEST(KernelsEquivalence, QamCostStepsLandOnTheirCandidates) {
+  // Every component sits on a level boundary of some candidate of a
+  // 400-candidate grid (v = 2k * alpha_c) or one ulp to either side, so
+  // each step of the stepped grid must fall on exactly the candidate the
+  // per-candidate loop puts it on.
+  Rng rng = Rng::for_stream(1, 29);
+  const std::vector<double> alphas = grid(0.05, 31.5, 400);
+  cvec points;
+  for (std::size_t i = 0; i < 600; ++i) {
+    double parts[2];
+    for (double& part : parts) {
+      const double alpha = alphas[rng.next_u64() % alphas.size()];
+      const double k = static_cast<double>(rng.next_u64() % 3 + 1);
+      const double edge = (rng.next_u64() % 2 == 0 ? 2.0 : -2.0) * k * alpha;
+      switch (rng.next_u64() % 3) {
+        case 0: part = edge; break;
+        case 1: part = std::nextafter(edge, -1e300); break;
+        default: part = std::nextafter(edge, 1e300); break;
+      }
+    }
+    points.push_back(cplx{parts[0], parts[1]});
+  }
+  expect_costs_match(points, alphas, "boundary grid");
+  // The same points over power-of-two alphas, where v / alpha is exact.
+  std::vector<double> exact;
+  for (int e = -6; e <= 5; ++e) exact.push_back(std::ldexp(1.0, e));
+  expect_costs_match(points, exact, "power-of-two alphas");
+}
+
+TEST(KernelsEquivalence, QamCostSpecialComponentsAndGrids) {
+  Rng rng = Rng::for_stream(1, 30);
+  cvec points = random_cvec(rng, 300);
+  for (auto& p : points) p *= 12.0;
+  // Signed zeros have no step; a tiny negative component's quotient
+  // underflows to -0 at a large alpha, which steps its level from -1 to +1.
+  const double specials[] = {0.0,     -0.0,    -0x1p-1074, -0x1p-1060,
+                             -1e-310, -1e-300, 0x1p-1074};
+  for (std::size_t i = 0; i < points.size(); i += 3) {
+    points[i] =
+        cplx{specials[rng.next_u64() % 7], specials[rng.next_u64() % 7]};
+  }
+  expect_costs_match(points, grid(0.05, 40.0, 400), "specials, uniform");
+  expect_costs_match(points, grid(1.0, 1e300, 64), "specials, huge alphas");
+  // Repeated alphas, one value repeated, m = 2, m not a multiple of 4, and
+  // a non-uniform ascending grid.
+  std::vector<double> repeated = grid(0.5, 9.0, 37);
+  repeated.insert(repeated.begin() + 10, 4, repeated[10]);
+  expect_costs_match(points, repeated, "repeated alphas");
+  expect_costs_match(points, std::vector<double>(9, 2.5), "one alpha x9");
+  expect_costs_match(points, {0.7, 3.1}, "m=2");
+  expect_costs_match(points, grid(0.05, 20.0, 7), "m=7");
+  expect_costs_match(points, grid(0.05, 20.0, 401), "m=401");
+  std::vector<double> uneven;
+  for (double a = 0.01; a < 60.0; a *= 1.07) uneven.push_back(a);
+  expect_costs_match(points, uneven, "geometric grid");
+  // NaN and infinite components have no step over a finite grid, and one
+  // makes every cost NaN or Inf: each runs beside a few ordinary points.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {nan, inf, -inf}) {
+    for (const bool real_part : {true, false}) {
+      cvec few(points.begin() + 1, points.begin() + 6);
+      few[2] = real_part ? cplx{bad, 3.0} : cplx{-3.0, bad};
+      expect_costs_match(few, grid(0.05, 40.0, 400), "non-finite component");
+      expect_costs_match(few, {1.5}, "non-finite component, m=1");
+    }
+  }
+}
+
+/// The convolution the resampler replaced, at each kernel level: x
+/// zero-stuffed by `up`, convolved in full with the odd-length taps, the
+/// group delay trimmed and every down-th sample kept (m of them).
+/// `fused` picks the AVX2 level's arithmetic, one fma chain per output over
+/// ascending tap index of the taps inside the stuffed signal; otherwise the
+/// scalar level's scatter loop, which adds fl(x * tap) unfused in ascending
+/// stuffed-sample order. Stuffed zeros take part in both.
+cvec full_convolution(const cvec& x, std::size_t up, std::size_t down,
+                      const rvec& taps, std::size_t m, bool fused) {
+  const std::size_t stuffed = x.size() * up;
+  const std::size_t t = taps.size();
+  const auto sample = [&](std::size_t i) {
+    return i % up == 0 ? x[i / up] : cplx{0.0, 0.0};
+  };
+  cvec full(stuffed + t - 1, cplx{0.0, 0.0});
+  if (fused) {
+    for (std::size_t k = 0; k < full.size(); ++k) {
+      double re = 0.0;
+      double im = 0.0;
+      for (std::size_t j = k >= stuffed ? k - (stuffed - 1) : 0;
+           j <= std::min(k, t - 1); ++j) {
+        re = std::fma(sample(k - j).real(), taps[j], re);
+        im = std::fma(sample(k - j).imag(), taps[j], im);
+      }
+      full[k] = cplx{re, im};
+    }
+  } else {
+    for (std::size_t i = 0; i < stuffed; ++i) {
+      for (std::size_t j = 0; j < t; ++j) full[i + j] += sample(i) * taps[j];
+    }
+  }
+  cvec out(m, cplx{0.0, 0.0});
+  for (std::size_t o = 0; o < m && o * down + (t - 1) / 2 < full.size(); ++o) {
+    out[o] = full[o * down + (t - 1) / 2];
+  }
+  return out;
+}
+
+/// Same bits, or NaN in both: x86 passes on one NaN operand's payload and
+/// sign, and which one depends on the operand order the compiler picks.
+bool same_sample(cplx a, cplx b) {
+  const auto same = [](double x, double y) {
+    return std::memcmp(&x, &y, sizeof x) == 0 ||
+           (std::isnan(x) && std::isnan(y));
+  };
+  return same(a.real(), b.real()) && same(a.imag(), b.imag());
+}
+
+/// The resample kernel at both levels against its level's full convolution.
+void expect_resample_matches(const cvec& x, std::size_t up, std::size_t down,
+                             const rvec& taps, const std::string& what) {
+  const std::size_t m = up > 1 ? x.size() * up : (x.size() + down - 1) / down;
+  const std::vector<std::pair<const KernelTable*, bool>> levels = {
+      {&scalar_table(), false},
+      {&best_table(), best_supported_level() == SimdLevel::avx2}};
+  for (const auto& [kt, fused] : levels) {
+    const cvec want = full_convolution(x, up, down, taps, m, fused);
+    cvec got(m + 1, cplx{7.0, 7.0});
+    kt->resample(x.data(), x.size(), up, down, taps.data(), taps.size(),
+                 got.data(), m);
+    EXPECT_EQ(got.back(), cplx(7.0, 7.0)) << what << ": wrote past m";
+    for (std::size_t o = 0; o < m; ++o) {
+      ASSERT_TRUE(same_sample(got[o], want[o]))
+          << what << (fused ? " (fused)" : " (scalar)") << ": output " << o
+          << " of " << m << " is (" << got[o].real() << ", " << got[o].imag()
+          << "), want (" << want[o].real() << ", " << want[o].imag() << ")";
+    }
+  }
+}
+
+/// The resampler's lowpass at `factor`: dsp::design_lowpass(0.5 / factor,
+/// 12 * factor + 1), rebuilt here so the kernel suite needs no FIR design.
+rvec resampling_taps(std::size_t factor) {
+  const std::size_t t = factor * 12 + 1;
+  const double cutoff = 0.5 / static_cast<double>(factor);
+  const double center = static_cast<double>(t - 1) / 2.0;
+  rvec taps(t);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < t; ++i) {
+    const double u = static_cast<double>(i) - center;
+    const double x = kTwoPi * cutoff * u;
+    const double window =
+        0.54 - 0.46 * std::cos(kTwoPi * static_cast<double>(i) /
+                               static_cast<double>(t - 1));
+    taps[i] = 2.0 * cutoff * (u == 0.0 ? 1.0 : std::sin(x) / x) * window;
+    sum += taps[i];
+  }
+  for (double& tap : taps) tap /= sum;
+  return taps;
+}
+
+TEST(KernelsEquivalence, ResampleTolerance) {
   Rng rng = Rng::for_stream(1, 13);
-  for (std::size_t n : kLengths) {
-    for (std::size_t t : {std::size_t{1}, std::size_t{4}, std::size_t{9}}) {
+  for (std::size_t factor = 1; factor <= 6; ++factor) {
+    const rvec taps = resampling_taps(factor);
+    for (std::size_t n : kLengths) {
       const cvec x = random_cvec(rng, n);
-      const rvec taps = random_rvec(rng, t);
-      cvec a(n + t - 1, cplx{0.0, 0.0});
-      cvec b(n + t - 1, cplx{0.0, 0.0});
-      scalar_table().fir_mac(x.data(), n, taps.data(), t, a.data());
-      best_table().fir_mac(x.data(), n, taps.data(), t, b.data());
-      expect_close(a, b, 1e-12, "fir_mac", n, t);
+      for (const bool upsampling : {true, false}) {
+        const std::size_t up = upsampling ? factor : 1;
+        const std::size_t down = upsampling ? 1 : factor;
+        const std::size_t m =
+            upsampling ? n * factor : (n + factor - 1) / factor;
+        cvec a(m), b(m);
+        scalar_table().resample(x.data(), n, up, down, taps.data(),
+                                taps.size(), a.data(), m);
+        best_table().resample(x.data(), n, up, down, taps.data(), taps.size(),
+                              b.data(), m);
+        expect_close(a, b, 1e-12, "resample", n, factor);
+      }
+    }
+  }
+}
+
+TEST(KernelsEquivalence, ResampleMatchesTheFullConvolutionBitwise) {
+  Rng rng = Rng::for_stream(1, 31);
+  for (std::size_t factor = 1; factor <= 6; ++factor) {
+    const rvec taps = resampling_taps(factor);
+    const std::size_t half = (taps.size() - 1) / 2;
+    const std::size_t per_phase = (taps.size() + factor - 1) / factor;
+    // Empty, one sample, shorter than half the filter, and lengths around
+    // the vector blocks: upsampling runs blocks of 8 inputs from input
+    // per_phase - 1, decimation blocks of 16 outputs from the first whose
+    // window lies inside the input.
+    std::vector<std::size_t> lengths = {0,        1,        2,
+                                        half / 2, half - 1, half,
+                                        half + 1, taps.size(), 3 * taps.size()};
+    for (const std::size_t extra : {7, 8, 9, 15, 16, 17, 23, 24, 25, 33}) {
+      lengths.push_back(per_phase - 1 + extra);
+      lengths.push_back(2 * half + factor * extra + 1);
+    }
+    for (const std::size_t n : lengths) {
+      for (int variant = 0; variant < 3; ++variant) {
+        cvec x = random_cvec(rng, n);
+        if (variant == 1) {
+          // A few NaN, infinite, signed-zero and subnormal samples.
+          const double specials[] = {
+              std::numeric_limits<double>::quiet_NaN(),
+              std::numeric_limits<double>::infinity(),
+              -std::numeric_limits<double>::infinity(),
+              0.0, -0.0, 0x1p-1074, -0x1p-1074, 1e-310};
+          for (std::size_t k = 0; k < 3 && n > 0; ++k) {
+            x[rng.next_u64() % n] = cplx{specials[rng.next_u64() % 8],
+                                         specials[rng.next_u64() % 8]};
+          }
+        }
+        if (variant == 2) {
+          // Nothing but signed zeros and subnormals: here a fused step's
+          // tiny negative sum rounds to -0.
+          const double tiny[] = {0.0, -0.0, 0x1p-1074, -0x1p-1074, 1e-310,
+                                 -1e-310};
+          for (auto& v : x) {
+            v = cplx{tiny[rng.next_u64() % 6], tiny[rng.next_u64() % 6]};
+          }
+        }
+        const std::string what = "factor " + std::to_string(factor) +
+                                 " n " + std::to_string(n) + " variant " +
+                                 std::to_string(variant);
+        expect_resample_matches(x, factor, 1, taps, "up, " + what);
+        expect_resample_matches(x, 1, factor, taps, "down, " + what);
+      }
     }
   }
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "dsp/fft.h"
 #include "dsp/require.h"
 #include "dsp/rng.h"
@@ -69,6 +72,32 @@ TEST(UpsampleTest, NoSpectralImages) {
     else tone_power += p;
   }
   EXPECT_LT(image_power, 0.02 * tone_power);
+}
+
+TEST(UpsampleTest, IdenticalWindowsUpsampleToIdenticalBits) {
+  // Time invariance down to the bit: the same 4 MHz window upsamples to the
+  // same 20 MHz bytes wherever it sits in the signal. The emulator's slot
+  // cache keys on those bytes, and the link waveform cache on the frames.
+  const std::size_t factor = 5;
+  const std::size_t reach = 6;  // inputs each side that one output reads
+  Rng rng(24);
+  cvec segment(80);
+  for (auto& v : segment) v = rng.complex_gaussian(1.0);
+  // Two copies of the segment in a random signal, an odd distance apart so
+  // they sit at different vector block offsets.
+  const std::size_t first = 37;
+  const std::size_t second = 150;
+  cvec x(second + segment.size() + 41);
+  for (auto& v : x) v = rng.complex_gaussian(1.0);
+  std::copy(segment.begin(), segment.end(), x.begin() + first);
+  std::copy(segment.begin(), segment.end(), x.begin() + second);
+  const cvec y = upsample(x, factor);
+  // Outputs whose whole window lies inside one copy.
+  const std::size_t interior = (segment.size() - 2 * reach) * factor;
+  EXPECT_EQ(std::memcmp(y.data() + (first + reach) * factor,
+                        y.data() + (second + reach) * factor,
+                        interior * sizeof(cplx)),
+            0);
 }
 
 TEST(DecimateTest, RoundTripWithUpsampleIsNearIdentity) {

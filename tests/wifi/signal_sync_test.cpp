@@ -101,7 +101,8 @@ TEST(WifiSyncTest, EstimatesCfoAccurately) {
   WifiTransmitter tx(tx_config);
   const cvec frame = tx.transmit(random_psdu(30, 242));
   for (double cfo : {-80e3, -5e3, 12e3, 150e3}) {
-    const cvec offset_frame = channel::apply_cfo(frame, cfo, 20.0e6);
+    cvec offset_frame = frame;
+    channel::apply_cfo_inplace(offset_frame, cfo, 20.0e6);
     const auto sync = synchronize_wifi(offset_frame);
     ASSERT_TRUE(sync.has_value()) << "cfo=" << cfo;
     EXPECT_NEAR(sync->cfo_hz, cfo, 300.0) << "cfo=" << cfo;
@@ -148,7 +149,7 @@ TEST(WifiAutoReceiveTest, SurvivesCfoPhaseGainAndNoise) {
   WifiTransmitter tx(tx_config);
   const bytevec psdu = random_psdu(48, 246);
   cvec frame = tx.transmit(psdu);
-  frame = channel::apply_cfo(frame, 37e3, 20.0e6, 1.1);
+  channel::apply_cfo_inplace(frame, 37e3, 20.0e6, 1.1);
   frame = channel::apply_gain(frame, 0.4);
   dsp::Rng rng(247);
   cvec capture(150, cplx{0.0, 0.0});

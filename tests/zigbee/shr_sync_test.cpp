@@ -3,10 +3,11 @@
 // find() prunes its search with the preamble screen (see shr_sync.h). The
 // oracle below makes the same decision without the screen, from public
 // calls: the unit-power SHR reference, window energies as prefix-sum
-// differences from offset 0, the energy gate, and the first maximum at or
-// above the threshold, with the exact correlation at every offset. Both
-// read the dispatched kernel table, so running the suite at CTC_SIMD=scalar
-// and at the default level checks both kernel levels.
+// differences from the start of the window's finite stretch (no window
+// holding a sample of non-finite |x|^2 is scored), the energy gate, and the
+// first maximum at or above the threshold, with the exact correlation at
+// every offset. Both read the dispatched kernel table, so running the suite
+// at CTC_SIMD=scalar and at the default level checks both kernel levels.
 #include "zigbee/shr_sync.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <vector>
 
 #include "attack/eavesdropper.h"
 #include "attack/emulator.h"
@@ -39,13 +41,20 @@ std::optional<std::size_t> exhaustive_find(std::span<const cplx> capture,
   const std::size_t last = std::min(max_offset, capture.size() - window);
   const dsp::kernels::KernelTable& kt = dsp::kernels::active();
   const double reference_energy = kt.energy(reference.data(), window);
+  // prefix[j] sums |x|^2 over [anchor[j], j), where anchor[j] is the
+  // first sample after the last one before j whose |x|^2 is not finite.
   rvec prefix(last + window + 1, 0.0);
+  std::vector<std::size_t> anchor(last + window + 1, 0);
   for (std::size_t i = 0; i < last + window; ++i) {
-    prefix[i + 1] = prefix[i] + std::norm(capture[i]);
+    const double norm = std::norm(capture[i]);
+    const bool finite = std::isfinite(norm);
+    anchor[i + 1] = finite ? anchor[i] : i + 1;
+    prefix[i + 1] = finite ? prefix[i] + norm : 0.0;
   }
   std::optional<std::size_t> best;
   double best_metric = 0.0;
   for (std::size_t o = 0; o <= last; ++o) {
+    if (anchor[o + window] > o) continue;  // a non-finite sample inside
     const double energy = prefix[o + window] - prefix[o];
     if (energy <= ShrSync::kEnergyGate) continue;
     const double metric =
@@ -225,15 +234,17 @@ TEST(ShrSyncTest, NanAndInfMatchTheOracle) {
     cplx value;
     std::optional<std::size_t> want;
   };
-  // The prefix energies carry a NaN or Inf to every later offset, so no
-  // window that reaches past it can sync, the frame's own included. What
-  // is left is the offsets whose window ends before it: after a NaN 400
-  // samples into the SHR, that is a preamble alias four symbols (256
-  // samples) early.
+  // No window holding the bad sample can sync, and the search resumes
+  // after it, so a NaN or Inf before the SHR leaves the frame at `lead`.
+  // One inside the SHR leaves a preamble alias whose window misses it:
+  // two symbols (128 samples) late after one 100 samples in, and four
+  // symbols (256 samples) early after one 400 samples in, whose window
+  // ends before it.
   for (const Injection& injection :
-       {Injection{lead - 700, cplx{inf, -inf}, std::nullopt},
-        Injection{lead - 100, cplx{nan, 0.0}, std::nullopt},
-        Injection{lead + 100, cplx{0.0, inf}, std::nullopt},
+       {Injection{lead - 700, cplx{inf, -inf}, lead},
+        Injection{lead - 100, cplx{nan, 0.0}, lead},
+        Injection{lead - 1, cplx{0.0, -inf}, lead},
+        Injection{lead + 100, cplx{0.0, inf}, lead + 128},
         Injection{lead + 400, cplx{nan, nan}, lead - 256},
         Injection{lead + window + 10, cplx{nan, 0.0}, lead}}) {
     SCOPED_TRACE(testing::Message() << "sample " << injection.at);

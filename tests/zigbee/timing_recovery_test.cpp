@@ -13,6 +13,12 @@
 namespace ctc::zigbee {
 namespace {
 
+/// The channel's in-place fractional delay, applied to a copy.
+cvec delayed_copy(cvec wave, double offset) {
+  channel::apply_timing_offset_inplace(wave, offset);
+  return wave;
+}
+
 TEST(FractionalDelayTest, ZeroDelayIsIdentity) {
   const cvec x = {{1.0, 2.0}, {3.0, -1.0}, {0.5, 0.5}};
   const cvec y = dsp::fractional_delay(x, 0.0);
@@ -57,7 +63,7 @@ TEST(TimingRecoveryTest, EstimatesTheAppliedOffset) {
   config.timing_recovery = true;
   const Receiver receiver(config);
   for (double offset : {0.125, 0.25, 0.375}) {
-    const cvec delayed = channel::apply_timing_offset(wave, offset);
+    const cvec delayed = delayed_copy(wave, offset);
     const ReceiveResult result = receiver.receive(delayed);
     ASSERT_TRUE(result.frame_ok()) << "offset " << offset;
     EXPECT_NEAR(result.timing_offset_estimate, offset, 0.08) << offset;
@@ -91,7 +97,7 @@ TEST(TimingRecoveryTest, ReducesChipErrorsUnderOffsetAndNoise) {
   const int trials = 15;
   for (int t = 0; t < trials; ++t) {
     const cvec degraded = channel::add_awgn(
-        channel::apply_timing_offset(wave, 0.45), 4.0, rng);
+        delayed_copy(wave, 0.45), 4.0, rng);
     for (std::size_t d : rx_plain.receive(degraded).hamming_distances) {
       plain_distance += d;
     }
@@ -106,7 +112,7 @@ TEST(TimingRecoveryTest, DisabledByDefaultAndReportedAsZero) {
   Transmitter tx;
   const cvec wave = tx.transmit_frame(make_text_frame(2, 2));
   const ReceiveResult result = Receiver().receive(
-      channel::apply_timing_offset(wave, 0.3));
+      delayed_copy(wave, 0.3));
   EXPECT_DOUBLE_EQ(result.timing_offset_estimate, 0.0);
   EXPECT_TRUE(result.frame_ok());  // matched filter tolerates 0.3 cleanly
 }
