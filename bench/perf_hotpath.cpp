@@ -134,35 +134,35 @@ double allocating_cost(std::span<const cplx> points, double alpha) {
 }
 
 double per_candidate_search(std::span<const cplx> points) {
-  const attack::ScaleSearchConfig config;
+  constexpr double min_alpha = attack::kScaleSearchMinAlpha;
+  constexpr std::size_t steps = attack::kScaleSearchCoarseSteps;
   double peak = 0.0;
   for (const cplx& point : points) {
     peak = std::max({peak, std::abs(point.real()), std::abs(point.imag())});
   }
-  const double max_alpha = std::max(peak, config.min_alpha + 1e-6);
-  double best_alpha = config.min_alpha;
+  const double max_alpha = std::max(peak, min_alpha + 1e-6);
+  double best_alpha = min_alpha;
   double best_cost = allocating_cost(points, best_alpha);
-  for (std::size_t i = 1; i < config.coarse_steps; ++i) {
-    const double alpha =
-        config.min_alpha + (max_alpha - config.min_alpha) *
-                               static_cast<double>(i) /
-                               static_cast<double>(config.coarse_steps - 1);
+  for (std::size_t i = 1; i < steps; ++i) {
+    const double alpha = min_alpha + (max_alpha - min_alpha) *
+                                         static_cast<double>(i) /
+                                         static_cast<double>(steps - 1);
     const double cost = allocating_cost(points, alpha);
     if (cost < best_cost) {
       best_cost = cost;
       best_alpha = alpha;
     }
   }
-  const double cell = (max_alpha - config.min_alpha) /
-                      static_cast<double>(config.coarse_steps - 1);
-  double lo = std::max(config.min_alpha, best_alpha - cell);
+  const double cell =
+      (max_alpha - min_alpha) / static_cast<double>(steps - 1);
+  double lo = std::max(min_alpha, best_alpha - cell);
   double hi = std::min(max_alpha, best_alpha + cell);
   constexpr double kInvPhi = 0.6180339887498949;
   double x1 = hi - kInvPhi * (hi - lo);
   double x2 = lo + kInvPhi * (hi - lo);
   double f1 = allocating_cost(points, x1);
   double f2 = allocating_cost(points, x2);
-  for (std::size_t round = 0; round < config.refine_rounds; ++round) {
+  for (std::size_t round = 0; round < attack::kScaleSearchRefineRounds; ++round) {
     if (f1 < f2) {
       hi = x2;
       x2 = x1;
@@ -694,7 +694,7 @@ int main(int argc, char** argv) {
     time_kernel("cumulant_kernel", "kernel cumulant_acc (n=65536)", n,
                 [&](const dsp::kernels::KernelTable& kt) {
                   dsp::kernels::CumulantLanes lanes;
-                  kt.cumulant_acc(buf.data(), n, 0, &lanes);
+                  kt.cumulant_acc(buf.data(), n, &lanes);
                   g_sink = g_sink + lanes.fold().sum_abs4;
                 });
   }

@@ -43,6 +43,10 @@ int cmd_attack(const char* in_path, const char* out_path) {
     std::fprintf(stderr, "empty capture: %s\n", in_path);
     return 1;
   }
+  if (dsp::energy(observed) == 0.0) {
+    std::fprintf(stderr, "silent capture (no energy): %s\n", in_path);
+    return 1;
+  }
   attack::WaveformEmulator emulator;
   const attack::EmulationResult result = emulator.emulate(observed);
   dsp::write_cf32(out_path, result.emulated_4mhz);
@@ -58,8 +62,12 @@ int cmd_attack(const char* in_path, const char* out_path) {
 int cmd_detect(const char* path) {
   const cvec capture = dsp::read_cf32(path);
   // Tolerate unaligned captures.
-  const std::size_t offset =
-      zigbee::ShrSync().find(capture, 4000).offset.value_or(0);
+  const auto synced = zigbee::ShrSync().find(capture, 4000).offset;
+  if (!synced) {
+    std::printf("no SHR synced in %s\n", path);
+    return 1;
+  }
+  const std::size_t offset = *synced;
   const auto rx =
       zigbee::Receiver().receive(std::span<const cplx>(capture).subspan(offset));
   std::printf("sync offset %zu | SHR %s | PHR %s | DSSS %s | FCS %s\n", offset,

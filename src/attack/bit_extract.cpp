@@ -34,18 +34,4 @@ ExtractedBits extract_wifi_bits(std::span<const cvec> zigbee_centered_grids,
   return result;
 }
 
-std::vector<cvec> grids_from_interleaved_bits(
-    std::span<const bitvec> interleaved_bits_per_symbol, double tx_gain) {
-  std::vector<cvec> grids;
-  grids.reserve(interleaved_bits_per_symbol.size());
-  for (std::size_t s = 0; s < interleaved_bits_per_symbol.size(); ++s) {
-    const cvec points =
-        wifi::qam_map(interleaved_bits_per_symbol[s], wifi::Modulation::qam64);
-    cvec scaled(points.size());
-    for (std::size_t n = 0; n < points.size(); ++n) scaled[n] = points[n] * tx_gain;
-    grids.push_back(wifi::assemble_symbol_grid(scaled, s));
-  }
-  return grids;
-}
-
 }  // namespace ctc::attack

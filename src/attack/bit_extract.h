@@ -39,10 +39,4 @@ struct ExtractedBits {
 ExtractedBits extract_wifi_bits(std::span<const cvec> zigbee_centered_grids,
                                 double alpha, const CarrierPlan& plan);
 
-/// Forward check: rebuilds the WiFi-centered grids from interleaved bits
-/// (pilots inserted per symbol index). Equals allocate_to_wifi_grid() of the
-/// original quantized grids on every ZigBee-carrying subcarrier.
-std::vector<cvec> grids_from_interleaved_bits(
-    std::span<const bitvec> interleaved_bits_per_symbol, double tx_gain);
-
 }  // namespace ctc::attack

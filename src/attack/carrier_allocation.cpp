@@ -39,19 +39,6 @@ cvec allocate_to_wifi_grid(std::span<const cplx> zigbee_centered_grid,
   return wifi_grid;
 }
 
-cvec extract_from_wifi_grid(std::span<const cplx> wifi_grid,
-                            const CarrierPlan& plan) {
-  CTC_REQUIRE(wifi_grid.size() == wifi::kNumSubcarriers);
-  const int shift = plan.subcarrier_shift();
-  const int n = static_cast<int>(wifi::kNumSubcarriers);
-  cvec grid(wifi::kNumSubcarriers, cplx{0.0, 0.0});
-  for (int bin = 0; bin < n; ++bin) {
-    const int source = ((bin + shift) % n + n) % n;
-    grid[static_cast<std::size_t>(bin)] = wifi_grid[static_cast<std::size_t>(source)];
-  }
-  return grid;
-}
-
 cvec wifi_band_to_zigbee_baseband(std::span<const cplx> waveform20mhz,
                                   const CarrierPlan& plan) {
   // The ZigBee band sits at offset_hz in the WiFi baseband; mix it to DC.

@@ -37,10 +37,6 @@ struct CarrierPlan {
 cvec allocate_to_wifi_grid(std::span<const cplx> zigbee_centered_grid,
                            const CarrierPlan& plan);
 
-/// Inverse mapping (WiFi grid -> ZigBee-centered grid).
-cvec extract_from_wifi_grid(std::span<const cplx> wifi_grid,
-                            const CarrierPlan& plan);
-
 /// ZigBee receiver front end for a 20 MHz WiFi-band capture: mix the ZigBee
 /// channel to DC, lowpass to 2 MHz and decimate to 4 MHz.
 cvec wifi_band_to_zigbee_baseband(std::span<const cplx> waveform20mhz,

@@ -62,8 +62,9 @@ class WaveformEmulator {
   /// transformed and emulated once, and its repeats copy that result.
   EmulationResult emulate(std::span<const cplx> observed_4mhz) const;
 
-  /// The core per-symbol step on an 80-sample slot at 20 MHz; exposed for
-  /// tests and the Table I / Fig. 5 benches.
+  /// The core per-symbol step on an 80-sample slot at 20 MHz, which
+  /// emulate() runs once per distinct slot; exposed for the slot-cache
+  /// oracle test, which compares emulate() against it slot by slot.
   cvec emulate_symbol(std::span<const cplx> slot80,
                       std::span<const std::size_t> kept_bins, double alpha,
                       SymbolDiagnostics* diagnostics = nullptr,

@@ -33,32 +33,27 @@ double quantization_cost(std::span<const cplx> points, double alpha) {
   return cost;
 }
 
-double optimize_scale(std::span<const cplx> points, ScaleSearchConfig config) {
+double optimize_scale(std::span<const cplx> points) {
   CTC_REQUIRE(!points.empty());
-  CTC_REQUIRE(config.coarse_steps >= 2);
-  double max_alpha = config.max_alpha;
-  if (max_alpha <= 0.0) {
-    double peak = 0.0;
-    for (const cplx& point : points) {
-      peak = std::max({peak, std::abs(point.real()), std::abs(point.imag())});
-    }
-    max_alpha = std::max(peak, config.min_alpha + 1e-6);
+  constexpr double min_alpha = kScaleSearchMinAlpha;
+  constexpr std::size_t steps = kScaleSearchCoarseSteps;
+  double peak = 0.0;
+  for (const cplx& point : points) {
+    peak = std::max({peak, std::abs(point.real()), std::abs(point.imag())});
   }
-
-  CTC_REQUIRE(config.min_alpha > 0.0 && max_alpha > 0.0);
+  const double max_alpha = std::max(peak, min_alpha + 1e-6);
 
   // Coarse grid: every candidate in one kernel call, then the first
   // minimum in index order. The kernel finds each component's level steps
   // along the grid, which needs it ascending; correctly rounded arithmetic
   // keeps min + span * i / (steps - 1) monotone in i unless max_alpha is
   // below min_alpha.
-  std::vector<double> alphas(config.coarse_steps);
-  std::vector<double> costs(config.coarse_steps);
-  alphas[0] = config.min_alpha;
-  for (std::size_t i = 1; i < config.coarse_steps; ++i) {
-    alphas[i] = config.min_alpha + (max_alpha - config.min_alpha) *
-                                       static_cast<double>(i) /
-                                       static_cast<double>(config.coarse_steps - 1);
+  std::vector<double> alphas(steps);
+  std::vector<double> costs(steps);
+  alphas[0] = min_alpha;
+  for (std::size_t i = 1; i < steps; ++i) {
+    alphas[i] = min_alpha + (max_alpha - min_alpha) * static_cast<double>(i) /
+                                static_cast<double>(steps - 1);
     CTC_REQUIRE_MSG(alphas[i] >= alphas[i - 1],
                     "scale-search candidates must ascend");
   }
@@ -66,7 +61,7 @@ double optimize_scale(std::span<const cplx> points, ScaleSearchConfig config) {
                                   alphas.size(), costs.data());
   double best_alpha = alphas[0];
   double best_cost = costs[0];
-  for (std::size_t i = 1; i < config.coarse_steps; ++i) {
+  for (std::size_t i = 1; i < steps; ++i) {
     if (costs[i] < best_cost) {
       best_cost = costs[i];
       best_alpha = alphas[i];
@@ -74,16 +69,16 @@ double optimize_scale(std::span<const cplx> points, ScaleSearchConfig config) {
   }
 
   // Golden-section refinement around the best cell.
-  const double cell = (max_alpha - config.min_alpha) /
-                      static_cast<double>(config.coarse_steps - 1);
-  double lo = std::max(config.min_alpha, best_alpha - cell);
+  const double cell =
+      (max_alpha - min_alpha) / static_cast<double>(steps - 1);
+  double lo = std::max(min_alpha, best_alpha - cell);
   double hi = std::min(max_alpha, best_alpha + cell);
   constexpr double kInvPhi = 0.6180339887498949;
   double x1 = hi - kInvPhi * (hi - lo);
   double x2 = lo + kInvPhi * (hi - lo);
   double f1 = quantization_cost(points, x1);
   double f2 = quantization_cost(points, x2);
-  for (std::size_t round = 0; round < config.refine_rounds; ++round) {
+  for (std::size_t round = 0; round < kScaleSearchRefineRounds; ++round) {
     if (f1 < f2) {
       hi = x2;
       x2 = x1;

@@ -30,18 +30,19 @@ std::vector<QuantizedPoint> quantize_to_qam64(std::span<const cplx> points,
 /// (the objective of Eq. 4).
 double quantization_cost(std::span<const cplx> points, double alpha);
 
-struct ScaleSearchConfig {
-  double min_alpha = 0.05;
-  double max_alpha = 0.0;   ///< 0 = auto: max|point| (alpha beyond that only grows cost)
-  std::size_t coarse_steps = 400;
-  std::size_t refine_rounds = 30;
-};
+/// The scale search's grid: kScaleSearchCoarseSteps candidates from
+/// kScaleSearchMinAlpha up to the largest |component| of the points (alpha
+/// beyond that only grows the cost), then kScaleSearchRefineRounds
+/// golden-section rounds.
+inline constexpr double kScaleSearchMinAlpha = 0.05;
+inline constexpr std::size_t kScaleSearchCoarseSteps = 400;
+inline constexpr std::size_t kScaleSearchRefineRounds = 30;
 
 /// Numerical global search for the optimal alpha >= 0: a dense coarse grid
 /// followed by golden-section refinement around the best cell. The cost is
 /// piecewise-smooth in alpha (the nearest-point assignment changes at cell
 /// boundaries), which is why a plain gradient method is not enough.
-double optimize_scale(std::span<const cplx> points,
-                      ScaleSearchConfig config = {});
+/// Requires non-empty points.
+double optimize_scale(std::span<const cplx> points);
 
 }  // namespace ctc::attack

@@ -293,11 +293,6 @@ Json::Type Json::type() const {
   }
 }
 
-bool Json::as_bool() const {
-  if (!is_bool()) throw JsonError("json: not a boolean");
-  return std::get<bool>(value_);
-}
-
 std::int64_t Json::as_int() const {
   if (!is_integer()) throw JsonError("json: not an integer");
   return std::get<std::int64_t>(value_);
@@ -366,12 +361,6 @@ void Json::set(std::string key, Json value) {
 }
 
 void Json::push_back(Json value) { as_array().push_back(std::move(value)); }
-
-std::size_t Json::size() const {
-  if (is_array()) return as_array().size();
-  if (is_object()) return as_object().size();
-  throw JsonError("json: size() of a scalar");
-}
 
 std::string Json::dump() const {
   std::string out;

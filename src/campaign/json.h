@@ -69,7 +69,6 @@ class Json {
   bool is_array() const { return type() == Type::array; }
   bool is_object() const { return type() == Type::object; }
 
-  bool as_bool() const;
   std::int64_t as_int() const;
   std::uint64_t as_uint() const;
   double as_number() const;  ///< integer or double, widened to double
@@ -89,8 +88,6 @@ class Json {
 
   // -- Array helpers -------------------------------------------------------
   void push_back(Json value);
-  /// Array/object element count; throws for scalars.
-  std::size_t size() const;
 
   /// Compact serialization: no whitespace, insertion order, integers as
   /// %PRId64, doubles as %.17g, strings escaping only '"' and '\' plus

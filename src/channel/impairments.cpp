@@ -8,13 +8,6 @@
 
 namespace ctc::channel {
 
-cvec apply_phase_offset(std::span<const cplx> signal, double phase_rad) {
-  const cplx rotation{std::cos(phase_rad), std::sin(phase_rad)};
-  cvec out(signal.begin(), signal.end());
-  dsp::kernels::active().cscale(out.data(), out.size(), rotation);
-  return out;
-}
-
 void apply_cfo_inplace(std::span<cplx> signal, double cfo_hz,
                        double sample_rate_hz, double initial_phase_rad) {
   dsp::mix(signal, signal, cfo_hz, sample_rate_hz, initial_phase_rad);
@@ -27,12 +20,6 @@ void apply_timing_offset_inplace(std::span<cplx> signal,
   // the first sample, matching the legacy `previous = {0, 0}` loop.
   dsp::kernels::active().two_tap(signal.data(), signal.size(),
                                  1.0 - delay_fraction, delay_fraction);
-}
-
-cvec apply_gain(std::span<const cplx> signal, double linear_gain) {
-  cvec out(signal.begin(), signal.end());
-  dsp::kernels::active().rscale(out.data(), out.size(), linear_gain);
-  return out;
 }
 
 }  // namespace ctc::channel

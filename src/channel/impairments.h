@@ -1,5 +1,5 @@
-// Deterministic front-end impairments: carrier frequency offset, phase
-// offset, and sample timing offset.
+// Deterministic front-end impairments: carrier frequency offset and sample
+// timing offset.
 //
 // Sec. VI-C of the paper observes that the "real environment" constellation
 // is rotated by a frequency/phase offset (Fig. 6b) and switches the defense
@@ -12,9 +12,6 @@
 
 namespace ctc::channel {
 
-/// Applies a constant phase rotation exp(j*phase_rad).
-cvec apply_phase_offset(std::span<const cplx> signal, double phase_rad);
-
 /// Applies a carrier frequency offset of `cfo_hz` at `sample_rate_hz`
 /// starting from `initial_phase_rad`, in place. The propagate hot path runs
 /// these *_inplace stages on a reused workspace so a Monte Carlo trial
@@ -26,8 +23,5 @@ void apply_cfo_inplace(std::span<cplx> signal, double cfo_hz,
 /// place: a backward sweep reads each untouched predecessor before
 /// overwriting it. The first sample interpolates toward zero.
 void apply_timing_offset_inplace(std::span<cplx> signal, double delay_fraction);
-
-/// Scales the whole block by a linear amplitude gain.
-cvec apply_gain(std::span<const cplx> signal, double linear_gain);
 
 }  // namespace ctc::channel

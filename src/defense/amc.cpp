@@ -49,11 +49,6 @@ double distance_sq(const Feature& feature, ModulationClass klass,
 
 }  // namespace
 
-double distance_to_class(std::span<const cplx> samples, ModulationClass klass,
-                         AmcConfig config) {
-  return distance_sq(feature_of(samples, config), klass, config);
-}
-
 AmcResult classify_modulation(std::span<const cplx> samples, AmcConfig config) {
   const Feature feature = feature_of(samples, config);
   AmcResult result;

@@ -39,8 +39,4 @@ struct AmcResult {
 AmcResult classify_modulation(std::span<const cplx> samples,
                               AmcConfig config = {});
 
-/// The feature-space distance of `samples` to one specific class.
-double distance_to_class(std::span<const cplx> samples, ModulationClass klass,
-                         AmcConfig config = {});
-
 }  // namespace ctc::defense

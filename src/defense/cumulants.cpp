@@ -2,11 +2,25 @@
 
 #include <cmath>
 
+#include "dsp/kernels/kernels.h"
 #include "dsp/require.h"
 
 namespace ctc::defense {
 
 namespace {
+
+// The Eq. 8-9 estimates from the folded kernel-layer running sums.
+CumulantEstimates estimates_from_sums(const dsp::kernels::CumulantSums& sums,
+                                      std::size_t count) {
+  const auto n = static_cast<double>(count);
+  CumulantEstimates est;
+  est.c20 = sums.sum_x2 / n;
+  est.c21 = sums.sum_abs2 / n;
+  est.c40 = sums.sum_x4 / n - 3.0 * est.c20 * est.c20;
+  est.c41 = sums.sum_x3_conj / n - 3.0 * est.c20 * est.c21;
+  est.c42 = sums.sum_abs4 / n - std::norm(est.c20) - 2.0 * est.c21 * est.c21;
+  return est;
+}
 
 double corrected_c21(double c21, double noise_variance) {
   CTC_REQUIRE(noise_variance >= 0.0);
@@ -22,34 +36,15 @@ cplx CumulantEstimates::normalized_c40(double noise_variance) const {
   return c40 / (denom * denom);
 }
 
-cplx CumulantEstimates::normalized_c41(double noise_variance) const {
-  const double denom = corrected_c21(c21, noise_variance);
-  return c41 / (denom * denom);
-}
-
 double CumulantEstimates::normalized_c42(double noise_variance) const {
   const double denom = corrected_c21(c21, noise_variance);
   return c42 / (denom * denom);
 }
 
-CumulantEstimates estimates_from_sums(const dsp::kernels::CumulantSums& sums,
-                                      std::size_t count) {
-  CTC_REQUIRE_MSG(count >= 4, "need at least 4 samples");
-  const auto n = static_cast<double>(count);
-  CumulantEstimates est;
-  est.c20 = sums.sum_x2 / n;
-  est.c21 = sums.sum_abs2 / n;
-  est.c40 = sums.sum_x4 / n - 3.0 * est.c20 * est.c20;
-  est.c41 = sums.sum_x3_conj / n - 3.0 * est.c20 * est.c21;
-  est.c42 = sums.sum_abs4 / n - std::norm(est.c20) - 2.0 * est.c21 * est.c21;
-  return est;
-}
-
 CumulantEstimates estimate_cumulants(std::span<const cplx> samples) {
   CTC_REQUIRE_MSG(samples.size() >= 4, "need at least 4 samples");
   dsp::kernels::CumulantLanes lanes;
-  dsp::kernels::active().cumulant_acc(samples.data(), samples.size(), 0,
-                                      &lanes);
+  dsp::kernels::active().cumulant_acc(samples.data(), samples.size(), &lanes);
   return estimates_from_sums(lanes.fold(), samples.size());
 }
 

@@ -2,11 +2,9 @@
 // and the theoretical constellation cumulants of Table III (Swami & Sadler).
 #pragma once
 
-#include <cstddef>
 #include <span>
 #include <string>
 
-#include "dsp/kernels/kernels.h"
 #include "dsp/types.h"
 
 namespace ctc::defense {
@@ -24,7 +22,6 @@ struct CumulantEstimates {
   /// (scale-invariant; Sec. VI-B2). `noise_variance` (if known) is
   /// subtracted from C21 first so the normalization uses signal power only.
   cplx normalized_c40(double noise_variance = 0.0) const;
-  cplx normalized_c41(double noise_variance = 0.0) const;
   double normalized_c42(double noise_variance = 0.0) const;
 };
 
@@ -32,12 +29,6 @@ struct CumulantEstimates {
 /// Accumulation runs through the dispatched dsp::kernels cumulant path
 /// (lane-structured, bitwise identical across SIMD levels).
 CumulantEstimates estimate_cumulants(std::span<const cplx> samples);
-
-/// Turns folded kernel-layer running sums into the Eq. 8-9 estimates.
-/// StreamingCumulants and estimate_cumulants() both finish through this one
-/// function, which is what makes streaming-vs-batch results bit-identical.
-CumulantEstimates estimates_from_sums(const dsp::kernels::CumulantSums& sums,
-                                      std::size_t count);
 
 /// Constellations of Table III.
 enum class ModulationClass {

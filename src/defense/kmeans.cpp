@@ -54,7 +54,7 @@ KmeansResult kmeans(std::span<const cplx> points, dsp::Rng& rng,
   result.assignment.assign(points.size(), 0);
 
   double previous_objective = std::numeric_limits<double>::infinity();
-  for (std::size_t iteration = 0; iteration < config.max_iterations; ++iteration) {
+  for (std::size_t iteration = 0; iteration < kKmeansMaxIterations; ++iteration) {
     // Assignment step.
     double objective = 0.0;
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -85,7 +85,7 @@ KmeansResult kmeans(std::span<const cplx> points, dsp::Rng& rng,
         result.centroids[c] = sums[c] / static_cast<double>(counts[c]);
       }
     }
-    if (previous_objective - objective < config.tolerance) break;
+    if (previous_objective - objective < kKmeansTolerance) break;
     previous_objective = objective;
   }
   return result;

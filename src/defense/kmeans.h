@@ -20,10 +20,13 @@ struct KmeansResult {
   std::size_t iterations = 0;
 };
 
+/// Lloyd iterations stop after kKmeansMaxIterations, or once the objective
+/// improves by less than kKmeansTolerance.
+inline constexpr std::size_t kKmeansMaxIterations = 100;
+inline constexpr double kKmeansTolerance = 1e-9;
+
 struct KmeansConfig {
   std::size_t k = 4;
-  std::size_t max_iterations = 100;
-  double tolerance = 1e-9;  ///< stop when the objective improves less
 };
 
 /// Lloyd's algorithm with k-means++ seeding. Requires points.size() >= k.

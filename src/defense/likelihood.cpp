@@ -11,27 +11,6 @@ namespace ctc::defense {
 
 namespace {
 
-cvec constellation_of(ModulationClass klass) {
-  switch (klass) {
-    case ModulationClass::bpsk: return dsp::make_psk(2);
-    case ModulationClass::qpsk: return dsp::make_psk(4);
-    case ModulationClass::psk_higher: return dsp::make_psk(8);
-    case ModulationClass::pam4: return dsp::make_pam(4);
-    case ModulationClass::pam8: return dsp::make_pam(8);
-    case ModulationClass::pam16: return dsp::make_pam(16);
-    case ModulationClass::qam16: return dsp::make_qam(16);
-    case ModulationClass::qam64: return dsp::make_qam(64);
-    case ModulationClass::qam256: return dsp::make_qam(256);
-  }
-  CTC_REQUIRE_MSG(false, "unknown modulation class");
-}
-
-constexpr ModulationClass kAllClasses[] = {
-    ModulationClass::bpsk,  ModulationClass::qpsk,  ModulationClass::psk_higher,
-    ModulationClass::pam4,  ModulationClass::pam8,  ModulationClass::pam16,
-    ModulationClass::qam16, ModulationClass::qam64, ModulationClass::qam256,
-};
-
 double max_over_phases(std::span<const cplx> samples, const cvec& constellation,
                        const LikelihoodConfig& config, double* best_phase) {
   double best = -1e300;
@@ -74,31 +53,6 @@ double log_likelihood(std::span<const cplx> samples,
     total += -min_distance * inv_variance + std::log(sum) - log_m;
   }
   return total / static_cast<double>(samples.size());
-}
-
-LikelihoodResult classify_likelihood(std::span<const cplx> samples,
-                                     LikelihoodConfig config) {
-  CTC_REQUIRE(config.phase_hypotheses >= 1);
-  cvec normalized;
-  std::span<const cplx> working = samples;
-  if (config.normalize_power) {
-    normalized = dsp::normalize_power(samples);
-    working = normalized;
-  }
-  LikelihoodResult result;
-  for (ModulationClass klass : kAllClasses) {
-    LikelihoodScore score;
-    score.modulation = klass;
-    score.log_likelihood =
-        max_over_phases(working, constellation_of(klass), config, &score.best_phase_rad);
-    result.ranking.push_back(score);
-  }
-  std::sort(result.ranking.begin(), result.ranking.end(),
-            [](const LikelihoodScore& a, const LikelihoodScore& b) {
-              return a.log_likelihood > b.log_likelihood;
-            });
-  result.best = result.ranking.front().modulation;
-  return result;
 }
 
 double qpsk_vs_qam64_llr(std::span<const cplx> samples, LikelihoodConfig config) {

@@ -10,10 +10,9 @@
 // handled by unit-power normalization).
 #pragma once
 
+#include <cstddef>
 #include <span>
-#include <vector>
 
-#include "defense/cumulants.h"
 #include "dsp/types.h"
 
 namespace ctc::defense {
@@ -35,22 +34,6 @@ struct LikelihoodConfig {
 double log_likelihood(std::span<const cplx> samples,
                       std::span<const cplx> constellation, double noise_variance,
                       double phase_rad);
-
-struct LikelihoodScore {
-  ModulationClass modulation = ModulationClass::qpsk;
-  double log_likelihood = 0.0;  ///< maximized over the phase grid
-  double best_phase_rad = 0.0;
-};
-
-struct LikelihoodResult {
-  ModulationClass best = ModulationClass::qpsk;
-  /// All classes sorted by descending likelihood.
-  std::vector<LikelihoodScore> ranking;
-};
-
-/// HLRT over the Table III constellation set.
-LikelihoodResult classify_likelihood(std::span<const cplx> samples,
-                                     LikelihoodConfig config = {});
 
 /// Binary hypothesis test of Sec. VI recast as an HLRT: H0 "QPSK" vs H1
 /// "the attacker's 64-QAM-quantized cloud" (modeled as 64-QAM). Returns the

@@ -1,7 +1,6 @@
 #include "dsp/constellation.h"
 
 #include <cmath>
-#include <limits>
 
 #include "dsp/require.h"
 #include "dsp/stats.h"
@@ -45,39 +44,6 @@ cvec make_qam(std::size_t order) {
   const double p = average_power(points);
   for (auto& x : points) x /= std::sqrt(p);
   return points;
-}
-
-cvec make_qam64_raw() {
-  cvec points;
-  points.reserve(64);
-  for (int q = -7; q <= 7; q += 2) {
-    for (int i = -7; i <= 7; i += 2) {
-      points.emplace_back(static_cast<double>(i), static_cast<double>(q));
-    }
-  }
-  return points;
-}
-
-std::size_t nearest_point(std::span<const cplx> constellation, cplx x) {
-  CTC_REQUIRE(!constellation.empty());
-  std::size_t best = 0;
-  double best_distance = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < constellation.size(); ++i) {
-    const double distance = std::norm(x - constellation[i]);
-    if (distance < best_distance) {
-      best_distance = distance;
-      best = i;
-    }
-  }
-  return best;
-}
-
-cvec quantize(std::span<const cplx> constellation, std::span<const cplx> samples) {
-  cvec out(samples.size());
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    out[i] = constellation[nearest_point(constellation, samples[i])];
-  }
-  return out;
 }
 
 }  // namespace ctc::dsp

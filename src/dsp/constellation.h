@@ -27,15 +27,4 @@ cvec make_pam(std::size_t order);
 /// here; this is the plain grid, bit mapping lives in wifi::Qam.
 cvec make_qam(std::size_t order);
 
-/// Unnormalized 64-QAM levels {±1,±3,±5,±7} x {±1,±3,±5,±7} exactly as in
-/// Eq. (3) of the paper: X = alpha * (XI + j XQ). Unit alpha.
-cvec make_qam64_raw();
-
-/// Index of the constellation point nearest to `x` in Euclidean distance.
-/// Ties resolve to the lowest index. Requires a non-empty constellation.
-std::size_t nearest_point(std::span<const cplx> constellation, cplx x);
-
-/// Quantizes every sample to its nearest constellation point.
-cvec quantize(std::span<const cplx> constellation, std::span<const cplx> samples);
-
 }  // namespace ctc::dsp

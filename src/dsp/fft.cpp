@@ -101,50 +101,4 @@ void FftPlan::inverse_into(cvec& out, std::span<const cplx> input) const {
   transform(out, /*invert=*/true);
 }
 
-cvec dft(std::span<const cplx> input) {
-  const std::size_t n = input.size();
-  cvec out(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    cplx acc{0.0, 0.0};
-    for (std::size_t i = 0; i < n; ++i) {
-      const double angle =
-          -kTwoPi * static_cast<double>(k) * static_cast<double>(i) / static_cast<double>(n);
-      acc += input[i] * cplx{std::cos(angle), std::sin(angle)};
-    }
-    out[k] = acc;
-  }
-  return out;
-}
-
-cvec idft(std::span<const cplx> input) {
-  const std::size_t n = input.size();
-  cvec out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    cplx acc{0.0, 0.0};
-    for (std::size_t k = 0; k < n; ++k) {
-      const double angle =
-          kTwoPi * static_cast<double>(k) * static_cast<double>(i) / static_cast<double>(n);
-      acc += input[k] * cplx{std::cos(angle), std::sin(angle)};
-    }
-    out[i] = acc / static_cast<double>(n);
-  }
-  return out;
-}
-
-cvec fftshift(std::span<const cplx> input) {
-  const std::size_t n = input.size();
-  cvec out(n);
-  const std::size_t half = (n + 1) / 2;  // first element of the upper half
-  for (std::size_t i = 0; i < n; ++i) out[i] = input[(i + half) % n];
-  return out;
-}
-
-cvec ifftshift(std::span<const cplx> input) {
-  const std::size_t n = input.size();
-  cvec out(n);
-  const std::size_t half = n / 2;
-  for (std::size_t i = 0; i < n; ++i) out[i] = input[(i + half) % n];
-  return out;
-}
-
 }  // namespace ctc::dsp

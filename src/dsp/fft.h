@@ -62,19 +62,6 @@ class FftPlan {
   cvec inverse_twiddles_;
 };
 
-/// O(n^2) reference DFT with the same convention as FftPlan::forward.
-cvec dft(std::span<const cplx> input);
-
-/// O(n^2) reference inverse DFT (includes 1/N scaling).
-cvec idft(std::span<const cplx> input);
-
-/// Swaps the two halves of a spectrum so DC moves to the middle
-/// (odd lengths follow the numpy fftshift convention).
-cvec fftshift(std::span<const cplx> input);
-
-/// Inverse of fftshift.
-cvec ifftshift(std::span<const cplx> input);
-
 /// True if `n` is a power of two (and nonzero).
 bool is_power_of_two(std::size_t n);
 

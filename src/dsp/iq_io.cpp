@@ -46,17 +46,4 @@ cvec read_cf32(const std::filesystem::path& path) {
   return samples;
 }
 
-void write_csv(const std::filesystem::path& path, std::span<const cplx> samples) {
-  std::ofstream out(path, std::ios::trunc);
-  CTC_REQUIRE_MSG(out.good(), "cannot open file for writing: " + path.string());
-  out << "index,i,q\n";
-  char line[96];
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    std::snprintf(line, sizeof line, "%zu,%.9g,%.9g\n", i, samples[i].real(),
-                  samples[i].imag());
-    out << line;
-  }
-  CTC_REQUIRE_MSG(out.good(), "write failed: " + path.string());
-}
-
 }  // namespace ctc::dsp

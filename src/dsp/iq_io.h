@@ -1,11 +1,8 @@
 // IQ capture file I/O.
 //
-// Two formats:
-//  * "cf32" — raw interleaved little-endian float32 I/Q, the format GNU
-//    Radio file sinks/sources use (and what the paper's USRP captures would
-//    be stored as), so captures from this library interoperate with SDR
-//    tooling;
-//  * CSV — "index,i,q" text for quick plotting.
+// "cf32": raw interleaved little-endian float32 I/Q, the format GNU Radio
+// file sinks/sources use (and what the paper's USRP captures would be
+// stored as), so captures from this library interoperate with SDR tooling.
 #pragma once
 
 #include <filesystem>
@@ -27,8 +24,5 @@ void write_cf32(std::ostream& out, std::span<const cplx> samples);
 
 /// Reads a whole cf32 file. Throws on I/O failure or odd float counts.
 cvec read_cf32(const std::filesystem::path& path);
-
-/// Writes "index,i,q" CSV with a header row.
-void write_csv(const std::filesystem::path& path, std::span<const cplx> samples);
 
 }  // namespace ctc::dsp

@@ -66,12 +66,9 @@ struct CumulantSums {
   double sum_abs4 = 0.0;
 };
 
-/// Lane-structured cumulant accumulator: sample i contributes to lane
-/// (i mod 4) counted from the accumulator's birth (streaming callers carry
-/// the global sample count so partitioning a stream into blocks cannot
-/// change which lane a sample lands in). Folding the lanes in the fixed
-/// order (0+2)+(1+3) yields sums that are bit-identical across dispatch
-/// levels AND across any block partition of the same sample sequence.
+/// Lane-structured cumulant accumulator: sample i of a cumulant_acc call
+/// contributes to lane (i mod 4). Folding the lanes in the fixed order
+/// (0+2)+(1+3) yields sums that are bit-identical across dispatch levels.
 struct CumulantLanes {
   CumulantSums lane[4];
 
@@ -121,8 +118,6 @@ struct KernelTable {
                    double step);
 
   // -- elementwise complex ops (bitwise) -----------------------------------
-  /// x[i] *= s (complex scalar; same rounding as std::complex operator*).
-  void (*cscale)(cplx* x, std::size_t n, cplx s);
   /// x[i] *= s (real scalar).
   void (*rscale)(cplx* x, std::size_t n, double s);
   /// out[i] = in[i] * w[i] (real window).
@@ -161,10 +156,8 @@ struct KernelTable {
   double (*energy)(const cplx* x, std::size_t n);
   /// sum a[i] * conj(b[i]) with a 4-complex-lane structure.
   cplx (*dot_conj)(const cplx* a, const cplx* b, std::size_t n);
-  /// Accumulates samples into `lanes` continuing at global sample index
-  /// `start_index` (lane = (start_index + i) mod 4).
-  void (*cumulant_acc)(const cplx* x, std::size_t n, std::size_t start_index,
-                       CumulantLanes* lanes);
+  /// Accumulates x[i] into lanes->lane[i mod 4].
+  void (*cumulant_acc)(const cplx* x, std::size_t n, CumulantLanes* lanes);
 
   // -- chip-domain correlation strip (bitwise) -----------------------------
   /// out[s] for s in [0, m) is, in real arithmetic, dot_conj(x + s, r,

@@ -295,20 +295,6 @@ double rotate(const cplx* in, std::size_t n, cplx* out, double phase,
 // would fork the tails from the scalar level by 1 ulp.
 // ---------------------------------------------------------------------------
 
-void cscale(cplx* x, std::size_t n, cplx s) {
-  const __m256d sr = _mm256_set1_pd(s.real());
-  const __m256d si = _mm256_set1_pd(s.imag());
-  double* xd = as_doubles(x);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m256d v = _mm256_loadu_pd(xd + 2 * i);
-    const __m256d t1 = _mm256_mul_pd(v, sr);
-    const __m256d t2 = _mm256_mul_pd(swap_pairs(v), si);
-    _mm256_storeu_pd(xd + 2 * i, _mm256_addsub_pd(t1, t2));
-  }
-  scalar_table().cscale(x + i, n - i, s);
-}
-
 void rscale(cplx* x, std::size_t n, double s) {
   const __m256d vs = _mm256_set1_pd(s);
   double* xd = as_doubles(x);
@@ -621,20 +607,9 @@ void chip_strip(const cplx* x, std::size_t m, std::size_t spc,
   scalar_impl::chip_sum(terms, s, m, out);
 }
 
-void cumulant_acc(const cplx* x, std::size_t n, std::size_t start_index,
-                  CumulantLanes* lanes) {
+void cumulant_acc(const cplx* x, std::size_t n, CumulantLanes* lanes) {
   std::size_t i = 0;
-  // Scalar head until the next sample lands in lane 0 — through the scalar
-  // table, like the elementwise tails: the inlined cumulant_push re-fuses
-  // into vfm* under some flag sets (the sanitizer presets) despite
-  // -ffp-contract=off.
-  std::size_t head = 0;
-  while (head < n && ((start_index + head) & 3) != 0) ++head;
-  if (head > 0) {
-    scalar_table().cumulant_acc(x, head, start_index, lanes);
-    i = head;
-  }
-  if (n - i >= 4) {
+  if (n >= 4) {
     // Lane j of each register is exactly lanes->lane[j] for one field.
     alignas(32) double x2r_l[4];
     alignas(32) double x2i_l[4];
@@ -709,10 +684,11 @@ void cumulant_acc(const cplx* x, std::size_t n, std::size_t start_index,
       lanes->lane[j].sum_abs4 = a4_l[j];
     }
   }
-  // Scalar tail (starts at lane 0 because the vector loop consumed 4k).
-  if (i < n) {
-    scalar_table().cumulant_acc(x + i, n - i, start_index + i, lanes);
-  }
+  // Scalar tail (starts at lane 0 because the vector loop consumed 4k),
+  // through the scalar table like the elementwise tails: the inlined
+  // cumulant_push re-fuses into vfm* under some flag sets (the sanitizer
+  // presets) despite -ffp-contract=off.
+  if (i < n) scalar_table().cumulant_acc(x + i, n - i, lanes);
 }
 
 // ---------------------------------------------------------------------------
@@ -1260,7 +1236,6 @@ const KernelTable& avx2_table() {
   static constexpr KernelTable table = {
       .resample = resample,
       .rotate = rotate,
-      .cscale = cscale,
       .rscale = rscale,
       .apply_window = apply_window,
       .accumulate_mag2 = accumulate_mag2,

@@ -12,7 +12,6 @@ const KernelTable& scalar_table() {
   static constexpr KernelTable table = {
       .resample = scalar_impl::resample,
       .rotate = scalar_impl::rotate,
-      .cscale = scalar_impl::cscale,
       .rscale = scalar_impl::rscale,
       .apply_window = scalar_impl::apply_window,
       .accumulate_mag2 = scalar_impl::accumulate_mag2,

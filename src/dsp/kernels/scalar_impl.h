@@ -69,18 +69,6 @@ inline double rotate(const cplx* in, std::size_t n, cplx* out, double phase,
   return phase;
 }
 
-// Mirrors libstdc++ complex*=: re' = fl(fl(re*sr) - fl(im*si)),
-// im' = fl(fl(re*si) + fl(im*sr)) — the addsub lane structure on AVX2.
-inline void cscale(cplx* x, std::size_t n, cplx s) {
-  const double sr = s.real();
-  const double si = s.imag();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double re = x[i].real();
-    const double im = x[i].imag();
-    x[i] = cplx{(re * sr) - (im * si), (im * sr) + (re * si)};
-  }
-}
-
 inline void rscale(cplx* x, std::size_t n, double s) {
   for (std::size_t i = 0; i < n; ++i) {
     x[i] = cplx{x[i].real() * s, x[i].imag() * s};
@@ -316,10 +304,9 @@ inline void cumulant_push(CumulantSums& s, cplx x) {
   s.sum_abs4 += abs2 * abs2;
 }
 
-inline void cumulant_acc(const cplx* x, std::size_t n, std::size_t start_index,
-                         CumulantLanes* lanes) {
+inline void cumulant_acc(const cplx* x, std::size_t n, CumulantLanes* lanes) {
   for (std::size_t i = 0; i < n; ++i) {
-    cumulant_push(lanes->lane[(start_index + i) & 3], x[i]);
+    cumulant_push(lanes->lane[i & 3], x[i]);
   }
 }
 

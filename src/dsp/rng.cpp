@@ -92,11 +92,6 @@ void Rng::add_complex_gaussian(std::span<cplx> samples, double variance) {
 
 std::uint8_t Rng::bit() { return static_cast<std::uint8_t>(next_u64() >> 63); }
 
-Rng Rng::fork() {
-  Rng child(next_u64());
-  return child;
-}
-
 Rng Rng::for_stream(std::uint64_t seed, std::uint64_t stream_id) {
   // Whiten the seed first so that for_stream(s, i) never coincides with the
   // plain Rng(s + i) family, then fold in the stream id with an odd
@@ -108,25 +103,6 @@ Rng Rng::for_stream(std::uint64_t seed, std::uint64_t stream_id) {
   for (auto& word : rng.state_) word = splitmix64(x);
   rng.has_cached_gaussian_ = false;
   return rng;
-}
-
-void Rng::jump() {
-  // Official xoshiro256++ jump polynomial (Blackman & Vigna): advances the
-  // state by 2^128 steps without generating the intermediate outputs.
-  static constexpr std::uint64_t kJump[] = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
-      0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};
-  std::array<std::uint64_t, 4> accum{};
-  for (std::uint64_t word : kJump) {
-    for (int bit = 0; bit < 64; ++bit) {
-      if (word & (std::uint64_t{1} << bit)) {
-        for (std::size_t i = 0; i < accum.size(); ++i) accum[i] ^= state_[i];
-      }
-      next_u64();
-    }
-  }
-  state_ = accum;
-  has_cached_gaussian_ = false;
 }
 
 }  // namespace ctc::dsp

@@ -67,10 +67,6 @@ class Rng {
   /// Fair coin: 0 or 1.
   std::uint8_t bit();
 
-  /// Forks an independent stream (used to give each simulated link its own
-  /// noise source without coupling their consumption order).
-  Rng fork();
-
   /// Derives the `stream_id`-th independent stream of a seed family.
   ///
   /// The (seed, stream_id) pair is hashed through SplitMix64 into a fresh
@@ -95,9 +91,9 @@ class Rng {
   ///     before ids could collide.
   /// Engine run counters start at 0, so the engine's very first run owns
   /// the plain ids 0..count-1. Anything deriving streams outside an engine
-  /// (tests, ad-hoc tools) should therefore use its own seed, or fork()
-  /// from an engine-provided generator, rather than hand-picking stream
-  /// ids that an engine sharing the seed would also hand out.
+  /// (tests, ad-hoc tools) should therefore use its own seed rather than
+  /// hand-picking stream ids that an engine sharing the seed would also
+  /// hand out.
   ///
   /// Sub-stream schemes layered on top of the engine scheme:
   ///   * sentry channels:  `for_stream(capture_seed, c)` for channel `c` —
@@ -112,11 +108,6 @@ class Rng {
   ///     whole sensor fan-out stays a pure function of
   ///     (seed, run_index, trial_index, sensor_id).
   static Rng for_stream(std::uint64_t seed, std::uint64_t stream_id);
-
-  /// Advances this generator by 2^128 steps (the xoshiro256++ jump
-  /// polynomial). Calling jump() k times partitions one seed's sequence
-  /// into k non-overlapping subsequences of 2^128 draws each.
-  void jump();
 
  private:
   std::array<std::uint64_t, 4> state_{};

@@ -7,20 +7,6 @@
 
 namespace ctc::dsp {
 
-double mean(std::span<const double> values) {
-  CTC_REQUIRE(!values.empty());
-  double acc = 0.0;
-  for (double v : values) acc += v;
-  return acc / static_cast<double>(values.size());
-}
-
-double variance(std::span<const double> values) {
-  const double m = mean(values);
-  double acc = 0.0;
-  for (double v : values) acc += (v - m) * (v - m);
-  return acc / static_cast<double>(values.size());
-}
-
 double average_power(std::span<const cplx> signal) {
   CTC_REQUIRE(!signal.empty());
   return energy(signal) / static_cast<double>(signal.size());
@@ -51,24 +37,6 @@ double nmse(std::span<const cplx> reference, std::span<const cplx> test) {
     err += std::norm(reference[i] - test[i]);
   }
   return err / ref_energy;
-}
-
-double evm_rms(std::span<const cplx> ideal, std::span<const cplx> received) {
-  CTC_REQUIRE(ideal.size() == received.size());
-  CTC_REQUIRE(!ideal.empty());
-  double err = 0.0;
-  double ref = 0.0;
-  for (std::size_t i = 0; i < ideal.size(); ++i) {
-    err += std::norm(received[i] - ideal[i]);
-    ref += std::norm(ideal[i]);
-  }
-  CTC_REQUIRE(ref > 0.0);
-  return std::sqrt(err / ref);
-}
-
-double to_db(double linear) {
-  CTC_REQUIRE(linear > 0.0);
-  return 10.0 * std::log10(linear);
 }
 
 double from_db(double db) { return std::pow(10.0, db / 10.0); }

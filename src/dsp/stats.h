@@ -1,4 +1,4 @@
-// Signal statistics: power, SNR scaling, waveform-distortion metrics.
+// Signal statistics: power, SNR scaling, waveform distortion.
 #pragma once
 
 #include <span>
@@ -6,12 +6,6 @@
 #include "dsp/types.h"
 
 namespace ctc::dsp {
-
-/// Mean of real samples. Requires non-empty input.
-double mean(std::span<const double> values);
-
-/// Sample variance (biased, 1/N) of real samples.
-double variance(std::span<const double> values);
 
 /// Average power E|x|^2 of a complex block. Requires non-empty input.
 double average_power(std::span<const cplx> signal);
@@ -27,12 +21,7 @@ cvec normalize_power(std::span<const cplx> signal);
 /// nonzero energy.
 double nmse(std::span<const cplx> reference, std::span<const cplx> test);
 
-/// Error vector magnitude (rms) between received points and their ideal
-/// constellation points, as a fraction of the ideal rms magnitude.
-double evm_rms(std::span<const cplx> ideal, std::span<const cplx> received);
-
-/// Converts a linear power ratio to dB and back.
-double to_db(double linear);
+/// Converts a power ratio in dB to linear.
 double from_db(double db);
 
 }  // namespace ctc::dsp

@@ -8,18 +8,6 @@
 
 namespace ctc::mesh {
 
-const char* fusion_rule_name(FusionRule rule) {
-  switch (rule) {
-    case FusionRule::majority:
-      return "majority";
-    case FusionRule::rssi_weighted:
-      return "rssi_weighted";
-    case FusionRule::bayesian:
-      return "bayesian";
-  }
-  return "unknown";
-}
-
 FusionResult fuse_majority(std::span<const SensorVote> votes) {
   FusionResult result;
   std::size_t attacks = 0;

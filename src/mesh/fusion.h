@@ -46,7 +46,6 @@ struct GaussianPair {
 inline constexpr double kBayesVarianceFloor = 1e-12;
 
 enum class FusionRule { majority, rssi_weighted, bayesian };
-const char* fusion_rule_name(FusionRule rule);
 
 struct FusionResult {
   /// Rule-specific statistic: attack fraction (majority), weighted mean

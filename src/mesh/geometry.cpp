@@ -20,10 +20,6 @@ GeometryKind parse_geometry(std::string_view name) {
                               "' (expected \"grid\" or \"ring\")");
 }
 
-const char* geometry_name(GeometryKind kind) {
-  return kind == GeometryKind::grid ? "grid" : "ring";
-}
-
 std::vector<Vec2> grid_layout(std::size_t count, double extent_m) {
   CTC_REQUIRE(count >= 1);
   CTC_REQUIRE(extent_m > 0.0);

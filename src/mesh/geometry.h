@@ -25,7 +25,6 @@ enum class GeometryKind {
 
 /// Parses "grid" / "ring"; throws std::invalid_argument otherwise.
 GeometryKind parse_geometry(std::string_view name);
-const char* geometry_name(GeometryKind kind);
 
 /// `count` sensors on the smallest square lattice that holds them: side =
 /// ceil(sqrt(count)) points per axis, evenly spaced over

@@ -134,28 +134,26 @@ void StreamScanner::decode_at(std::size_t offset) {
     consumed = std::min(
         ppdu_samples(rx.psdu.size(), config_.receiver.samples_per_chip), take);
 
-    std::optional<defense::Verdict> verdict;
+    defense::Verdict verdict;
     {
       CTC_TELEM_TIMER("sentry", "classify_ns");
-      detector_.begin_frame();
-      detector_.push_chips(rx.freq_chips);
-      verdict = detector_.verdict();
+      verdict = detector_.classify(rx.freq_chips);
     }
 
+    // A decoded PHR carries at least one PSDU byte, 32 constellation
+    // points, so every record holds a cumulant verdict.
     VerdictRecord record;
     record.channel = channel_;
     record.frame_index = stats_.verdicts;
     record.stream_position = base_position_ + offset;
     record.frame_samples = consumed;
     record.frame_ok = rx.frame_ok();
-    record.points = detector_.points();
-    record.valid = verdict.has_value();
-    if (verdict) {
-      record.de2 = verdict->distance_sq;
-      record.c40 = verdict->feature.c40;
-      record.c42 = verdict->feature.c42;
-      record.is_attack = verdict->is_attack;
-    }
+    record.points = rx.freq_chips.size() / 2;
+    record.valid = true;
+    record.de2 = verdict.distance_sq;
+    record.c40 = verdict.feature.c40;
+    record.c42 = verdict.feature.c42;
+    record.is_attack = verdict.is_attack;
     record.queue_depth = last_queue_depth_;
     record.dropped_before = last_dropped_;
 

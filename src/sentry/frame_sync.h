@@ -7,8 +7,8 @@
 // StreamScanner closes that gap: it buffers pushed sample blocks, runs
 // zigbee::ShrSync's screened SHR search over fixed-size scan rounds (its
 // 0.25 threshold and energy gate are ShrSync's constants), decodes each
-// detected frame with the full receiver, feeds the discriminator chips to a
-// defense::StreamingDetector, and emits one VerdictRecord per decoded frame
+// detected frame with the full receiver, classifies its discriminator chips
+// with defense::Detector, and emits one VerdictRecord per decoded frame
 // through a callback.
 //
 // Determinism contract (the service's replay gate rests on it): the
@@ -30,7 +30,7 @@
 #include <span>
 #include <vector>
 
-#include "defense/streaming.h"
+#include "defense/detector.h"
 #include "dsp/types.h"
 #include "sentry/verdict.h"
 #include "zigbee/receiver.h"
@@ -118,7 +118,7 @@ class StreamScanner {
   std::size_t channel_ = 0;
   VerdictFn on_verdict_;
   zigbee::Receiver receiver_;
-  defense::StreamingDetector detector_;
+  defense::Detector detector_;
   zigbee::ShrSync sync_;
   std::size_t frame_need_ = 0;  ///< max PPDU samples (lookahead bound)
   /// Hill-climb extension past a threshold crossing so a peak straddling a

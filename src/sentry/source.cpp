@@ -4,7 +4,6 @@
 #include <thread>
 #include <utility>
 
-#include "dsp/iq_io.h"
 #include "dsp/require.h"
 
 namespace ctc::sentry {
@@ -14,11 +13,6 @@ namespace ctc::sentry {
 ReplaySource::ReplaySource(cvec samples, std::size_t repeat)
     : samples_(std::move(samples)), repeat_(repeat) {
   CTC_REQUIRE(repeat_ >= 1);
-}
-
-std::unique_ptr<ReplaySource> ReplaySource::from_file(
-    const std::filesystem::path& path, std::size_t repeat) {
-  return std::make_unique<ReplaySource>(dsp::read_cf32(path), repeat);
 }
 
 std::size_t ReplaySource::next_block(std::span<cplx> out) {

@@ -11,7 +11,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <span>
@@ -38,10 +37,6 @@ class SampleSource {
 class ReplaySource : public SampleSource {
  public:
   explicit ReplaySource(cvec samples, std::size_t repeat = 1);
-
-  /// Loads a cf32 capture (dsp::read_cf32) and replays it `repeat` times.
-  static std::unique_ptr<ReplaySource> from_file(
-      const std::filesystem::path& path, std::size_t repeat = 1);
 
   std::size_t next_block(std::span<cplx> out) override;
 

@@ -27,8 +27,11 @@ struct VerdictRecord {
   std::size_t frame_samples = 0;  ///< samples the decoded PPDU occupied
   bool frame_ok = false;          ///< SHR+PHR+DSSS+FCS all accepted
   std::size_t points = 0;         ///< constellation points the verdict used
-  /// True when enough points accumulated for a cumulant verdict; the
-  /// feature fields below are zero when false.
+  /// True when the feature fields below hold a cumulant verdict (zero
+  /// otherwise). The scanner classifies every decoded frame with
+  /// defense::Detector, and a decoded PHR carries at least one PSDU byte
+  /// (32 points, where the estimator needs 4), so its records are always
+  /// valid; the field stays in the wire format.
   bool valid = false;
   double de2 = 0.0;       ///< DE^2 distance to the QPSK anchor
   double c40 = 0.0;       ///< Chat40 (per detector C40 mode)

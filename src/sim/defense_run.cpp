@@ -59,29 +59,13 @@ DefenseSamples collect_defense_samples(const Link& link,
                                        TrialEngine& engine, DefenseTap tap) {
   CTC_REQUIRE(!frames.empty());
   // Sharing one `detector` across all trials (and worker threads) is safe:
-  // the batch defense::Detector holds only its immutable config, so no
-  // counter or cumulant state can leak between trials. A StreamingDetector
-  // would NOT be safe here — it accumulates across push_chips() calls and
-  // needs begin_frame() at every frame boundary (see defense/streaming.h).
+  // defense::Detector holds only its immutable config, so no counter or
+  // cumulant state can leak between trials.
   link.prime(frames, engine);
   return engine.run<DefenseSamples>(count, [&](std::size_t i, dsp::Rng& rng) {
     return observe_defense_frame(link, frames[i % frames.size()], detector, rng,
                                  tap);
   });
-}
-
-DefenseSamples collect_defense_samples(const Link& link,
-                                       std::span<const zigbee::MacFrame> frames,
-                                       std::size_t count,
-                                       const defense::Detector& detector,
-                                       dsp::Rng& rng, DefenseTap tap) {
-  CTC_REQUIRE(!frames.empty());
-  DefenseSamples samples;
-  for (std::size_t i = 0; i < count; ++i) {
-    samples.add(observe_defense_frame(link, frames[i % frames.size()], detector,
-                                      rng, tap));
-  }
-  return samples;
 }
 
 }  // namespace ctc::sim

@@ -64,13 +64,4 @@ DefenseSamples collect_defense_samples(const Link& link,
                                        TrialEngine& engine,
                                        DefenseTap tap = DefenseTap::discriminator);
 
-/// Serial compatibility path: threads one caller-owned generator through
-/// the trials in order. Prefer the TrialEngine overload.
-DefenseSamples collect_defense_samples(const Link& link,
-                                       std::span<const zigbee::MacFrame> frames,
-                                       std::size_t count,
-                                       const defense::Detector& detector,
-                                       dsp::Rng& rng,
-                                       DefenseTap tap = DefenseTap::discriminator);
-
 }  // namespace ctc::sim

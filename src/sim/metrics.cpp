@@ -36,14 +36,4 @@ FrameStats run_frames(const Link& link, std::span<const zigbee::MacFrame> frames
   });
 }
 
-FrameStats run_frames(const Link& link, std::span<const zigbee::MacFrame> frames,
-                      std::size_t count, dsp::Rng& rng) {
-  CTC_REQUIRE(!frames.empty());
-  FrameStats stats;
-  for (std::size_t i = 0; i < count; ++i) {
-    stats.add(link.send(frames[i % frames.size()], rng));
-  }
-  return stats;
-}
-
 }  // namespace ctc::sim

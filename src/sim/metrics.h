@@ -40,11 +40,4 @@ FrameStats run_frames(const Link& link,
                       std::span<const zigbee::MacFrame> frames,
                       std::size_t count, TrialEngine& engine);
 
-/// Serial compatibility path: threads one caller-owned generator through
-/// the trials in order. Deterministic for a fixed `rng` state but bound to
-/// one core; prefer the TrialEngine overload.
-FrameStats run_frames(const Link& link,
-                      std::span<const zigbee::MacFrame> frames,
-                      std::size_t count, dsp::Rng& rng);
-
 }  // namespace ctc::sim

@@ -1,8 +1,6 @@
 #include "wifi/convcode.h"
 
-#include <algorithm>
 #include <array>
-#include <limits>
 
 #include "dsp/require.h"
 
@@ -12,8 +10,6 @@ namespace {
 
 constexpr unsigned kG0 = 0b1011011;  // 133 octal, MSB = current bit
 constexpr unsigned kG1 = 0b1111001;  // 171 octal
-constexpr unsigned kNumStates = 64;
-constexpr std::uint8_t kErasure = 2;
 
 std::uint8_t parity(unsigned value) {
   return static_cast<std::uint8_t>(__builtin_popcount(value) & 1);
@@ -60,169 +56,6 @@ bitvec convolutional_encode(std::span<const std::uint8_t> data, CodeRate rate) {
     state = (full >> 1) & 0x3F;
   }
   return out;
-}
-
-bitvec viterbi_decode_soft(std::span<const double> llrs, CodeRate rate) {
-  const auto pattern = puncture_pattern(rate);
-  // Re-expand to the mother stream; punctured positions carry zero belief.
-  std::vector<double> mother;
-  mother.reserve(llrs.size() * 2);
-  std::size_t consumed = 0;
-  std::size_t mother_index = 0;
-  while (consumed < llrs.size()) {
-    if (pattern[mother_index % pattern.size()]) {
-      mother.push_back(llrs[consumed++]);
-    } else {
-      mother.push_back(0.0);
-    }
-    ++mother_index;
-  }
-  while (pattern[mother_index % pattern.size()] == 0) {
-    mother.push_back(0.0);
-    ++mother_index;
-  }
-  CTC_REQUIRE_MSG(mother.size() % 2 == 0,
-                  "LLR count inconsistent with puncturing pattern");
-  const std::size_t num_steps = mother.size() / 2;
-
-  constexpr double kInf = 1e300;
-  std::array<double, kNumStates> metric;
-  metric.fill(kInf);
-  metric[0] = 0.0;
-  std::vector<std::array<std::uint8_t, kNumStates>> decisions(num_steps);
-
-  for (std::size_t step = 0; step < num_steps; ++step) {
-    const double la = mother[2 * step];
-    const double lb = mother[2 * step + 1];
-    std::array<double, kNumStates> next;
-    next.fill(kInf);
-    auto& decision = decisions[step];
-    for (unsigned state = 0; state < kNumStates; ++state) {
-      if (metric[state] >= kInf) continue;
-      for (unsigned bit = 0; bit <= 1; ++bit) {
-        const unsigned full = (bit << 6) | state;
-        const std::uint8_t a = parity(full & kG0);
-        const std::uint8_t b = parity(full & kG1);
-        // Branch cost: llr > 0 favors bit 0, so emitting a 1 against a
-        // positive llr costs +llr (and vice versa).
-        double cost = metric[state];
-        cost += a ? la : -la;
-        cost += b ? lb : -lb;
-        const unsigned next_state = (full >> 1) & 0x3F;
-        if (cost < next[next_state]) {
-          next[next_state] = cost;
-          decision[next_state] = static_cast<std::uint8_t>(full & 1);
-        }
-      }
-    }
-    metric = next;
-  }
-
-  unsigned state = 0;
-  double best = kInf;
-  for (unsigned s = 0; s < kNumStates; ++s) {
-    if (metric[s] < best) {
-      best = metric[s];
-      state = s;
-    }
-  }
-  bitvec decoded(num_steps);
-  for (std::size_t step = num_steps; step-- > 0;) {
-    const std::uint8_t oldest = decisions[step][state];
-    const unsigned full = (state << 1) | oldest;
-    decoded[step] = static_cast<std::uint8_t>((full >> 6) & 1);
-    state = full & 0x3F;
-  }
-  return decoded;
-}
-
-bitvec viterbi_decode(std::span<const std::uint8_t> coded, CodeRate rate) {
-  const auto pattern = puncture_pattern(rate);
-  // Re-expand to the mother stream, marking punctured positions as erasures.
-  bitvec mother;
-  mother.reserve(coded.size() * 2);
-  std::size_t consumed = 0;
-  std::size_t mother_index = 0;
-  while (consumed < coded.size()) {
-    if (pattern[mother_index % pattern.size()]) {
-      mother.push_back(coded[consumed++]);
-    } else {
-      mother.push_back(kErasure);
-    }
-    ++mother_index;
-  }
-  // The encoder may have ended inside a punctured run; pad the erasures the
-  // pattern says were dropped so the trellis covers whole (A, B) pairs.
-  while (pattern[mother_index % pattern.size()] == 0) {
-    mother.push_back(kErasure);
-    ++mother_index;
-  }
-  // Trim to whole (A, B) pairs; a trailing lone A cannot advance the trellis.
-  while (mother.size() % 2 != 0) {
-    CTC_REQUIRE_MSG(mother.back() == kErasure,
-                    "coded length inconsistent with puncturing pattern");
-    mother.pop_back();
-  }
-  const std::size_t num_steps = mother.size() / 2;
-
-  constexpr unsigned kInf = std::numeric_limits<unsigned>::max() / 2;
-  std::array<unsigned, kNumStates> metric;
-  metric.fill(kInf);
-  metric[0] = 0;  // encoder starts in the all-zero state
-  std::vector<std::array<std::uint8_t, kNumStates>> decisions(num_steps);
-
-  for (std::size_t step = 0; step < num_steps; ++step) {
-    const std::uint8_t ra = mother[2 * step];
-    const std::uint8_t rb = mother[2 * step + 1];
-    std::array<unsigned, kNumStates> next;
-    next.fill(kInf);
-    auto& decision = decisions[step];
-    for (unsigned state = 0; state < kNumStates; ++state) {
-      if (metric[state] >= kInf) continue;
-      for (unsigned bit = 0; bit <= 1; ++bit) {
-        const unsigned full = (bit << 6) | state;
-        const std::uint8_t a = parity(full & kG0);
-        const std::uint8_t b = parity(full & kG1);
-        unsigned cost = metric[state];
-        if (ra != kErasure && a != ra) ++cost;
-        if (rb != kErasure && b != rb) ++cost;
-        const unsigned next_state = (full >> 1) & 0x3F;
-        if (cost < next[next_state]) {
-          next[next_state] = cost;
-          // Survivor: remember the predecessor's low bit (state & 1 is the
-          // oldest bit shifted out; we need the *previous state*). Encode the
-          // predecessor fully: it is (state) and input bit is `bit`; from
-          // next_state = full >> 1, predecessor = (full & 0x3F).
-          decision[next_state] = static_cast<std::uint8_t>(full & 1);
-        }
-      }
-    }
-    metric = next;
-  }
-
-  // Terminate at the best final state (callers that append tail bits will
-  // naturally end at state 0).
-  unsigned state = 0;
-  unsigned best = kInf;
-  for (unsigned s = 0; s < kNumStates; ++s) {
-    if (metric[s] < best) {
-      best = metric[s];
-      state = s;
-    }
-  }
-
-  // Traceback: at each step, the decoded input bit is the MSB of `full`,
-  // i.e. bit 5 of the next state... reconstruct by walking predecessors.
-  bitvec decoded(num_steps);
-  for (std::size_t step = num_steps; step-- > 0;) {
-    const std::uint8_t oldest = decisions[step][state];
-    // next_state = (full >> 1), so full = (state << 1) | oldest, and the
-    // decoded data bit is bit 6 of full.
-    const unsigned full = (state << 1) | oldest;
-    decoded[step] = static_cast<std::uint8_t>((full >> 6) & 1);
-    state = full & 0x3F;
-  }
-  return decoded;
 }
 
 }  // namespace ctc::wifi

@@ -1,7 +1,7 @@
 // 802.11 convolutional coding (Clause 17.3.5.6): the standard K = 7,
-// rate-1/2 encoder with generators g0 = 133o, g1 = 171o, optional puncturing
-// to rates 2/3 and 3/4, and a hard-decision Viterbi decoder that treats
-// punctured positions as erasures.
+// rate-1/2 encoder with generators g0 = 133o, g1 = 171o and optional
+// puncturing to rates 2/3 and 3/4. The transmit chain is all the attack
+// needs; the Viterbi decoder is the tests' round-trip oracle.
 #pragma once
 
 #include <cstdint>
@@ -20,16 +20,5 @@ double coded_bits_per_data_bit(CodeRate rate);
 /// punctures to the requested rate. The encoder starts from the all-zero
 /// state; callers append 6 tail zeros if they want trellis termination.
 bitvec convolutional_encode(std::span<const std::uint8_t> data, CodeRate rate);
-
-/// Hard-decision Viterbi decoding. `coded.size()` must be consistent with
-/// `rate` (a whole number of puncturing periods / bit pairs). Returns the
-/// maximum-likelihood data bits (same count the encoder consumed).
-bitvec viterbi_decode(std::span<const std::uint8_t> coded, CodeRate rate);
-
-/// Soft-decision Viterbi decoding over log-likelihood ratios: llr[i] > 0
-/// means coded bit i is more likely 0 (the textbook LLR sign convention);
-/// magnitude is confidence. Punctured positions are re-inserted as LLR 0.
-/// With llr in {+1, -1} this reduces exactly to hard decoding.
-bitvec viterbi_decode_soft(std::span<const double> llrs, CodeRate rate);
 
 }  // namespace ctc::wifi

@@ -31,12 +31,6 @@ constexpr std::array<std::int8_t, 127> kPilotPolarity = {
     -1, -1, -1, -1, -1, 1,  -1, 1,  1,  -1, 1,  -1, 1,  1,  1,  -1,
     -1, 1,  -1, -1, -1, 1,  1,  1,  -1, -1, -1, -1, -1, -1, -1};
 
-// Long training sequence on subcarriers -26..26 (DC in the middle).
-constexpr std::array<double, 53> kLtfSequence = {
-    1, 1, -1, -1, 1, 1, -1, 1, -1, 1, 1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1, -1,
-    1, 1, 1, 1, 0, 1, -1, -1, 1, 1, -1, 1, -1, 1, -1, -1, -1, -1, -1, 1, 1,
-    -1, -1, 1, -1, 1, -1, 1, 1, 1, 1};
-
 }  // namespace
 
 const std::array<int, kNumDataSubcarriers>& data_subcarrier_indexes() {
@@ -90,14 +84,6 @@ cvec grid_to_time(std::span<const cplx> grid) {
   symbol.insert(symbol.end(), useful.begin(), useful.end());
   return symbol;
 }
-
-cvec time_to_grid(std::span<const cplx> symbol) {
-  CTC_REQUIRE(symbol.size() == kSymbolLength);
-  static const dsp::FftPlan plan(kNumSubcarriers);
-  return plan.forward(symbol.subspan(kCyclicPrefixLength, kNumSubcarriers));
-}
-
-const std::array<double, 53>& ltf_sequence() { return kLtfSequence; }
 
 cvec make_stf() {
   // Nonzero short-training subcarriers.

@@ -44,17 +44,17 @@ cvec assemble_symbol_grid(std::span<const cplx> data_points,
 /// 64) -> 80 time-domain samples.
 cvec grid_to_time(std::span<const cplx> grid);
 
-/// Strips the CP and FFTs back to the 64-bin grid.
-cvec time_to_grid(std::span<const cplx> symbol);
-
 /// Legacy preamble: 10 short training repetitions (8 us, 160 samples).
 cvec make_stf();
 
 /// Legacy long training field: CP(2x) + two LTF symbols (8 us, 160 samples).
 cvec make_ltf();
 
-/// The frequency-domain LTF sequence on subcarriers -26..26 (for channel
-/// estimation in the receiver).
-const std::array<double, 53>& ltf_sequence();
+/// The frequency-domain long training sequence on subcarriers -26..26
+/// (DC in the middle).
+inline constexpr std::array<double, 53> kLtfSequence = {
+    1, 1, -1, -1, 1, 1, -1, 1, -1, 1, 1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1, -1,
+    1, 1, 1, 1, 0, 1, -1, -1, 1, 1, -1, 1, -1, 1, -1, -1, -1, -1, -1, 1, 1,
+    -1, -1, 1, -1, 1, -1, 1, 1, 1, 1};
 
 }  // namespace ctc::wifi

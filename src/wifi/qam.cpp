@@ -80,39 +80,6 @@ cvec qam_map(std::span<const std::uint8_t> bits, Modulation modulation) {
   return points;
 }
 
-rvec qam_demap_soft(std::span<const cplx> points, Modulation modulation,
-                    double noise_variance) {
-  CTC_REQUIRE(noise_variance > 0.0);
-  const std::size_t bpsc = bits_per_subcarrier(modulation);
-  // Enumerate the labeled constellation once.
-  bitvec labels;
-  for (unsigned value = 0; value < (1u << bpsc); ++value) {
-    for (std::size_t b = bpsc; b-- > 0;) {
-      labels.push_back(static_cast<std::uint8_t>((value >> b) & 1));
-    }
-  }
-  const cvec constellation = qam_map(labels, modulation);
-
-  rvec llrs;
-  llrs.reserve(points.size() * bpsc);
-  for (const cplx& point : points) {
-    for (std::size_t b = 0; b < bpsc; ++b) {
-      double best0 = 1e300;
-      double best1 = 1e300;
-      for (std::size_t s = 0; s < constellation.size(); ++s) {
-        const double distance = std::norm(point - constellation[s]);
-        if (labels[s * bpsc + b]) {
-          best1 = std::min(best1, distance);
-        } else {
-          best0 = std::min(best0, distance);
-        }
-      }
-      llrs.push_back((best1 - best0) / noise_variance);
-    }
-  }
-  return llrs;
-}
-
 bitvec qam_demap(std::span<const cplx> points, Modulation modulation) {
   const std::size_t bpsc = bits_per_subcarrier(modulation);
   const double scale = modulation_scale(modulation);

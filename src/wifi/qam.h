@@ -29,12 +29,6 @@ cvec qam_map(std::span<const std::uint8_t> bits, Modulation modulation);
 /// Hard-decision demapping back to coded bits (nearest point).
 bitvec qam_demap(std::span<const cplx> points, Modulation modulation);
 
-/// Max-log soft demapping: one LLR per coded bit, positive = bit 0 more
-/// likely (matching viterbi_decode_soft), scaled by 1/noise_variance.
-/// Requires noise_variance > 0.
-rvec qam_demap_soft(std::span<const cplx> points, Modulation modulation,
-                    double noise_variance);
-
 /// The raw (unscaled) Gray level for a bit group, exposed for the attack's
 /// bit-extraction path: level index -> amplitude in {-7..+7}.
 int gray_bits_to_level(unsigned bits, std::size_t num_bits);

@@ -6,7 +6,6 @@
 #include "wifi/interleaver.h"
 #include "wifi/ofdm.h"
 #include "wifi/scrambler.h"
-#include "wifi/signal_field.h"
 
 namespace ctc::wifi {
 
@@ -83,7 +82,7 @@ cvec WifiTransmitter::transmit(std::span<const std::uint8_t> psdu) const {
   bits.resize(num_symbols * dbps, 0);
 
   // Scramble everything, then zero the tail so the trellis terminates.
-  Scrambler scrambler(config_.scrambler_seed);
+  Scrambler scrambler(kScramblerSeed);
   bitvec scrambled = scrambler.process(bits);
   for (std::size_t i = 0; i < kTailBits; ++i) scrambled[tail_position + i] = 0;
 
@@ -91,47 +90,18 @@ cvec WifiTransmitter::transmit(std::span<const std::uint8_t> psdu) const {
   const bitvec coded = convolutional_encode(scrambled, mcs_code_rate(config_.mcs));
   CTC_REQUIRE(coded.size() == num_symbols * cbps);
 
-  const std::size_t polarity_offset = config_.include_signal_field ? 1 : 0;
-  std::vector<cvec> grids;
-  grids.reserve(num_symbols);
+  // Preamble, then one 80-sample symbol per grid.
+  cvec waveform = make_stf();
+  const cvec ltf = make_ltf();
+  waveform.insert(waveform.end(), ltf.begin(), ltf.end());
   for (std::size_t s = 0; s < num_symbols; ++s) {
     const auto symbol_bits = std::span<const std::uint8_t>(coded).subspan(s * cbps, cbps);
     const bitvec interleaved = interleave(symbol_bits, cbps, bpsc);
     const cvec points = qam_map(interleaved, modulation);
-    grids.push_back(assemble_symbol_grid(points, s + polarity_offset));
-  }
-  cvec signal_symbol;
-  if (config_.include_signal_field) {
-    SignalField field;
-    field.mcs = config_.mcs;
-    field.length_bytes = psdu.size();
-    signal_symbol = modulate_signal_symbol(field);
-  }
-  return assemble_frame(signal_symbol, grids);
-}
-
-cvec WifiTransmitter::modulate_grids(std::span<const cvec> grids) const {
-  return assemble_frame({}, grids);
-}
-
-cvec WifiTransmitter::assemble_frame(std::span<const cplx> signal_symbol,
-                                     std::span<const cvec> grids) const {
-  cvec waveform;
-  if (config_.include_preamble) {
-    const cvec stf = make_stf();
-    const cvec ltf = make_ltf();
-    waveform.insert(waveform.end(), stf.begin(), stf.end());
-    waveform.insert(waveform.end(), ltf.begin(), ltf.end());
-  }
-  waveform.insert(waveform.end(), signal_symbol.begin(), signal_symbol.end());
-  for (const cvec& grid : grids) {
-    const cvec symbol = grid_to_time(grid);
+    const cvec symbol = grid_to_time(assemble_symbol_grid(points, s));
     waveform.insert(waveform.end(), symbol.begin(), symbol.end());
   }
-  if (config_.normalize_power && !waveform.empty()) {
-    waveform = dsp::normalize_power(waveform);
-  }
-  return waveform;
+  return dsp::normalize_power(waveform);
 }
 
 }  // namespace ctc::wifi

@@ -25,8 +25,4 @@ std::vector<MacFrame> make_text_workload(unsigned count) {
   return frames;
 }
 
-std::string text_of(const MacFrame& frame) {
-  return std::string(frame.payload.begin(), frame.payload.end());
-}
-
 }  // namespace ctc::zigbee

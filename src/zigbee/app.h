@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "zigbee/frame.h"
@@ -15,8 +14,5 @@ MacFrame make_text_frame(unsigned index, std::uint8_t sequence_number);
 
 /// The full "00000".."00099" workload of Sec. VII-C1.
 std::vector<MacFrame> make_text_workload(unsigned count = 100);
-
-/// Extracts the text payload back out of a received frame.
-std::string text_of(const MacFrame& frame);
 
 }  // namespace ctc::zigbee

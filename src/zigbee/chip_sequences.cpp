@@ -84,15 +84,4 @@ std::size_t hamming_distance(std::span<const std::uint8_t> received,
   return distance;
 }
 
-std::size_t min_pairwise_distance() {
-  const auto& table = chip_table();
-  std::size_t best = kChipsPerSymbol;
-  for (std::size_t a = 0; a < kNumSymbols; ++a) {
-    for (std::size_t b = a + 1; b < kNumSymbols; ++b) {
-      best = std::min(best, hamming_distance(table[a], table[b]));
-    }
-  }
-  return best;
-}
-
 }  // namespace ctc::zigbee

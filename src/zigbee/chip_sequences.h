@@ -44,8 +44,4 @@ PackedChips pack_chips(std::span<const std::uint8_t> chips);
 /// exactly with hamming_distance() on the byte forms.
 std::size_t hamming_distance_packed(PackedChips a, PackedChips b);
 
-/// Minimum pairwise Hamming distance over all distinct table rows
-/// (a property test pins this down; it bounds DSSS error resilience).
-std::size_t min_pairwise_distance();
-
 }  // namespace ctc::zigbee

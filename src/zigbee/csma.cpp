@@ -1,19 +1,8 @@
 #include "zigbee/csma.h"
 
 #include "dsp/require.h"
-#include "dsp/stats.h"
 
 namespace ctc::zigbee {
-
-double energy_detect(std::span<const cplx> window) {
-  CTC_REQUIRE(!window.empty());
-  return dsp::average_power(window);
-}
-
-bool channel_busy(std::span<const cplx> window, double threshold_power) {
-  CTC_REQUIRE(threshold_power > 0.0);
-  return energy_detect(window) > threshold_power;
-}
 
 CsmaResult csma_ca(const std::function<bool(double)>& busy_at, dsp::Rng& rng,
                    CsmaConfig config) {
@@ -36,16 +25,6 @@ CsmaResult csma_ca(const std::function<bool(double)>& busy_at, dsp::Rng& rng,
   }
   result.delay_us = now_us;
   return result;
-}
-
-std::function<bool(double)> interval_oracle(
-    std::vector<std::pair<double, double>> busy_intervals) {
-  return [intervals = std::move(busy_intervals)](double t_us) {
-    for (const auto& [start, end] : intervals) {
-      if (t_us >= start && t_us < end) return true;
-    }
-    return false;
-  };
 }
 
 }  // namespace ctc::zigbee

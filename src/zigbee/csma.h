@@ -15,15 +15,6 @@
 
 namespace ctc::zigbee {
 
-/// Average received power of a CCA window (8 symbol periods = 128 us at the
-/// 2450 MHz PHY; any window the caller provides works).
-double energy_detect(std::span<const cplx> window);
-
-/// CCA mode 1: busy when the measured energy exceeds the threshold.
-/// The 802.15.4 ED threshold is at most 10 dB above receiver sensitivity;
-/// callers express it as linear power at baseband.
-bool channel_busy(std::span<const cplx> window, double threshold_power);
-
 struct CsmaConfig {
   unsigned mac_min_be = 3;        ///< initial backoff exponent
   unsigned mac_max_be = 5;
@@ -42,9 +33,5 @@ struct CsmaResult {
 /// `t_us` (relative to the call). Deterministic given the RNG.
 CsmaResult csma_ca(const std::function<bool(double)>& busy_at,
                    dsp::Rng& rng, CsmaConfig config = {});
-
-/// Builds a busy-oracle from half-open busy intervals [start_us, end_us).
-std::function<bool(double)> interval_oracle(
-    std::vector<std::pair<double, double>> busy_intervals);
 
 }  // namespace ctc::zigbee

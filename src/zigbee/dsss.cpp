@@ -1,6 +1,5 @@
 #include "zigbee/dsss.h"
 
-#include <bit>
 #include <vector>
 
 #include "dsp/kernels/kernels.h"
@@ -42,15 +41,6 @@ const std::array<DifferentialSignature, kNumSymbols>& differential_table() {
   return table;
 }
 
-/// Packs the observed discriminator signs: bit j = (freq_chips[j] > 0).
-PackedChips pack_frequency_signs(std::span<const double> freq_chips) {
-  PackedChips packed = 0;
-  for (std::size_t j = 0; j < kChipsPerSymbol; ++j) {
-    if (freq_chips[j] > 0.0) packed |= PackedChips{1} << j;
-  }
-  return packed;
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> spread(std::span<const std::uint8_t> symbols) {
@@ -90,64 +80,6 @@ DespreadResult despread_block_reference(std::span<const std::uint8_t> chips,
   const auto& table = chip_table();
   for (std::size_t s = 0; s < kNumSymbols; ++s) {
     const std::size_t distance = hamming_distance(chips, table[s]);
-    if (distance < best) {
-      best = distance;
-      result.symbol = static_cast<std::uint8_t>(s);
-    }
-  }
-  result.distance = best;
-  result.accepted = best <= threshold;
-  return result;
-}
-
-DespreadResult despread_differential_block(std::span<const double> freq_chips,
-                                           std::uint8_t previous_chip,
-                                           std::size_t threshold) {
-  CTC_REQUIRE(freq_chips.size() == kChipsPerSymbol);
-  DespreadResult result;
-  std::size_t best = kChipsPerSymbol + 1;
-  const PackedChips observed = pack_frequency_signs(freq_chips);
-  // No predecessor: chip 0 is excluded from every candidate's distance.
-  const PackedChips mask =
-      previous_chip > 1 ? ~PackedChips{1} : ~PackedChips{0};
-  const auto& table = differential_table();
-  for (std::size_t s = 0; s < kNumSymbols; ++s) {
-    PackedChips predicted = table[s].tail_bits;
-    if (previous_chip <= 1) predicted |= table[s].chip0_bit[previous_chip];
-    const std::size_t distance =
-        static_cast<std::size_t>(std::popcount((observed ^ predicted) & mask));
-    if (distance < best) {
-      best = distance;
-      result.symbol = static_cast<std::uint8_t>(s);
-    }
-  }
-  result.distance = best;
-  result.accepted = best <= threshold;
-  return result;
-}
-
-DespreadResult despread_differential_block_reference(
-    std::span<const double> freq_chips, std::uint8_t previous_chip,
-    std::size_t threshold) {
-  CTC_REQUIRE(freq_chips.size() == kChipsPerSymbol);
-  DespreadResult result;
-  std::size_t best = kChipsPerSymbol + 1;
-  const auto& table = chip_table();
-  for (std::size_t s = 0; s < kNumSymbols; ++s) {
-    const ChipSequence& q = table[s];
-    std::size_t distance = 0;
-    for (std::size_t j = 0; j < kChipsPerSymbol; ++j) {
-      const int sign_j = (j % 2 == 1) ? 1 : -1;
-      int predicted;
-      if (j == 0) {
-        if (previous_chip > 1) continue;  // no predecessor: skip chip 0
-        predicted = sign_j * (2 * previous_chip - 1) * (2 * q[0] - 1);
-      } else {
-        predicted = sign_j * (2 * q[j - 1] - 1) * (2 * q[j] - 1);
-      }
-      const int observed = freq_chips[j] > 0.0 ? 1 : -1;
-      if (observed != predicted) ++distance;
-    }
     if (distance < best) {
       best = distance;
       result.symbol = static_cast<std::uint8_t>(s);

@@ -60,19 +60,4 @@ std::vector<DespreadResult> despread_differential(
     std::span<const double> freq_chips, std::size_t threshold,
     std::uint8_t previous_chip = 2);
 
-/// Single-block differential matcher. `previous_chip` < 2 is the last chip
-/// of the preceding symbol; pass 2 to exclude chip 0 from the distance.
-/// Packs the observed frequency signs once and matches every candidate's
-/// precomputed differential signature with XOR + popcount; bit-identical to
-/// despread_differential_block_reference().
-DespreadResult despread_differential_block(std::span<const double> freq_chips,
-                                           std::uint8_t previous_chip,
-                                           std::size_t threshold);
-
-/// Per-chip reference implementation of despread_differential_block(), kept
-/// as the equivalence-test oracle for the packed fast path.
-DespreadResult despread_differential_block_reference(
-    std::span<const double> freq_chips, std::uint8_t previous_chip,
-    std::size_t threshold);
-
 }  // namespace ctc::zigbee

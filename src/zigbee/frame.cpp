@@ -90,8 +90,4 @@ bytevec Ppdu::serialize() const {
   return out;
 }
 
-std::size_t Ppdu::symbol_count(std::size_t psdu_bytes) {
-  return 2 * (kPreambleBytes + 2 + psdu_bytes);
-}
-
 }  // namespace ctc::zigbee

@@ -51,9 +51,6 @@ struct Ppdu {
   /// Requires psdu.size() <= 127.
   bytevec serialize() const;
 
-  /// Number of 4-bit symbols in the serialized PPDU for a given PSDU size.
-  static std::size_t symbol_count(std::size_t psdu_bytes);
-
   /// Byte offset of the PHR within a serialized PPDU.
   static constexpr std::size_t phr_offset() { return kPreambleBytes + 1; }
 };

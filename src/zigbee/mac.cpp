@@ -70,13 +70,6 @@ MacAddress MacAddress::short_address(std::uint16_t value) {
   return addr;
 }
 
-MacAddress MacAddress::extended(std::uint64_t value) {
-  MacAddress addr;
-  addr.mode = AddressingMode::extended;
-  addr.extended_addr = value;
-  return addr;
-}
-
 bytevec GeneralMacFrame::serialize() const {
   CTC_REQUIRE_MSG(control.dest_mode == dest.mode && control.src_mode == src.mode,
                   "frame control addressing modes must match the addresses");

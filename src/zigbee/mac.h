@@ -54,7 +54,6 @@ struct MacAddress {
 
   static MacAddress none();
   static MacAddress short_address(std::uint16_t addr);
-  static MacAddress extended(std::uint64_t addr);
 
   bool operator==(const MacAddress&) const = default;
 };

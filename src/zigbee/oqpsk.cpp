@@ -101,20 +101,4 @@ std::vector<std::uint8_t> OqpskDemodulator::hard_decision(
   return chips;
 }
 
-rvec OqpskDemodulator::instantaneous_phase(std::span<const cplx> waveform) {
-  rvec phase(waveform.size());
-  double offset = 0.0;
-  double previous = 0.0;
-  for (std::size_t i = 0; i < waveform.size(); ++i) {
-    double raw = std::atan2(waveform[i].imag(), waveform[i].real());
-    if (i > 0) {
-      while (raw + offset - previous > kPi) offset -= kTwoPi;
-      while (raw + offset - previous < -kPi) offset += kTwoPi;
-    }
-    phase[i] = raw + offset;
-    previous = phase[i];
-  }
-  return phase;
-}
-
 }  // namespace ctc::zigbee

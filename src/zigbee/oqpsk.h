@@ -99,11 +99,6 @@ class OqpskDemodulator {
   /// Hard decision: soft value > 0 -> chip 1.
   static std::vector<std::uint8_t> hard_decision(std::span<const double> soft);
 
-  /// Instantaneous phase (radians, unwrapped) of the waveform — the "output
-  /// of OQPSK demodulation" the paper shows in Fig. 9a when discussing
-  /// frequency-based defenses.
-  static rvec instantaneous_phase(std::span<const cplx> waveform);
-
   std::size_t samples_per_chip() const { return samples_per_chip_; }
 
  private:

@@ -2,15 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "attack/emulator.h"
 #include "dsp/require.h"
 #include "wifi/ofdm.h"
+#include "wifi/qam.h"
 #include "zigbee/app.h"
 #include "zigbee/receiver.h"
 #include "zigbee/transmitter.h"
 
 namespace ctc::attack {
 namespace {
+
+// Forward check: rebuilds the WiFi-centered grids from interleaved bits
+// through the standard QAM mapper (pilots inserted per symbol index).
+std::vector<cvec> grids_from_interleaved_bits(
+    std::span<const bitvec> interleaved_bits_per_symbol, double tx_gain) {
+  std::vector<cvec> grids;
+  grids.reserve(interleaved_bits_per_symbol.size());
+  for (std::size_t s = 0; s < interleaved_bits_per_symbol.size(); ++s) {
+    const cvec points =
+        wifi::qam_map(interleaved_bits_per_symbol[s], wifi::Modulation::qam64);
+    cvec scaled(points.size());
+    for (std::size_t n = 0; n < points.size(); ++n) scaled[n] = points[n] * tx_gain;
+    grids.push_back(wifi::assemble_symbol_grid(scaled, s));
+  }
+  return grids;
+}
 
 EmulationResult emulate_frame() {
   zigbee::Transmitter tx;
@@ -126,7 +145,7 @@ TEST(BitExtractTest, BitLevelFrameStillControlsTheZigBeeReceiver) {
   at_victim.resize(observed.size());
   const auto rx = zigbee::Receiver().receive(at_victim);
   ASSERT_TRUE(rx.frame_ok());
-  EXPECT_EQ(zigbee::text_of(*rx.mac), "00077");
+  EXPECT_EQ(std::string(rx.mac->payload.begin(), rx.mac->payload.end()), "00077");
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "attack/emulator.h"
 #include "dsp/require.h"
 #include "dsp/stats.h"
@@ -12,6 +14,20 @@
 
 namespace ctc::attack {
 namespace {
+
+// Inverse of allocate_to_wifi_grid (WiFi grid -> ZigBee-centered grid).
+cvec extract_from_wifi_grid(std::span<const cplx> wifi_grid,
+                            const CarrierPlan& plan) {
+  CTC_REQUIRE(wifi_grid.size() == wifi::kNumSubcarriers);
+  const int shift = plan.subcarrier_shift();
+  const int n = static_cast<int>(wifi::kNumSubcarriers);
+  cvec grid(wifi::kNumSubcarriers, cplx{0.0, 0.0});
+  for (int bin = 0; bin < n; ++bin) {
+    const int source = ((bin + shift) % n + n) % n;
+    grid[static_cast<std::size_t>(bin)] = wifi_grid[static_cast<std::size_t>(source)];
+  }
+  return grid;
+}
 
 TEST(CarrierPlanTest, PaperPlanShiftsBySixteenSubcarriers) {
   // ZigBee ch 17 @ 2435 MHz inside WiFi @ 2440 MHz: -5 MHz = -16 bins.
@@ -106,13 +122,12 @@ TEST(CarrierAllocationTest, FullRfPathDeliversDecodableFrame) {
   zigbee_baseband.resize(observed.size());
   const auto rx = zigbee::Receiver().receive(zigbee_baseband);
   ASSERT_TRUE(rx.frame_ok());
-  EXPECT_EQ(zigbee::text_of(*rx.mac), "00005");
+  EXPECT_EQ(std::string(rx.mac->payload.begin(), rx.mac->payload.end()), "00005");
 }
 
 TEST(CarrierAllocationTest, FrontEndRejectsSizeMismatch) {
   const CarrierPlan plan;
   EXPECT_THROW(allocate_to_wifi_grid(cvec(63), plan), ContractError);
-  EXPECT_THROW(extract_from_wifi_grid(cvec(65), plan), ContractError);
 }
 
 }  // namespace

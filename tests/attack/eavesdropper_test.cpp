@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "attack/emulator.h"
 #include "dsp/stats.h"
 #include "zigbee/app.h"
@@ -46,7 +48,7 @@ TEST(EavesdropperTest, CapturedFrameIsDecodable) {
   ASSERT_TRUE(result.synchronized);
   const auto rx = zigbee::Receiver().receive(result.observed_4mhz);
   ASSERT_TRUE(rx.frame_ok());
-  EXPECT_EQ(zigbee::text_of(*rx.mac), "00011");
+  EXPECT_EQ(std::string(rx.mac->payload.begin(), rx.mac->payload.end()), "00011");
 }
 
 TEST(EavesdropperTest, FullChainEavesdropThenEmulateThenControl) {
@@ -60,7 +62,7 @@ TEST(EavesdropperTest, FullChainEavesdropThenEmulateThenControl) {
   const EmulationResult emulation = emulator.emulate(capture.observed_4mhz);
   const auto rx = zigbee::Receiver().receive(emulation.emulated_4mhz);
   ASSERT_TRUE(rx.frame_ok());
-  EXPECT_EQ(zigbee::text_of(*rx.mac), "00011");
+  EXPECT_EQ(std::string(rx.mac->payload.begin(), rx.mac->payload.end()), "00011");
 }
 
 TEST(EavesdropperTest, NoSyncWhenOnlyNoiseIsCaptured) {

@@ -12,8 +12,8 @@ namespace {
 
 TEST(CampaignJsonTest, ParsesScalars) {
   EXPECT_TRUE(Json::parse("null").is_null());
-  EXPECT_EQ(Json::parse("true").as_bool(), true);
-  EXPECT_EQ(Json::parse("false").as_bool(), false);
+  EXPECT_EQ(Json::parse("true"), Json(true));
+  EXPECT_EQ(Json::parse("false"), Json(false));
   EXPECT_EQ(Json::parse("42").as_int(), 42);
   EXPECT_EQ(Json::parse("-7").as_int(), -7);
   EXPECT_TRUE(Json::parse("42").is_integer());

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "channel/awgn.h"
 #include "channel/environment.h"
 #include "channel/fading.h"
@@ -39,14 +41,7 @@ TEST(AwgnTest, PaperConventionSnrIsInverseVariance) {
   add_noise_variance_inplace(y, dsp::from_db(-7.0), rng);
   cvec noise(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) noise[i] = y[i] - x[i];
-  EXPECT_NEAR(dsp::to_db(1.0 / dsp::average_power(noise)), 7.0, 0.3);
-}
-
-TEST(ImpairmentsTest, PhaseOffsetRotatesEverySample) {
-  const cvec x = {{1.0, 0.0}, {0.0, 1.0}};
-  const cvec y = apply_phase_offset(x, kPi / 2.0);
-  EXPECT_NEAR(std::abs(y[0] - cplx(0.0, 1.0)), 0.0, 1e-12);
-  EXPECT_NEAR(std::abs(y[1] - cplx(-1.0, 0.0)), 0.0, 1e-12);
+  EXPECT_NEAR(10.0 * std::log10(1.0 / dsp::average_power(noise)), 7.0, 0.3);
 }
 
 TEST(ImpairmentsTest, CfoAccumulatesPhase) {
@@ -74,8 +69,6 @@ TEST(ImpairmentsTest, ZeroOffsetsAreIdentity) {
   cvec y = x;
   apply_timing_offset_inplace(y, 0.0);
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(y[i], x[i]);
-  const cvec z = apply_gain(x, 1.0);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(z[i], x[i]);
 }
 
 TEST(PathLossTest, SnrFallsWithDistance) {

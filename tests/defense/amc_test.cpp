@@ -109,16 +109,6 @@ TEST(AmcTest, MagnitudeModeIsRotationInvariant) {
   EXPECT_EQ(classify_modulation(samples, magnitude).best, ModulationClass::qpsk);
 }
 
-TEST(AmcTest, DistanceToClassMatchesRanking) {
-  dsp::Rng rng(293);
-  const cvec samples = noisy_samples(ModulationClass::qam16, 10000, 0.0, rng);
-  const AmcResult result = classify_modulation(samples);
-  for (const AmcScore& score : result.ranking) {
-    EXPECT_NEAR(distance_to_class(samples, score.modulation), score.distance_sq,
-                1e-12);
-  }
-}
-
 TEST(AmcTest, RequiresEnoughSamplesAndSaneNoise) {
   EXPECT_THROW(classify_modulation(cvec(3)), ContractError);
   dsp::Rng rng(294);

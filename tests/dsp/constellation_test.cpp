@@ -65,49 +65,5 @@ TEST_P(PamOrderTest, RealAxisUnitPower) {
 
 INSTANTIATE_TEST_SUITE_P(Orders, PamOrderTest, ::testing::Values(2, 4, 8, 16));
 
-TEST(Qam64RawTest, ExactPaperLevels) {
-  const cvec points = make_qam64_raw();
-  ASSERT_EQ(points.size(), 64u);
-  // Every combination of odd levels -7..7 appears exactly once.
-  std::set<std::pair<int, int>> seen;
-  for (const cplx& p : points) {
-    const int i = static_cast<int>(std::lround(p.real()));
-    const int q = static_cast<int>(std::lround(p.imag()));
-    EXPECT_EQ(std::abs(i) % 2, 1);
-    EXPECT_EQ(std::abs(q) % 2, 1);
-    EXPECT_LE(std::abs(i), 7);
-    EXPECT_LE(std::abs(q), 7);
-    seen.insert({i, q});
-  }
-  EXPECT_EQ(seen.size(), 64u);
-}
-
-TEST(NearestPointTest, PicksEuclideanNearest) {
-  const cvec points = make_qam64_raw();
-  EXPECT_EQ(points[nearest_point(points, cplx{6.7, -6.9})], (cplx{7.0, -7.0}));
-  EXPECT_EQ(points[nearest_point(points, cplx{0.2, 0.3})], (cplx{1.0, 1.0}));
-  EXPECT_EQ(points[nearest_point(points, cplx{-100.0, 100.0})], (cplx{-7.0, 7.0}));
-}
-
-TEST(NearestPointTest, RequiresNonEmptyConstellation) {
-  EXPECT_THROW(nearest_point(cvec{}, cplx{0.0, 0.0}), ContractError);
-}
-
-TEST(QuantizeTest, IdempotentOnConstellationPoints) {
-  const cvec points = make_qam(16);
-  const cvec quantized = quantize(points, points);
-  for (std::size_t i = 0; i < points.size(); ++i) EXPECT_EQ(quantized[i], points[i]);
-}
-
-TEST(QuantizeTest, MapsNoisyPointsBack) {
-  const cvec points = make_psk(4);
-  const cvec noisy = {{0.9, 0.1}, {-0.05, 1.2}, {-0.8, -0.2}, {0.3, -0.7}};
-  const cvec quantized = quantize(points, noisy);
-  EXPECT_EQ(quantized[0], points[0]);
-  EXPECT_EQ(quantized[1], points[1]);
-  EXPECT_EQ(quantized[2], points[2]);
-  EXPECT_EQ(quantized[3], points[3]);
-}
-
 }  // namespace
 }  // namespace ctc::dsp

@@ -69,21 +69,6 @@ TEST_F(IqIoTest, ReadRejectsMissingFile) {
   EXPECT_THROW(read_cf32(dir_ / "does_not_exist.cf32"), ContractError);
 }
 
-TEST_F(IqIoTest, CsvHasHeaderAndOneRowPerSample) {
-  const cvec samples = {{1.5, -2.5}, {0.0, 3.0}};
-  const auto path = dir_ / "capture.csv";
-  write_csv(path, samples);
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "index,i,q");
-  std::getline(in, line);
-  EXPECT_EQ(line, "0,1.5,-2.5");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1,0,3");
-  EXPECT_FALSE(std::getline(in, line));
-}
-
 TEST_F(IqIoTest, WriteRejectsUnwritablePath) {
   EXPECT_THROW(write_cf32(dir_ / "no_such_dir" / "x.cf32", cvec(4)), ContractError);
 }

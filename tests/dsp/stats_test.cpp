@@ -7,13 +7,6 @@
 namespace ctc::dsp {
 namespace {
 
-TEST(StatsTest, MeanAndVariance) {
-  const rvec v = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(mean(v), 2.5);
-  EXPECT_DOUBLE_EQ(variance(v), 1.25);
-  EXPECT_THROW(mean(rvec{}), ContractError);
-}
-
 TEST(StatsTest, EnergyAndPower) {
   const cvec x = {{3.0, 4.0}, {0.0, 0.0}};
   EXPECT_DOUBLE_EQ(energy(x), 25.0);
@@ -45,20 +38,6 @@ TEST(StatsTest, NmseChecksPreconditions) {
   EXPECT_THROW(nmse(x, y), ContractError);
   const cvec zero(1, cplx{0.0, 0.0});
   EXPECT_THROW(nmse(zero, x), ContractError);
-}
-
-TEST(StatsTest, EvmMatchesHandComputation) {
-  const cvec ideal = {{1.0, 0.0}, {-1.0, 0.0}};
-  const cvec received = {{1.1, 0.0}, {-0.9, 0.0}};
-  // err = 0.01 + 0.01, ref = 2 -> sqrt(0.01) = 0.1
-  EXPECT_NEAR(evm_rms(ideal, received), 0.1, 1e-12);
-}
-
-TEST(StatsTest, DbConversionsRoundTrip) {
-  EXPECT_NEAR(to_db(100.0), 20.0, 1e-12);
-  EXPECT_NEAR(from_db(20.0), 100.0, 1e-9);
-  EXPECT_NEAR(from_db(to_db(0.37)), 0.37, 1e-12);
-  EXPECT_THROW(to_db(0.0), ContractError);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include "sim/metrics.h"
 #include "zigbee/app.h"
 
+#include "serial_trials.h"
+
 namespace ctc::sim {
 namespace {
 
@@ -29,7 +31,7 @@ TEST(AttackIntegrationTest, EmulatedFramesControlTheReceiverAtHighSnr) {
   // Table II end state: at 17 dB the attack succeeds (~100%).
   dsp::Rng rng(200);
   const auto frames = workload();
-  const LinkStats stats = run_frames(Link(emulated_at(17.0)), frames, 30, rng);
+  const LinkStats stats = test::run_frames(Link(emulated_at(17.0)), frames, 30, rng);
   EXPECT_GE(stats.success_rate(), 0.95);
 }
 
@@ -37,9 +39,9 @@ TEST(AttackIntegrationTest, SuccessRateRisesWithSnr) {
   // Table II shape: monotone-ish growth from 7 to 17 dB.
   dsp::Rng rng(201);
   const auto frames = workload();
-  const double low = run_frames(Link(emulated_at(7.0)), frames, 40, rng).success_rate();
-  const double mid = run_frames(Link(emulated_at(11.0)), frames, 40, rng).success_rate();
-  const double high = run_frames(Link(emulated_at(17.0)), frames, 40, rng).success_rate();
+  const double low = test::run_frames(Link(emulated_at(7.0)), frames, 40, rng).success_rate();
+  const double mid = test::run_frames(Link(emulated_at(11.0)), frames, 40, rng).success_rate();
+  const double high = test::run_frames(Link(emulated_at(17.0)), frames, 40, rng).success_rate();
   EXPECT_LT(low, mid + 0.1);
   EXPECT_LT(mid, high + 0.05);
   EXPECT_GT(low, 0.05);   // the attack already works sometimes at 7 dB
@@ -50,14 +52,14 @@ TEST(AttackIntegrationTest, SuccessRateRisesWithSnr) {
 TEST(AttackIntegrationTest, AuthenticLinkIsCleanWhereAttackDegrades) {
   dsp::Rng rng(202);
   const auto frames = workload();
-  const LinkStats authentic = run_frames(Link(authentic_at(7.0)), frames, 30, rng);
+  const LinkStats authentic = test::run_frames(Link(authentic_at(7.0)), frames, 30, rng);
   EXPECT_GE(authentic.success_rate(), 0.95);
   // Fig. 7: authentic chips match exactly at high SNR; emulated do not.
-  const LinkStats clean = run_frames(Link(authentic_at(30.0)), frames, 5, rng);
+  const LinkStats clean = test::run_frames(Link(authentic_at(30.0)), frames, 5, rng);
   for (const auto& [distance, count] : clean.hamming_histogram) {
     EXPECT_EQ(distance, 0u);
   }
-  const LinkStats attacked = run_frames(Link(emulated_at(30.0)), frames, 5, rng);
+  const LinkStats attacked = test::run_frames(Link(emulated_at(30.0)), frames, 5, rng);
   std::size_t nonzero = 0;
   for (const auto& [distance, count] : attacked.hamming_histogram) {
     if (distance > 0) nonzero += count;
@@ -73,9 +75,9 @@ TEST(DefenseIntegrationTest, DetectorSeparatesLinksAcrossSnr) {
   defense::Detector detector;
   for (double snr : {7.0, 12.0, 17.0}) {
     const auto authentic =
-        collect_defense_samples(Link(authentic_at(snr)), frames, 15, detector, rng);
+        test::collect_defense_samples(Link(authentic_at(snr)), frames, 15, detector, rng);
     const auto emulated =
-        collect_defense_samples(Link(emulated_at(snr)), frames, 15, detector, rng);
+        test::collect_defense_samples(Link(emulated_at(snr)), frames, 15, detector, rng);
     ASSERT_GT(authentic.frames_used, 0u);
     ASSERT_GT(emulated.frames_used, 0u);
     EXPECT_LT(authentic.max_distance(), emulated.min_distance())
@@ -91,16 +93,16 @@ TEST(DefenseIntegrationTest, CalibratedThresholdClassifiesHeldOutFrames) {
   defense::Detector detector;
   const Link authentic(authentic_at(12.0));
   const Link emulated(emulated_at(12.0));
-  const auto train_auth = collect_defense_samples(authentic, frames, 15, detector, rng);
-  const auto train_att = collect_defense_samples(emulated, frames, 15, detector, rng);
+  const auto train_auth = test::collect_defense_samples(authentic, frames, 15, detector, rng);
+  const auto train_att = test::collect_defense_samples(emulated, frames, 15, detector, rng);
   const double threshold = defense::Detector::calibrate_threshold(
       train_auth.distances, train_att.distances);
 
   defense::DetectorConfig tuned;
   tuned.threshold = threshold;
   defense::Detector tester(tuned);
-  const auto test_auth = collect_defense_samples(authentic, frames, 15, tester, rng);
-  const auto test_att = collect_defense_samples(emulated, frames, 15, tester, rng);
+  const auto test_auth = test::collect_defense_samples(authentic, frames, 15, tester, rng);
+  const auto test_att = test::collect_defense_samples(emulated, frames, 15, tester, rng);
   for (double d : test_auth.distances) EXPECT_LT(d, threshold);
   for (double d : test_att.distances) EXPECT_GE(d, threshold);
 }
@@ -119,9 +121,9 @@ TEST(DefenseIntegrationTest, MagnitudeModeSurvivesTheRealEnvironment) {
     LinkConfig emulated = authentic;
     emulated.kind = LinkKind::emulated;
     const auto auth =
-        collect_defense_samples(Link(authentic), frames, 12, detector, rng);
+        test::collect_defense_samples(Link(authentic), frames, 12, detector, rng);
     const auto att =
-        collect_defense_samples(Link(emulated), frames, 12, detector, rng);
+        test::collect_defense_samples(Link(emulated), frames, 12, detector, rng);
     EXPECT_LT(auth.mean_distance() * 2.0, att.mean_distance())
         << "distance=" << distance;
   }
@@ -139,9 +141,9 @@ TEST(Fig14IntegrationTest, ReceiverOrderingMatchesThePaper) {
   LinkConfig commodity_attack = usrp_attack;
   commodity_attack.profile = zigbee::ReceiverProfile::cc26x2r1();
   const double usrp_per =
-      run_frames(Link(usrp_attack), frames, 25, rng).packet_error_rate();
+      test::run_frames(Link(usrp_attack), frames, 25, rng).packet_error_rate();
   const double commodity_per =
-      run_frames(Link(commodity_attack), frames, 25, rng).packet_error_rate();
+      test::run_frames(Link(commodity_attack), frames, 25, rng).packet_error_rate();
   EXPECT_GT(usrp_per, 0.5);
   EXPECT_LT(commodity_per, 0.15);
 }

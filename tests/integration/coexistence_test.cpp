@@ -2,6 +2,8 @@
 // the full-RF attack path through carrier allocation.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "defense/detector.h"
 #include "dsp/stats.h"
 #include "sim/interference.h"
@@ -9,6 +11,8 @@
 #include "sim/metrics.h"
 #include "zigbee/app.h"
 #include "zigbee/receiver.h"
+
+#include "serial_trials.h"
 
 namespace ctc::sim {
 namespace {
@@ -26,7 +30,7 @@ TEST(InterferenceTest, PowerMatchesRequestedSir) {
     interference[i] = polluted[i] - signal[i];
   }
   const double sir = dsp::average_power(signal) / dsp::average_power(interference);
-  EXPECT_NEAR(dsp::to_db(sir), 10.0, 1.5);
+  EXPECT_NEAR(10.0 * std::log10(sir), 10.0, 1.5);
 }
 
 TEST(InterferenceTest, ZeroDutyCycleIsTransparent) {
@@ -78,7 +82,7 @@ TEST(RfPathLinkTest, AttackThroughCarrierAllocationStillControls) {
   config.attack_via_rf = true;
   config.environment = channel::Environment::awgn(17.0);
   const auto frames = zigbee::make_text_workload(5);
-  const LinkStats stats = run_frames(Link(config), frames, 10, rng);
+  const LinkStats stats = test::run_frames(Link(config), frames, 10, rng);
   EXPECT_GE(stats.success_rate(), 0.9);
 }
 

@@ -17,6 +17,8 @@
 #include "zigbee/receiver.h"
 #include "zigbee/transmitter.h"
 
+#include "serial_trials.h"
+
 namespace ctc {
 namespace {
 
@@ -136,10 +138,10 @@ TEST(FailureInjectionTest, DefenseSamplesRequireFrames) {
 }
 
 TEST(FailureInjectionTest, RunFramesRequiresWorkload) {
-  dsp::Rng rng(214);
+  sim::TrialEngine engine({214, 1});
   sim::LinkConfig config;
   const sim::Link link(config);
-  EXPECT_THROW(sim::run_frames(link, {}, 5, rng), ContractError);
+  EXPECT_THROW(sim::run_frames(link, {}, 5, engine), ContractError);
 }
 
 TEST(FailureInjectionTest, TableRejectsMalformedRows) {
@@ -156,7 +158,7 @@ TEST(FailureInjectionTest, DeepFadeFramesAreCountedNotCrashed) {
   config.environment = channel::Environment::real_world(8.0);
   config.environment.rician_k_factor = 0.0;  // pure Rayleigh
   const auto frames = zigbee::make_text_workload(5);
-  const auto stats = sim::run_frames(sim::Link(config), frames, 20, rng);
+  const auto stats = test::run_frames(sim::Link(config), frames, 20, rng);
   EXPECT_EQ(stats.frames_sent, 20u);
   EXPECT_LE(stats.frames_ok, 20u);
 }

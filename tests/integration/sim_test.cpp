@@ -10,6 +10,8 @@
 #include "sim/table.h"
 #include "zigbee/app.h"
 
+#include "serial_trials.h"
+
 namespace ctc::sim {
 namespace {
 
@@ -82,8 +84,8 @@ TEST(LinkTest, SensitivityGainRaisesEffectiveSnr) {
   weak.profile = zigbee::ReceiverProfile::usrp();
   LinkConfig boosted = weak;
   boosted.profile.sensitivity_gain_db = 10.0;
-  const auto weak_stats = run_frames(Link(weak), frames, 15, rng_a);
-  const auto boosted_stats = run_frames(Link(boosted), frames, 15, rng_b);
+  const auto weak_stats = test::run_frames(Link(weak), frames, 15, rng_a);
+  const auto boosted_stats = test::run_frames(Link(boosted), frames, 15, rng_b);
   EXPECT_GT(boosted_stats.success_rate(), weak_stats.success_rate());
 }
 
@@ -94,7 +96,7 @@ TEST(DefenseRunTest, SkipsFramesWithoutChips) {
   const auto frames = zigbee::make_text_workload(3);
   defense::Detector detector;
   const auto samples =
-      collect_defense_samples(Link(config), frames, 5, detector, rng);
+      test::collect_defense_samples(Link(config), frames, 5, detector, rng);
   EXPECT_EQ(samples.frames_used, 0u);
   EXPECT_EQ(samples.frames_skipped, 5u);
   EXPECT_TRUE(samples.distances.empty());
@@ -107,7 +109,7 @@ TEST(DefenseRunTest, AggregatesMatchCollectedValues) {
   const auto frames = zigbee::make_text_workload(4);
   defense::Detector detector;
   const auto samples =
-      collect_defense_samples(Link(config), frames, 8, detector, rng);
+      test::collect_defense_samples(Link(config), frames, 8, detector, rng);
   ASSERT_EQ(samples.frames_used, 8u);
   ASSERT_EQ(samples.distances.size(), 8u);
   ASSERT_EQ(samples.c40.size(), 8u);
@@ -134,9 +136,9 @@ TEST(DefenseRunTest, TapSelectionChangesTheFeatures) {
   const auto frames = zigbee::make_text_workload(3);
   defense::Detector detector;
   const Link link(config);
-  const auto disc = collect_defense_samples(link, frames, 3, detector, rng_a,
+  const auto disc = test::collect_defense_samples(link, frames, 3, detector, rng_a,
                                             DefenseTap::discriminator);
-  const auto coh = collect_defense_samples(link, frames, 3, detector, rng_b,
+  const auto coh = test::collect_defense_samples(link, frames, 3, detector, rng_b,
                                            DefenseTap::coherent);
   ASSERT_FALSE(disc.distances.empty());
   ASSERT_FALSE(coh.distances.empty());

@@ -201,9 +201,9 @@ TEST(StreamScannerTest, NanOrInfSampleInPsduStillYieldsAFiniteVerdict) {
       for (const char* key : {"de2", "c40", "c42"}) {
         EXPECT_TRUE(std::isfinite(line.at(key).as_number())) << key;
       }
-      EXPECT_TRUE(line.at("valid").as_bool());
-      EXPECT_EQ(line.at("is_attack").as_bool(),
-                LinkSource::is_attack_frame(config, f + 1));
+      EXPECT_EQ(line.at("valid"), campaign::Json(true));
+      EXPECT_EQ(line.at("is_attack"),
+                campaign::Json(LinkSource::is_attack_frame(config, f + 1)));
     }
   }
 }

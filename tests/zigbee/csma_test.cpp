@@ -2,31 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "dsp/require.h"
 #include "dsp/rng.h"
-#include "zigbee/transmitter.h"
 
 namespace ctc::zigbee {
 namespace {
 
-TEST(EnergyDetectTest, MeasuresAveragePower) {
-  const cvec window = {{2.0, 0.0}, {0.0, 2.0}};
-  EXPECT_DOUBLE_EQ(energy_detect(window), 4.0);
-  EXPECT_THROW(energy_detect(cvec{}), ContractError);
-}
-
-TEST(EnergyDetectTest, BusyVsIdleDecision) {
-  dsp::Rng rng(260);
-  cvec idle(128);
-  for (auto& x : idle) x = rng.complex_gaussian(0.001);  // -30 dB noise
-  Transmitter tx;
-  MacFrame frame;
-  frame.payload = {1, 2, 3};
-  const cvec active = tx.transmit_frame(frame);  // unit power
-  const double threshold = 0.1;
-  EXPECT_FALSE(channel_busy(idle, threshold));
-  EXPECT_TRUE(channel_busy(std::span<const cplx>(active).subspan(100, 128), threshold));
-  EXPECT_THROW(channel_busy(idle, 0.0), ContractError);
+// A busy-oracle for csma_ca from half-open busy intervals
+// [start_us, end_us).
+std::function<bool(double)> interval_oracle(
+    std::vector<std::pair<double, double>> busy_intervals) {
+  return [intervals = std::move(busy_intervals)](double t_us) {
+    for (const auto& [start, end] : intervals) {
+      if (t_us >= start && t_us < end) return true;
+    }
+    return false;
+  };
 }
 
 TEST(CsmaTest, IdleChannelGrantsQuickly) {

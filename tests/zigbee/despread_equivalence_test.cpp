@@ -1,13 +1,14 @@
-// Equivalence suite for the bit-packed popcount despreading fast path.
+// Equivalence suite for the bit-packed popcount despreading fast paths.
 //
-// Unlike the FFT convolution pair, these two implementations are integer
-// pipelines with the same tie-break order (lowest symbol index wins), so
-// the contract is exact: symbol, distance and accepted must match the byte
-// reference bit-for-bit for every input.
+// Each fast path and its per-chip reference are integer pipelines with the
+// same tie-break order (lowest symbol index wins), so the contract is
+// exact: symbol, distance and accepted must match the reference
+// bit-for-bit for every input.
 #include "zigbee/dsss.h"
 
 #include <gtest/gtest.h>
 
+#include "dsp/require.h"
 #include "dsp/rng.h"
 #include "zigbee/chip_sequences.h"
 
@@ -20,6 +21,41 @@ std::vector<std::uint8_t> chips_with_errors(std::uint8_t symbol,
   std::vector<std::uint8_t> chips(sequence.begin(), sequence.end());
   for (std::size_t flip : flips) chips[flip] ^= 1;
   return chips;
+}
+
+// Per-chip differential matcher of one 32-chip block, the oracle for
+// despread_differential's packed chain. `previous_chip` < 2 is the last
+// chip of the preceding symbol; 2 excludes chip 0 from the distance.
+DespreadResult despread_differential_block_reference(
+    std::span<const double> freq_chips, std::uint8_t previous_chip,
+    std::size_t threshold) {
+  CTC_REQUIRE(freq_chips.size() == kChipsPerSymbol);
+  DespreadResult result;
+  std::size_t best = kChipsPerSymbol + 1;
+  const auto& table = chip_table();
+  for (std::size_t s = 0; s < kNumSymbols; ++s) {
+    const ChipSequence& q = table[s];
+    std::size_t distance = 0;
+    for (std::size_t j = 0; j < kChipsPerSymbol; ++j) {
+      const int sign_j = (j % 2 == 1) ? 1 : -1;
+      int predicted;
+      if (j == 0) {
+        if (previous_chip > 1) continue;  // no predecessor: skip chip 0
+        predicted = sign_j * (2 * previous_chip - 1) * (2 * q[0] - 1);
+      } else {
+        predicted = sign_j * (2 * q[j - 1] - 1) * (2 * q[j] - 1);
+      }
+      const int observed = freq_chips[j] > 0.0 ? 1 : -1;
+      if (observed != predicted) ++distance;
+    }
+    if (distance < best) {
+      best = distance;
+      result.symbol = static_cast<std::uint8_t>(s);
+    }
+  }
+  result.distance = best;
+  result.accepted = best <= threshold;
+  return result;
 }
 
 TEST(DespreadEquivalenceTest, PackedTableMatchesByteTable) {
@@ -100,8 +136,7 @@ TEST(DespreadEquivalenceTest, DifferentialBlockMatchesReference) {
     }
     for (std::uint8_t previous : {std::uint8_t{0}, std::uint8_t{1},
                                   std::uint8_t{2}}) {
-      const DespreadResult fast =
-          despread_differential_block(freq, previous, 9);
+      const DespreadResult fast = despread_differential(freq, 9, previous)[0];
       const DespreadResult reference =
           despread_differential_block_reference(freq, previous, 9);
       EXPECT_EQ(fast.symbol, reference.symbol)

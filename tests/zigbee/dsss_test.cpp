@@ -94,7 +94,7 @@ TEST_P(DifferentialSymbolTest, CleanRoundTripWithKnownBoundary) {
   const auto chips = spread(std::vector<std::uint8_t>{symbol});
   for (std::uint8_t previous : {0, 1}) {
     const rvec f = differential_of(chips, previous);
-    const DespreadResult result = despread_differential_block(f, previous, 10);
+    const DespreadResult result = despread_differential(f, 10, previous)[0];
     EXPECT_TRUE(result.accepted);
     EXPECT_EQ(result.symbol, symbol) << "previous=" << int(previous);
     EXPECT_EQ(result.distance, 0u);
@@ -105,7 +105,7 @@ TEST_P(DifferentialSymbolTest, UnknownBoundarySkipsFirstChip) {
   const auto symbol = static_cast<std::uint8_t>(GetParam());
   const auto chips = spread(std::vector<std::uint8_t>{symbol});
   const rvec f = differential_of(chips, 0);
-  const DespreadResult result = despread_differential_block(f, 2, 10);
+  const DespreadResult result = despread_differential(f, 10)[0];
   EXPECT_TRUE(result.accepted);
   EXPECT_EQ(result.symbol, symbol);
 }
@@ -136,8 +136,7 @@ TEST(DifferentialTest, SingleChipErrorCostsTwoInDifferentialDomain) {
 }
 
 TEST(DifferentialTest, RejectsPartialBlocks) {
-  rvec f(31, 1.0);
-  EXPECT_THROW(despread_differential_block(f, 0, 10), ContractError);
+  EXPECT_THROW(despread_differential(rvec(31, 1.0), 10), ContractError);
   EXPECT_THROW(despread_differential(rvec(33, 1.0), 10), ContractError);
 }
 

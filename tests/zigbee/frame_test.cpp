@@ -96,11 +96,6 @@ TEST(PpduTest, StructureMatchesStandard) {
   EXPECT_EQ(wire[kPreambleBytes + 3], 0xBB);
 }
 
-TEST(PpduTest, SymbolCountFormula) {
-  EXPECT_EQ(Ppdu::symbol_count(0), 12u);
-  EXPECT_EQ(Ppdu::symbol_count(16), 44u);
-}
-
 TEST(PpduTest, RejectsOversizedPsdu) {
   Ppdu ppdu;
   ppdu.psdu.assign(kMaxPsduBytes + 1, 0);

@@ -7,6 +7,13 @@
 namespace ctc::zigbee {
 namespace {
 
+MacAddress extended_address(std::uint64_t value) {
+  MacAddress addr;
+  addr.mode = AddressingMode::extended;
+  addr.extended_addr = value;
+  return addr;
+}
+
 TEST(FrameControlTest, BitsRoundTripForAllTypesAndModes) {
   for (FrameType type : {FrameType::beacon, FrameType::data, FrameType::ack,
                          FrameType::command}) {
@@ -55,8 +62,8 @@ TEST(GeneralMacFrameTest, ExtendedAddressRoundTrip) {
   GeneralMacFrame frame;
   frame.control.dest_mode = AddressingMode::extended;
   frame.control.src_mode = AddressingMode::extended;
-  frame.dest = MacAddress::extended(0x0011223344556677ULL);
-  frame.src = MacAddress::extended(0x8899AABBCCDDEEFFULL);
+  frame.dest = extended_address(0x0011223344556677ULL);
+  frame.src = extended_address(0x8899AABBCCDDEEFFULL);
   frame.payload = {1};
   const auto parsed = GeneralMacFrame::parse(frame.serialize());
   ASSERT_TRUE(parsed.has_value());
@@ -70,7 +77,7 @@ TEST(GeneralMacFrameTest, MixedModesAndNoCompression) {
   frame.control.src_mode = AddressingMode::extended;
   frame.control.pan_id_compression = false;
   frame.dest = MacAddress::short_address(0xAAAA);
-  frame.src = MacAddress::extended(42);
+  frame.src = extended_address(42);
   const auto parsed = GeneralMacFrame::parse(frame.serialize());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->dest.short_addr, 0xAAAA);

@@ -182,18 +182,5 @@ TEST(OqpskDemodulatorTest, RejectsShortWaveform) {
   EXPECT_THROW(demodulator.frequency_chips(wave, 32), ContractError);
 }
 
-TEST(OqpskDemodulatorTest, InstantaneousPhaseUnwraps) {
-  // A steady rotation of +pi/3 per sample accumulates without 2pi jumps.
-  cvec wave(24);
-  for (std::size_t i = 0; i < wave.size(); ++i) {
-    const double angle = kPi / 3.0 * static_cast<double>(i);
-    wave[i] = {std::cos(angle), std::sin(angle)};
-  }
-  const rvec phase = OqpskDemodulator::instantaneous_phase(wave);
-  for (std::size_t i = 1; i < phase.size(); ++i) {
-    EXPECT_NEAR(phase[i] - phase[i - 1], kPi / 3.0, 1e-9);
-  }
-}
-
 }  // namespace
 }  // namespace ctc::zigbee

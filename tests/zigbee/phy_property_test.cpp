@@ -72,7 +72,8 @@ TEST_P(PhyRoundTripTest, WaveformAndChipLengthFormulas) {
   Transmitter tx;
   const MacFrame frame = random_frame(rng);
   const bytevec psdu = frame.serialize();
-  const std::size_t symbols = Ppdu::symbol_count(psdu.size());
+  // Preamble, SFD and PHR, then the PSDU, two symbols per byte.
+  const std::size_t symbols = 2 * (kPreambleBytes + 2 + psdu.size());
   const auto chips = tx.chips_for_psdu(psdu);
   EXPECT_EQ(chips.size(), symbols * kChipsPerSymbol);
   const cvec wave = tx.transmit_frame(frame);

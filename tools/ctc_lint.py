@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""ctc_lint: architecture + contract conformance lint for the ctc tree.
+"""ctc_lint: architecture, contract and determinism lint for the ctc tree.
 
-Two analyzer families, built on the tools/lint/ framework:
+Three analyzer families, built on the tools/lint/ framework:
 
   layering    layer-dep / layer-cycle / layer-unmapped — the
               docs/ARCHITECTURE.md dependency table (machine-readable in
@@ -14,6 +14,15 @@ Two analyzer families, built on the tools/lint/ framework:
               JSON, CTC_TELEM_* metric families, Rng::for_stream id
               namespaces) and the docs that promise them.
 
+  determinism rng / clock / unordered-iter / telem-mix / intrinsics — the
+              reproducibility rules (all randomness via dsp::Rng, no wall
+              clocks outside telemetry and perf benches, no unordered
+              iteration in report writers, no timer values in
+              deterministic counters, raw SIMD only in the kernel layer).
+
+The reach rule (tools/lint/reach.py, the lint.reach ctest) reads a build
+rather than the sources, so it runs on its own.
+
 Usage:
     tools/ctc_lint.py [--root DIR] [--build-dir DIR] [--report FILE]
                       [--list-rules] [files...]
@@ -21,7 +30,9 @@ Usage:
 With no files, scans the whole tree. Explicit files restrict the
 per-file rules (layer-dep, telemetry-registry...) to those files; the
 whole-tree registries still load the full tree so cross-checks stay
-sound. Exit 0 = clean, 1 = findings, 2 = usage/spec error.
+sound. An explicit file outside the scanned directories (perfbench/, say)
+gets the determinism rules. Exit 0 = clean, 1 = findings, 2 = usage/spec
+error.
 
 Waive a finding with `// ctc-lint: allow(<rule>)` on the flagged line
 (see docs/STATIC_ANALYSIS.md for the waiver policy).
@@ -35,7 +46,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from lint import framework, layering, registries  # noqa: E402
+from lint import determinism, framework, layering, registries  # noqa: E402
 
 RULES = {
     "layer-dep": "include crosses layers not declared in layers.json",
@@ -45,6 +56,7 @@ RULES = {
     "schema-docs": "emitted *_schema version or field not documented",
     "telemetry-registry": "CTC_TELEM_* family missing from TELEMETRY.md",
     "stream-ids": "Rng::for_stream site unregistered or namespace collision",
+    **determinism.RULES,
 }
 
 
@@ -68,6 +80,13 @@ def main(argv=None) -> int:
     if args.list_rules:
         for rule, blurb in RULES.items():
             print(f"{rule:20} {blurb}")
+        for rule, allowlist in determinism.ALLOWLISTS.items():
+            print(f"allowlist [{rule}]:")
+            for path, reason in allowlist.items():
+                print(f"  {path}: {reason}")
+        print("allowlist [intrinsics]:")
+        print(f"  {determinism.INTRINSICS_ALLOWED_PREFIX}*: the dispatched "
+              "kernel layer (scalar twin + equivalence contracts)")
         return 0
 
     root = (Path(args.root) if args.root
@@ -90,19 +109,25 @@ def main(argv=None) -> int:
     findings = []
     findings += layering.run(tree, root, include_dirs, spec)
     findings += registries.run(tree, root)
+    findings += determinism.run(tree)
 
     if args.files:
         keep = set()
+        scanned = {source.rel for source in tree}
         for name in args.files:
             path = Path(name)
             if not path.is_absolute():
                 path = Path.cwd() / path
             try:
-                keep.add(path.resolve().relative_to(root).as_posix())
+                rel = path.resolve().relative_to(root).as_posix()
             except ValueError:
                 print(f"ctc_lint.py: {name} is outside root {root}",
                       file=sys.stderr)
                 return 2
+            keep.add(rel)
+            if rel not in scanned:
+                findings += determinism.lint_source(
+                    framework.SourceFile.load(path, rel))
         findings = [finding for finding in findings if finding.path in keep]
 
     findings.sort(key=lambda f: (f.path, f.line, f.rule))

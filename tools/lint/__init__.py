@@ -6,8 +6,11 @@ Modules:
   layering    architecture-layer conformance (layers.json)
   registries  contract-registry cross-checks (kernel table, JSON schemas,
               telemetry metric families, RNG stream-ID namespaces)
+  determinism reproducibility rules (rng, clock, unordered-iter, telem-mix,
+              intrinsics)
+  reach       library functions no production binary links (reads a build)
 
-Drivers live one directory up: tools/ctc_lint.py (architecture + registry
-analyzers) and tools/lint_determinism.py (reproducibility rules), both built
-on this package. See docs/STATIC_ANALYSIS.md for the rule catalog.
+The driver lives one directory up: tools/ctc_lint.py runs the source
+families; reach.py runs on its own (the lint.reach ctest). See
+docs/STATIC_ANALYSIS.md for the rule catalog.
 """

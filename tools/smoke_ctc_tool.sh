@@ -3,7 +3,9 @@
 # generated HELLO frame and its WiFi emulation, each behind 300 zero
 # samples, must sync at offset 300, pass the FCS and be classified H0 and
 # H1 by the defense; `detect` on a missing capture must exit 1 with one
-# message line that names the file.
+# message line that names the file. On silent captures of 1, 10 and 100
+# zero samples `detect` must say that nothing synced and exit 1, and
+# `attack` must exit 1 with one line naming the file and write no output.
 #
 # usage: smoke_ctc_tool.sh <build_dir> <source_dir>
 set -euo pipefail
@@ -55,4 +57,31 @@ if [ "$status" -ne 1 ] || [ "$(printf '%s\n' "$err" | wc -l)" -ne 1 ] ||
   exit 1
 fi
 
-echo "ctc_tool smoke: PASS (authentic H0, emulated H1, missing capture)"
+for samples in 1 10 100; do
+  silent="$work/silent_$samples.cf32"
+  head -c $((8 * samples)) /dev/zero > "$silent"
+  status=0
+  out=$("$tool" detect "$silent" 2>&1) || status=$?
+  if [ "$status" -ne 1 ] || ! grep -qF "no SHR synced in $silent" <<<"$out" ||
+     grep -qF "sync offset" <<<"$out"; then
+    echo "FAIL: detect on $samples silent samples exited $status, wanted 1" \
+         "and a line saying nothing synced:" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+done
+
+silent="$work/silent_100.cf32"
+status=0
+err=$("$tool" attack "$silent" "$work/silent_attack.cf32" 2>&1 >/dev/null) ||
+  status=$?
+if [ "$status" -ne 1 ] || [ "$(printf '%s\n' "$err" | wc -l)" -ne 1 ] ||
+   ! grep -qF "$silent" <<<"$err" || [ -e "$work/silent_attack.cf32" ]; then
+  echo "FAIL: attack on a silent capture exited $status, wanted 1, one line" \
+       "naming the file and no output file:" >&2
+  echo "$err" >&2
+  exit 1
+fi
+
+echo "ctc_tool smoke: PASS (authentic H0, emulated H1, missing and silent" \
+     "captures)"

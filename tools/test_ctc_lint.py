@@ -20,7 +20,7 @@ CTC_LINT = TOOLS_DIR / "ctc_lint.py"
 GEN_HEADER_CHECKS = TOOLS_DIR / "lint" / "gen_header_checks.py"
 
 sys.path.insert(0, str(TOOLS_DIR))
-from lint import framework, layering, registries  # noqa: E402
+from lint import framework, layering, reach, registries  # noqa: E402
 
 
 def make_tree(files):
@@ -358,6 +358,63 @@ class StreamIdsTest(unittest.TestCase):
         self.assertEqual(registries.check_stream_ids(tree), [])
 
 
+class ReachTest(unittest.TestCase):
+    """The reach rule on canned `nm -C --defined-only` output."""
+
+    ARCHIVE = (
+        "fft.cpp.o:\n"
+        "0000000000000000 T ctc::dsp::used(double)\n"
+        "0000000000000010 T ctc::dsp::unused(double)\n"
+        "0000000000000020 T ctc::dsp::scale(int)\n"
+        "0000000000000030 T ctc::dsp::scale(double)\n"
+        "0000000000000040 W ctc::dsp::inline_helper()\n"
+        "0000000000000050 t ctc::dsp::(anonymous namespace)::local()\n")
+    BINARY = (
+        "0000000000001000 T ctc::dsp::used(double)\n"
+        "0000000000001010 T ctc::dsp::scale(int)\n"
+        "0000000000001020 T main\n")
+
+    def findings(self, allowlist):
+        exported = {
+            name: (Path("libctc_dsp.a"), member)
+            for name, member in reach.parse_nm(self.ARCHIVE, True).items()}
+        linked = set(reach.parse_nm(self.BINARY, False))
+        return reach.check_reach(exported, linked, allowlist)
+
+    def flagged(self, findings):
+        return sorted(f.message.split(" is ")[0] for f in findings)
+
+    def test_unlinked_exported_function_fires(self):
+        findings = self.findings({"ctc::dsp::scale(double)": "reason"})
+        self.assertEqual(rules_of(findings), ["reach"])
+        self.assertEqual(self.flagged(findings), ["ctc::dsp::unused(double)"])
+        self.assertEqual(findings[0].path, "libctc_dsp.a(fft.cpp.o)")
+
+    def test_stale_allowlist_entries_fire(self):
+        findings = self.findings({
+            "ctc::dsp::unused(double)": "kept",
+            "ctc::dsp::scale(double)": "kept",
+            "ctc::dsp::used(double)": "reached by a binary",
+            "ctc::dsp::gone()": "no longer defined",
+        })
+        self.assertEqual(rules_of(findings), ["reach"])
+        self.assertEqual(len(findings), 2)
+        self.assertTrue(all(f.path == reach.SELF for f in findings))
+        messages = " ".join(f.message for f in findings)
+        self.assertIn("used(double) is linked by a production binary",
+                      messages)
+        self.assertIn("gone() is defined by no library", messages)
+
+    def test_overloads_stay_apart(self):
+        findings = self.findings({"ctc::dsp::unused(double)": "kept"})
+        self.assertEqual(self.flagged(findings), ["ctc::dsp::scale(double)"])
+
+    def test_real_allowlist_is_short_and_reasoned(self):
+        self.assertLessEqual(len(reach.ALLOWLIST), 8)
+        self.assertTrue(all(reason.strip()
+                            for reason in reach.ALLOWLIST.values()))
+
+
 class HeaderSelfcheckTest(unittest.TestCase):
     def run_gen(self, headers):
         if shutil.which("c++") is None:
@@ -408,7 +465,8 @@ class CliTest(unittest.TestCase):
             capture_output=True, text=True)
         self.assertEqual(result.returncode, 0)
         for rule in ("layer-dep", "kernel-registry", "schema-docs",
-                     "telemetry-registry", "stream-ids"):
+                     "telemetry-registry", "stream-ids", "rng", "clock",
+                     "unordered-iter", "telem-mix", "intrinsics"):
             self.assertIn(rule, result.stdout)
 
     def test_report_file_and_file_filter(self):

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Unit tests for lint_determinism.py: every rule must fire on a seeded
-violation fixture and stay silent on the idiomatic clean counterpart.
+"""Unit tests for the determinism rules (tools/lint/determinism.py, run by
+ctc_lint): every rule must fire on a seeded violation fixture and stay
+silent on the idiomatic clean counterpart.
 
 Run directly (python3 tools/test_lint_determinism.py) or via ctest
 (tools.lint_determinism_py)."""
@@ -12,21 +13,18 @@ import unittest
 from pathlib import Path
 
 TOOLS_DIR = Path(__file__).resolve().parent
-LINT = TOOLS_DIR / "lint_determinism.py"
+LINT = TOOLS_DIR / "ctc_lint.py"
 REPO_ROOT = TOOLS_DIR.parent
 
 sys.path.insert(0, str(TOOLS_DIR))
-import lint_determinism  # noqa: E402
+from lint import determinism, framework  # noqa: E402
 
 
 class LintFixtureTest(unittest.TestCase):
-    """Runs the lint on in-memory fixture files via lint_file()."""
+    """Runs the rules on in-memory fixture files."""
 
     def lint_source(self, source: str, rel: str = "src/foo/bar.cpp"):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / Path(rel).name
-            path.write_text(source)
-            return lint_determinism.lint_file(path, rel)
+        return determinism.lint_source(framework.SourceFile(rel, source))
 
     def assert_rules(self, source: str, expected_rules, rel="src/foo/bar.cpp"):
         violations = self.lint_source(source, rel=rel)
@@ -241,7 +239,7 @@ class LintFixtureTest(unittest.TestCase):
 
 
 class LintCliTest(unittest.TestCase):
-    """End-to-end: the CLI exit codes and the real tree."""
+    """End-to-end through ctc_lint: the exit codes and the real tree."""
 
     def run_lint(self, *args):
         return subprocess.run(
@@ -253,10 +251,14 @@ class LintCliTest(unittest.TestCase):
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
 
     def test_seeded_violation_fails_cli(self):
+        # A file outside the scanned directories, named explicitly, gets
+        # the determinism rules (how perfbench/src is linted).
         with tempfile.TemporaryDirectory() as tmp:
-            bad = Path(tmp) / "bad.cpp"
+            (Path(tmp) / "src").mkdir()
+            bad = Path(tmp) / "perfbench" / "bad.cpp"
+            bad.parent.mkdir()
             bad.write_text("std::mt19937 gen;\n")
-            result = self.run_lint("--root", str(REPO_ROOT), str(bad))
+            result = self.run_lint("--root", tmp, str(bad))
             self.assertEqual(result.returncode, 1,
                              result.stdout + result.stderr)
             self.assertIn("[rng]", result.stdout)
@@ -264,6 +266,8 @@ class LintCliTest(unittest.TestCase):
     def test_list_rules(self):
         result = self.run_lint("--list-rules")
         self.assertEqual(result.returncode, 0)
+        for rule in determinism.RULES:
+            self.assertIn(rule, result.stdout)
         self.assertIn("allowlist [clock]:", result.stdout)
 
 
